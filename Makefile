@@ -33,8 +33,9 @@ test-conformance:
 		--runslow -q
 
 ## fast benchmark smoke at a small scale (service batch + Fig. 8 + assembly
-## + streaming + sharding + problem reductions + flow kernel + resilience
-## + telemetry overhead + serving front door)
+## + streaming + sharding + Section 6.4 two-way decomposition + problem
+## reductions + flow kernel + resilience + telemetry overhead + serving
+## front door)
 bench-smoke:
 	REPRO_BENCH_SCALE=0.05 $(PYTHON) -m pytest \
 		benchmarks/bench_service_batch.py \
@@ -42,6 +43,7 @@ bench-smoke:
 		benchmarks/bench_assembly.py \
 		benchmarks/bench_streaming.py \
 		benchmarks/bench_shard.py \
+		benchmarks/bench_sec64_decomposition.py \
 		benchmarks/bench_problems.py \
 		benchmarks/bench_kernel.py \
 		benchmarks/bench_resilience.py \

@@ -13,10 +13,10 @@ The package is organised by subsystem:
   quasi-static dynamics;
 * :mod:`repro.crossbar` — the reconfigurable memristor crossbar, programming
   protocol, variation/tuning and the clustered island architectures;
-* :mod:`repro.decomposition` — the paper-facing two-way dual decomposition;
-* :mod:`repro.shard` — N-way partitioned solving: multi-way overlapping
-  partitioner, parallel shard executor (classical or analog, warm
-  re-solves) and the subgradient dual coordinator;
+* :mod:`repro.shard` — partitioned solving for instances larger than one
+  substrate (Section 6.4, N-way): multi-way overlapping partitioner,
+  parallel shard executor (classical or analog, warm re-solves) and the
+  subgradient dual coordinator;
 * :mod:`repro.power` — the analytical power/energy model;
 * :mod:`repro.problems` — problem→flow reductions (bipartite matching,
   disjoint paths, image segmentation, project selection) with certified
@@ -97,7 +97,6 @@ from .crossbar import (
     CrossbarSubstrate,
     ProgrammingProtocol,
 )
-from .decomposition import DualDecompositionSolver
 from .power import PowerModel, compare_energy
 from .problems import (
     BipartiteMatching,
@@ -202,7 +201,6 @@ __all__ = [
     "CrossbarSubstrate",
     "ProgrammingProtocol",
     # extensions
-    "DualDecompositionSolver",
     "PowerModel",
     "compare_energy",
     # N-way sharding

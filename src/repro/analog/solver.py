@@ -209,6 +209,28 @@ class AnalogMaxFlowSolver:
         """
         return self.compiler().compile(network, vflow_v=vflow_v)
 
+    def with_dedicated_clamps(self, prune: Optional[bool] = None) -> "AnalogMaxFlowSolver":
+        """A fresh solver with this configuration and per-edge clamp sources.
+
+        The warm :meth:`resolve` loops (streaming sessions, analog shards)
+        need re-programmable clamps and a solver of their own, so that the
+        persistent DC engine is never shared.  ``prune`` overrides this
+        solver's setting (analog shards need a stable, unpruned edge set).
+        """
+        return AnalogMaxFlowSolver(
+            parameters=self.parameters,
+            nonideal=self.nonideal,
+            quantize=self.quantize,
+            style=self.style,
+            prune=self.prune if prune is None else prune,
+            adaptive_drive=self.adaptive_drive,
+            drive_tolerance=self.drive_tolerance,
+            max_drive_doublings=self.max_drive_doublings,
+            quantizer_mode=self.quantizer_mode,
+            seed=self.seed,
+            dedicated_clamp_sources=True,
+        )
+
     # ------------------------------------------------------------------
 
     def solve(

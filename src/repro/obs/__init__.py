@@ -3,9 +3,8 @@
 Three small pieces share one enable flag (``REPRO_OBS``, default off):
 
 * :mod:`repro.obs.trace` — ambient hierarchical spans on a contextvar,
-  with explicit re-scoping across thread pools (``span_scope``) and
-  post-hoc recording across process pools (``record_span``), mirroring
-  the resilience layer's deadline propagation exactly;
+  with explicit re-scoping across thread pools (``span_scope``),
+  mirroring the resilience layer's deadline propagation exactly;
 * :mod:`repro.obs.metrics` — the process-local registry of counters,
   gauges and fixed-bucket histograms with deterministic ``snapshot()``;
 * :mod:`repro.obs.probes` — typed one-line emission sites wired into the
@@ -64,7 +63,6 @@ from .trace import (
     current_span,
     obs_enabled,
     recent_traces,
-    record_span,
     set_obs_enabled,
     set_trace_clock,
     span,
@@ -103,7 +101,6 @@ __all__ = [
     "probes",
     "prometheus_text",
     "recent_traces",
-    "record_span",
     "reset_metrics",
     "set_obs_enabled",
     "set_slo_policy",

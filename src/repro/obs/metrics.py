@@ -19,11 +19,8 @@ Design constraints, in the order they shaped the code:
   one lock; label sets are flattened into the key string once per call
   (``name{k=v,...}`` with sorted label names) so there is no nested
   structure to merge at export time.
-* **Process-local by contract.**  Pool workers get a fresh registry in
-  their own interpreter; cross-process aggregation is the dispatcher's
-  job (see ``record_span`` in :mod:`repro.obs.trace` and the process
-  branch of ``BatchSolveService.solve_batch``), exactly like PR 7 ships
-  deadlines to process workers as plain data instead of contextvars.
+* **Process-local by contract.**  Every solve path runs in-process
+  (thread pools at most), so one registry sees every probe.
 
 >>> reg = MetricsRegistry()
 >>> reg.counter("service.solves", backend="dinic")

@@ -192,8 +192,7 @@ def solve_timed(backend: str, seconds: float) -> None:
 
     This is the data source for :class:`repro.obs.slo.SloPolicy` latency
     objectives — the span histogram keys on span name only, so latency
-    SLOs need this backend-labelled series.  Process-pool dispatchers
-    call it post-hoc on the parent side, same as ``record_span``.
+    SLOs need this backend-labelled series.
     """
     if not trace._ENABLED:
         return

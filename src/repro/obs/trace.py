@@ -7,7 +7,7 @@ A span is a named timing interval with attributes and children.  The
 nest and propagate identically: ambient within a thread, explicit at
 every pool boundary.
 
-The three propagation regimes, matching PR 7's deadline plumbing:
+The two propagation regimes, matching the deadline plumbing:
 
 * **Same thread** — ``with span("batch.solve"):`` makes the new span the
   ambient parent; nested ``span(...)`` calls attach as children and the
@@ -19,11 +19,6 @@ The three propagation regimes, matching PR 7's deadline plumbing:
   Child spans append to ``parent.children`` from worker threads; list
   appends are atomic under the GIL, and the parent only *reads* the list
   after joining the pool.
-* **Process pools** — nothing ambient crosses an ``os.fork``/pickle
-  boundary in either direction.  The dispatcher records what the worker
-  measured *post hoc* with :func:`record_span`, turning returned timings
-  (``SolveResult.wall_time_s``) into completed child spans — the tracing
-  analog of shipping ``deadline_s`` to workers as plain request data.
 
 Tracing is **off by default** (``REPRO_OBS=1`` enables it, or
 :func:`set_obs_enabled` at runtime).  The disabled path is engineered to
@@ -69,7 +64,6 @@ __all__ = [
     "current_span",
     "obs_enabled",
     "recent_traces",
-    "record_span",
     "set_obs_enabled",
     "set_trace_clock",
     "span",
@@ -244,7 +238,11 @@ class _SpanContext:
         _ACTIVE_SPAN.reset(self._token)
         if exc_type is not None:
             node.attributes.setdefault("error_type", exc_type.__name__)
-        _finish_span(node, self._parent)
+        if self._parent is not None:
+            self._parent.children.append(node)  # GIL-atomic; parent reads after join
+        else:
+            _RECENT_ROOTS.append(node)
+        get_registry().observe(f"span.{node.name}.seconds", node.duration_s)
         return False
 
 
@@ -260,14 +258,6 @@ def span(name: str, **attributes: object):
     if not _ENABLED:
         return _NOOP_CONTEXT
     return _SpanContext(name, attributes)
-
-
-def _finish_span(node: Span, parent: Optional[Span]) -> None:
-    if parent is not None:
-        parent.children.append(node)  # GIL-atomic; parent reads after join
-    else:
-        _RECENT_ROOTS.append(node)
-    get_registry().observe(f"span.{node.name}.seconds", node.duration_s)
 
 
 def current_span() -> Optional[Span]:
@@ -309,28 +299,6 @@ def annotate_span(**attributes: object) -> None:
     node = _ACTIVE_SPAN.get()
     if node is not None:
         node.attributes.update(attributes)
-
-
-def record_span(
-    name: str, duration_s: float, **attributes: object
-) -> Optional[Span]:
-    """Record an already-measured interval as a completed child span.
-
-    The process-pool half of the propagation contract: a worker process
-    cannot attach to the parent's trace tree, but it *returns* its
-    timings (``SolveResult.wall_time_s``), so the dispatcher synthesises
-    the child span after the fact.  The start stamp is back-dated from
-    the current clock, which places the span correctly in duration but
-    only approximately in wall-clock position — fine for attribution,
-    which is what the trace tree is for.
-    """
-    if not _ENABLED:
-        return None
-    now = _CLOCK()
-    node = Span(name, now - duration_s, attributes)
-    node.end_s = now
-    _finish_span(node, _ACTIVE_SPAN.get())
-    return node
 
 
 def recent_traces() -> List[Span]:

@@ -152,7 +152,7 @@ class BatchReport:
     max_workers:
         Worker-pool width the batch ran with.
     executor:
-        ``"thread"``, ``"process"`` or ``"serial"``.
+        ``"thread"`` or ``"serial"``.
     cache_stats:
         Snapshot of the compiled-circuit cache counters after the batch.
 

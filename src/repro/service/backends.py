@@ -18,7 +18,7 @@ backends (e.g. a crossbar-engine backend) without touching the service.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analog.solver import AnalogMaxFlowSolver
 from ..errors import AlgorithmError
@@ -30,7 +30,7 @@ from ..obs.trace import span
 from ..resilience.faults import corrupt_value, fault_point
 from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult, relative_error
-from .cache import CompiledCircuitCache, network_signature
+from .cache import CompiledCircuitCache, analog_config_signature, network_signature
 
 __all__ = [
     "SolveBackend",
@@ -184,20 +184,6 @@ class AnalogBackend(SolveBackend):
         self.solver = solver if solver is not None else AnalogMaxFlowSolver()
         self.cache = cache
 
-    def _config_signature(self) -> str:
-        s = self.solver
-        return repr(
-            (
-                s.parameters,
-                s.nonideal,
-                s.quantize,
-                str(s.style),
-                s.prune,
-                s.quantizer_mode,
-                s.seed,
-            )
-        )
-
     def _solve(self, request: SolveRequest):
         method = request.options.get("method", "dc")
         vflow_v = request.options.get("vflow_v")
@@ -209,7 +195,11 @@ class AnalogBackend(SolveBackend):
         )
         if cacheable:
             drive = float(vflow_v) if vflow_v is not None else self.solver.parameters.vflow_v
-            key = (network_signature(request.network), self._config_signature(), drive)
+            key = (
+                network_signature(request.network),
+                analog_config_signature(self.solver),
+                drive,
+            )
             hit, compiled = self.cache.lookup(key)
             if not hit:
                 compiled = self.solver.compile(request.network, vflow_v=drive)
@@ -219,29 +209,32 @@ class AnalogBackend(SolveBackend):
                 compiled.mna()
                 self.cache.store(key, compiled)
             result = self.solver.solve_compiled(compiled)
-            return self._readout(result, hit)
+            return (*analog_readout(result), result, hit)
         result = self.solver.solve(
             request.network,
             method=method,
             vflow_v=vflow_v,
             measure_convergence=bool(request.options.get("measure_convergence", False)),
         )
-        return self._readout(result, False)
+        return (*analog_readout(result), result, False)
 
-    def _readout(self, result, cache_hit):
-        """Final readout, routed through the fault injector's corrupt hook.
 
-        An injected corruption scales value and edge flows by the same
-        factor, so the corrupted result stays self-consistent and only
-        capacity validation (saturated min-cut edges now overflow) can
-        reject it — the realistic failure mode for a mis-read substrate.
-        """
-        flow_value = corrupt_value("analog-readout", self.name, result.flow_value)
-        edge_flows = result.edge_flows
-        if flow_value != result.flow_value and result.flow_value != 0.0:
-            factor = flow_value / result.flow_value
-            edge_flows = {k: f * factor for k, f in edge_flows.items()}
-        return flow_value, edge_flows, result, cache_hit
+def analog_readout(result) -> Tuple[float, Dict[int, float]]:
+    """Final analog readout ``(flow_value, edge_flows)``, via the corrupt hook.
+
+    Every analog answer that leaves a service passes the fault injector's
+    ``analog-readout`` site here.  An injected corruption scales value and
+    edge flows by the same factor, so the corrupted result stays
+    self-consistent and only capacity validation (saturated min-cut edges
+    now overflow) can reject it — the realistic failure mode for a
+    mis-read substrate.
+    """
+    flow_value = corrupt_value("analog-readout", "analog", result.flow_value)
+    edge_flows = result.edge_flows
+    if flow_value != result.flow_value and result.flow_value != 0.0:
+        factor = flow_value / result.flow_value
+        edge_flows = {k: f * factor for k, f in edge_flows.items()}
+    return flow_value, edge_flows
 
 
 # ----------------------------------------------------------------------

@@ -13,26 +13,23 @@ Worker pools
 ``executor="thread"`` (default) runs instances on a thread pool.  The MNA
 hot path spends its time inside scipy's LAPACK/SuperLU calls, which release
 the GIL, so threads overlap well and share one compiled-circuit cache.
-``executor="process"`` sidesteps the GIL entirely for Python-bound classical
-solvers at the cost of pickling instances and forgoing the shared cache
-(each worker process compiles for itself).  ``executor="serial"`` runs
-in-line, which is the reference behaviour for debugging.
+``executor="serial"`` runs in-line, which is the reference behaviour for
+debugging.  Under either, every request takes the same in-process path —
+:meth:`BatchSolveService.solve` included — so backend-name checks, failover
+validation and trace context never depend on where a request ran.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Optional, Union
-
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Dict, Iterable, Optional, Union
 
 from ..analog.solver import AnalogMaxFlowSolver
 from ..errors import AlgorithmError
 from ..graph.network import FlowNetwork
-from ..obs import probes
-from ..obs.trace import current_span, record_span, span, span_scope
+from ..obs.trace import current_span, span, span_scope
 from ..resilience.failover import FailoverPolicy, solve_with_failover
 from ..resilience.policy import Deadline, deadline_scope
 from .api import BatchReport, SolveRequest, SolveResult
@@ -43,33 +40,32 @@ __all__ = ["BatchSolveService", "ParallelMap"]
 
 RequestLike = Union[SolveRequest, FlowNetwork]
 
+#: Worker-pool kinds understood by every service executor layer.
+EXECUTORS = ("thread", "serial")
+
 
 def _default_max_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-class _ContextualCall:
-    """Picklable wrapper attaching item context to worker exceptions.
+def _with_context(fn, describe):
+    """Wrap ``fn(item)`` as ``call((index, item))`` that names failing items.
 
-    An exception escaping a thread/process worker otherwise surfaces with a
-    bare traceback and no hint of *which* item it was processing; this
-    wrapper notes the item index plus whatever ``describe(item)`` reports
-    (the batch service uses backend name, tag and topology signature).
+    An exception escaping a pool worker otherwise surfaces with a bare
+    traceback and no hint of *which* item it was processing; the wrapper
+    notes the item index plus whatever ``describe(item)`` reports (the batch
+    service uses backend name, tag and topology signature).
     """
 
-    def __init__(self, fn, describe=None):
-        self.fn = fn
-        self.describe = describe
-
-    def __call__(self, indexed):
+    def call(indexed):
         index, item = indexed
         try:
-            return self.fn(item)
+            return fn(item)
         except Exception as exc:
             detail = ""
-            if self.describe is not None:
+            if describe is not None:
                 try:
-                    detail = f" ({self.describe(item)})"
+                    detail = f" ({describe(item)})"
                 except Exception:  # noqa: BLE001 - context must never mask
                     detail = ""
             note = f"while processing item {index}{detail}"
@@ -79,23 +75,23 @@ class _ContextualCall:
                 exc.args = tuple(exc.args) + (note,)
             raise
 
+    return call
 
-def _describe_request(item) -> str:
-    """Context line for one batch item (request or process-pool payload)."""
-    request = item[0] if isinstance(item, tuple) else item
+
+def _describe_request(request: SolveRequest) -> str:
+    """Context line for one batch item."""
     signature = network_signature(request.network)[:12]
     return f"backend={request.backend!r} tag={request.tag!r} network={signature}"
 
 
 class ParallelMap:
-    """Reusable thread/process/serial mapper — the service executor layer.
+    """Reusable thread/serial mapper — the service executor layer.
 
-    One instance owns (at most) one worker pool, created lazily on the first
+    One instance owns (at most) one thread pool, created lazily on the first
     :meth:`map` call and kept alive until :meth:`close`, so iterative callers
     (the shard coordinator re-solving its shards every subgradient step, a
     batch service draining request waves) pay the pool spin-up once instead
-    of per wave.  ``"serial"`` never creates a pool; ``"process"`` requires
-    the mapped function and items to be picklable.
+    of per wave.  ``"serial"`` never creates a pool.
 
     Examples
     --------
@@ -105,7 +101,7 @@ class ParallelMap:
     """
 
     def __init__(self, executor: str = "thread", max_workers: Optional[int] = None) -> None:
-        if executor not in ("thread", "process", "serial"):
+        if executor not in EXECUTORS:
             raise AlgorithmError(f"unknown executor {executor!r}")
         if max_workers is not None and max_workers < 1:
             raise AlgorithmError("max_workers must be at least 1")
@@ -118,20 +114,16 @@ class ParallelMap:
 
         ``describe`` (optional, ``item -> str``) enriches any exception that
         escapes a worker with the failing item's index and description, via
-        ``Exception.add_note``; with a process pool it must be picklable (a
-        module-level function).
+        ``Exception.add_note``.
         """
         items = list(items)
         if describe is not None or self.executor != "serial":
-            fn = _ContextualCall(fn, describe)
+            fn = _with_context(fn, describe)
             items = list(enumerate(items))
         if self.executor == "serial" or self.max_workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if self._pool is None:
-            factory = (
-                ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-            )
-            self._pool = factory(max_workers=self.max_workers)
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return list(self._pool.map(fn, items))
 
     def close(self) -> None:
@@ -147,13 +139,6 @@ class ParallelMap:
         self.close()
 
 
-def _process_worker(payload) -> SolveResult:
-    """Top-level worker for the process pool (must be picklable)."""
-    request, analog_solver = payload
-    backend = create_backend(request.backend, analog_solver=analog_solver, cache=None)
-    return backend.solve(request)
-
-
 class BatchSolveService:
     """Solve many max-flow instances concurrently through one call.
 
@@ -162,8 +147,8 @@ class BatchSolveService:
     max_workers:
         Worker-pool width; defaults to ``min(8, cpu_count)``.
     executor:
-        ``"thread"`` (default), ``"process"`` or ``"serial"`` — see the
-        module docstring for the trade-offs.
+        ``"thread"`` (default) or ``"serial"`` — see the module
+        docstring.
     analog_solver:
         Configured :class:`~repro.analog.solver.AnalogMaxFlowSolver` used by
         every ``"analog"`` request (Table 1 defaults when omitted).
@@ -210,7 +195,7 @@ class BatchSolveService:
         cache_size: int = 128,
         failover: Union[FailoverPolicy, bool, None] = None,
     ) -> None:
-        if executor not in ("thread", "process", "serial"):
+        if executor not in EXECUTORS:
             raise AlgorithmError(f"unknown executor {executor!r}")
         if max_workers is not None and max_workers < 1:
             raise AlgorithmError("max_workers must be at least 1")
@@ -236,21 +221,16 @@ class BatchSolveService:
             f"batch items must be SolveRequest or FlowNetwork, got {type(item).__name__}"
         )
 
-    def _backends_for(self, requests: List[SolveRequest]) -> Dict[str, SolveBackend]:
-        """One backend instance per distinct name; unknown names fail fast."""
-        return {
-            name: create_backend(name, analog_solver=self.analog_solver, cache=self.cache)
-            for name in {r.backend for r in requests}
-        }
-
-    def _backend_factory(self, seeded: Optional[Dict[str, SolveBackend]] = None):
-        """Lazy per-name backend maker for failover chains.
+    def _backend_factory(self) -> Callable[[str], SolveBackend]:
+        """Memoizing per-name backend maker for requests and their chains.
 
         Fallback backends are not known up front (they come from the
-        degradation chain), so they are created on first use and memoized,
-        sharing the service's analog solver and compiled-circuit cache.
+        degradation chain), so they are created on first use, sharing the
+        service's analog solver and compiled-circuit cache.  Pool threads
+        may share one maker: a racing first use at worst builds a second,
+        equivalent backend.
         """
-        created: Dict[str, SolveBackend] = dict(seeded or {})
+        created: Dict[str, SolveBackend] = {}
 
         def make(name: str) -> SolveBackend:
             backend = created.get(name)
@@ -263,10 +243,30 @@ class BatchSolveService:
 
         return make
 
+    def _solve_one(
+        self,
+        request: SolveRequest,
+        failover: Optional[FailoverPolicy],
+        make: Optional[Callable[[str], SolveBackend]] = None,
+    ) -> SolveResult:
+        """The one in-process path every request takes.
+
+        ``failover`` is the chain policy to walk (``None``: one backend, one
+        result).  The requested backend is created before anything runs, so
+        an unknown name raises :class:`~repro.errors.AlgorithmError` even
+        with failover on: a fallback must never "repair" a typo.
+        """
+        if make is None:
+            make = self._backend_factory()
+        backend = make(request.backend)
+        if failover is None:
+            return backend.solve(request)
+        return solve_with_failover(request, failover, make)
+
     # ------------------------------------------------------------------
 
     def solve(self, network: FlowNetwork, backend: str = "analog", **options: Any) -> SolveResult:
-        """Solve a single instance (sugar for a one-request batch).
+        """Solve a single instance on the per-request path of :meth:`solve_batch`.
 
         Parameters
         ----------
@@ -276,6 +276,11 @@ class BatchSolveService:
             Registered backend name.
         **options:
             Backend-specific options (see :class:`SolveRequest`).
+
+        Raises
+        ------
+        AlgorithmError
+            For unknown backend names, with or without failover.
 
         Examples
         --------
@@ -287,10 +292,7 @@ class BatchSolveService:
         1.5
         """
         request = SolveRequest(network=network, backend=backend, options=dict(options))
-        if self.failover is not None:
-            return solve_with_failover(request, self.failover, self._backend_factory())
-        backend_obj = create_backend(backend, analog_solver=self.analog_solver, cache=self.cache)
-        return backend_obj.solve(request)
+        return self._solve_one(request, self.failover)
 
     def solve_batch(
         self,
@@ -309,10 +311,7 @@ class BatchSolveService:
             Optional shared wall-clock budget (seconds or a
             :class:`~repro.resilience.policy.Deadline`) for the whole batch:
             instances past the budget fail with typed
-            ``SolveTimeoutError`` entries instead of running.  With the
-            process executor each instance gets the budget remaining at
-            dispatch via its ``deadline_s`` option (context variables do not
-            cross process boundaries).
+            ``SolveTimeoutError`` entries instead of running.
 
         Returns
         -------
@@ -320,9 +319,9 @@ class BatchSolveService:
             Per-instance results in request order plus aggregate stats.
             Backend exceptions are captured per instance (``ok=False``,
             typed ``error_type``); only malformed batches (unknown backend
-            name, wrong item type) raise.  With a ``failover`` policy
-            configured, failed instances degrade along their backend chain
-            before being reported as failures.
+            name, wrong item type) raise, before any instance runs.  With a
+            ``failover`` policy configured, failed instances degrade along
+            their backend chain before being reported as failures.
         """
         reqs = [self._as_request(item) for item in requests]
         start = time.perf_counter()
@@ -336,73 +335,26 @@ class BatchSolveService:
             )
         if deadline is not None and not isinstance(deadline, Deadline):
             deadline = Deadline(float(deadline), label="batch")
-        backends = self._backends_for(reqs)
+        make = self._backend_factory()
+        for name in {r.backend for r in reqs}:
+            make(name)  # unknown names fail the whole batch up front
 
         with span(
             "batch.solve", executor=self.executor, requests=len(reqs)
         ) as batch_span, ParallelMap(
             executor=self.executor, max_workers=self.max_workers
         ) as pool:
-            if self.executor == "process" and len(reqs) > 1 and self.max_workers > 1:
-                if deadline is not None:
-                    reqs = [
-                        replace(
-                            r,
-                            options={
-                                **r.options,
-                                "deadline_s": max(1e-6, deadline.remaining()),
-                            },
-                        )
-                        for r in reqs
-                    ]
-                payloads = [(r, self.analog_solver) for r in reqs]
-                results = pool.map(_process_worker, payloads, describe=_describe_request)
-                if self.failover is not None:
-                    # Chains re-run in the parent: the policy's breakers and
-                    # the compiled-circuit cache are not shared with workers.
-                    make = self._backend_factory(backends)
-                    results = [
-                        r
-                        if r.ok
-                        else solve_with_failover(r.request, self.failover, make)
-                        for r in results
-                    ]
-                # Worker processes cannot attach to this trace tree (nor
-                # reach this registry), so their returned timings become
-                # post-hoc child spans and counters on the parent side —
-                # the same explicit hand-off as ``deadline_s`` above.
-                for r in results:
-                    record_span(
-                        "backend.solve",
-                        r.wall_time_s,
-                        backend=r.request.backend,
-                        ok=r.ok,
-                        executor="process",
-                    )
-                    if r.ok:
-                        probes.solve_finished(r.request.backend, r.cache_hit)
-                    else:
-                        probes.solve_error(r.request.backend, r.error_type or "")
-                    probes.solve_timed(r.request.backend, r.wall_time_s)
-            else:
-                # Inline execution (serial, threads, or a degenerate process
-                # pool that would run one task at a time anyway) keeps the
-                # shared backend instances and their compiled-circuit cache.
-                failover = self.failover
-                make = self._backend_factory(backends) if failover is not None else None
-                parent_span = current_span()
+            parent_span = current_span()
 
-                def run(r: SolveRequest) -> SolveResult:
-                    # Deadlines and trace context re-scope inside the
-                    # worker: the Deadline object carries an absolute
-                    # expiry, the parent span was captured at dispatch, and
-                    # context variables do not propagate into pool threads.
-                    with span_scope(parent_span), deadline_scope(deadline):
-                        if failover is not None:
-                            return solve_with_failover(r, failover, make)
-                        return backends[r.backend].solve(r)
+            def run(r: SolveRequest) -> SolveResult:
+                # Deadlines and trace context re-scope inside the worker: the
+                # Deadline object carries an absolute expiry, the parent span
+                # was captured at dispatch, and context variables do not
+                # propagate into pool threads.
+                with span_scope(parent_span), deadline_scope(deadline):
+                    return self._solve_one(r, self.failover, make)
 
-                results = pool.map(run, reqs, describe=_describe_request)
+            results = pool.map(run, reqs, describe=_describe_request)
             batch_span.set(
                 ok=sum(1 for r in results if r.ok),
                 failed=sum(1 for r in results if not r.ok),

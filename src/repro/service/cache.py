@@ -71,6 +71,25 @@ def network_signature(network: FlowNetwork) -> str:
     return digest.hexdigest()
 
 
+def analog_config_signature(solver) -> str:
+    """The analog solver settings a compiled circuit depends on, as a key part.
+
+    Two differently-configured solvers must never share a cached circuit,
+    so every cache key for a compiled circuit includes this string.
+    """
+    return repr(
+        (
+            solver.parameters,
+            solver.nonideal,
+            solver.quantize,
+            str(solver.style),
+            solver.prune,
+            solver.quantizer_mode,
+            solver.seed,
+        )
+    )
+
+
 class CompiledCircuitCache:
     """Thread-safe LRU cache of compiled circuits (or any expensive value).
 

@@ -39,17 +39,16 @@ path produced it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import CertificateError, ProblemError, SolveTimeoutError
 from ..flows.dinic import Dinic
 from ..flows.mincut import MinCutResult, min_cut_from_flow
 from ..flows.registry import ALGORITHMS
-from ..graph.network import FlowNetwork
 from ..obs.trace import annotate_span, span
-from ..problems.base import CertificateReport, Problem, Reduction, Solution
-from ..resilience.failover import degradation_chain
+from ..problems.base import Problem, Reduction, Solution
+from ..resilience.failover import FailoverPolicy
 from ..resilience.policy import Deadline, RetryPolicy, deadline_scope
 from .api import SolveRequest, SolveResult, relative_error
 
@@ -199,10 +198,12 @@ class ProblemSolveService:
     ----------
     batch_service:
         :class:`~repro.service.batch.BatchSolveService` used for classical
-        and analog solves.  When omitted, one is created with an
-        unquantized adaptive-drive analog solver — the certificate-grade
-        analog configuration (quantization error would otherwise dominate
-        the cross-check tolerance).
+        and analog solves (its ``failover`` setting governs
+        :meth:`solve_batch`; single solves follow ``failover`` below).
+        When omitted, one is created with an unquantized adaptive-drive
+        analog solver — the certificate-grade analog configuration
+        (quantization error would otherwise dominate the cross-check
+        tolerance).
     sharded_service:
         :class:`~repro.service.sharded.ShardedSolveService` used when
         ``shards`` is requested; a thread-executor instance by default.
@@ -216,14 +217,15 @@ class ProblemSolveService:
         instead of losing the whole problem solve); two zero-delay attempts
         by default.
     failover:
-        When a *known* backend fails at solve time, walk its
-        :func:`~repro.resilience.failover.degradation_chain` (e.g.
-        ``analog -> kernel-dinic -> dinic``) and accept the first
-        fallback whose answer survives the decode + certificate machinery;
-        the result is marked ``degraded`` with a ``failover_trail``.
-        Unknown backend names and timeouts still fail fast, and the
-        sharded path keeps its own unsharded fallback.  ``False``
-        restores strict fail-fast behaviour.
+        When a backend fails at solve time, walk its degradation chain
+        (e.g. ``analog -> kernel-dinic -> dinic``) through
+        :func:`~repro.resilience.failover.solve_with_failover`, one
+        attempt per stage and without flow re-validation: the decode +
+        certificate machinery judges whichever answer comes back.  The
+        result is marked ``degraded`` with a ``failover_trail``.  Unknown
+        backend names and timeouts still fail fast, and the sharded path
+        keeps its own unsharded fallback.  ``False`` restores strict
+        fail-fast behaviour.
 
     Examples
     --------
@@ -314,86 +316,16 @@ class ProblemSolveService:
         self, problem, backend, shards, tag, value_rtol, options
     ) -> ProblemSolve:
         start = time.perf_counter()
-        t0 = time.perf_counter()
         with span("problem.reduce", kind=problem.kind):
             reduction = problem.reduce()
-        reduce_time = time.perf_counter() - t0
-
-        if shards is not None:
-            result, cut, backend_name = self._solve_sharded(
-                reduction, backend, shards, tag, options
-            )
-            flow = None
-            decode_source = "partition"
+        reduce_time = time.perf_counter() - start
+        if shards is None:
+            result, cut = self._solve_flat(reduction, backend, tag, options), None
         else:
-            result, flow, cut, decode_source, backend_name = self._solve_flat(
-                reduction, backend, tag, options
-            )
-
-        if not result.ok:
-            if result.error_type == SolveTimeoutError.__name__:
-                raise SolveTimeoutError(
-                    f"{problem.kind}: backend {backend_name!r} timed out: "
-                    f"{result.error}"
-                )
-            raise ProblemError(
-                f"{problem.kind}: backend {backend_name!r} failed: {result.error}"
-            )
-
-        rtol = value_rtol if value_rtol is not None else self._default_rtol(
-            backend_name, shards
+            result, cut = self._solve_sharded(reduction, backend, shards, tag, options)
+        return self._finish(
+            problem, reduction, result, reduce_time, start, value_rtol, shards, cut
         )
-
-        t0 = time.perf_counter()
-        with span("problem.decode", kind=problem.kind):
-            solution, certificate, decode_source = self._decode_certified(
-                problem, reduction, flow, cut, decode_source, result, shards
-            )
-        decode_time = time.perf_counter() - t0
-
-        backend_objective = reduction.objective_from_flow(result.flow_value)
-        value_error = relative_error(backend_objective, solution.value)
-        if shards is not None and decode_source == "partition":
-            certificate.require(
-                "sharded-converged",
-                bool(result.detail.converged),
-                "coordinator did not converge; partition not certified",
-            )
-        certificate.require(
-            "backend-value-consistent",
-            self._close(result.flow_value, solution.flow_value, rtol),
-            f"backend flow {result.flow_value} vs certified {solution.flow_value} "
-            f"(rtol {rtol})",
-        )
-        solution.certificate = certificate
-
-        report = ProblemReport(
-            kind=problem.kind,
-            backend=backend_name,
-            shards=shards or 0,
-            network_vertices=reduction.num_vertices,
-            network_edges=reduction.num_edges,
-            objective_value=solution.value,
-            backend_objective=backend_objective,
-            backend_value_error=value_error,
-            certificate_status=certificate.status,
-            decode_source=decode_source,
-            reduce_time_s=reduce_time,
-            solve_time_s=result.wall_time_s,
-            decode_time_s=decode_time,
-            wall_time_s=time.perf_counter() - start,
-        )
-        annotate_span(
-            decode_source=decode_source,
-            certificate=certificate.status,
-            reduce_time_s=reduce_time,
-            decode_time_s=decode_time,
-        )
-        if self.strict and not certificate.ok:
-            raise CertificateError(
-                f"{problem.kind} via {backend_name}: {certificate.status}"
-            )
-        return ProblemSolve(solution=solution, result=result, report=report)
 
     def solve_batch(
         self,
@@ -421,43 +353,64 @@ class ProblemSolveService:
             for r in reductions
         ]
         batch = self.batch.solve_batch(requests)
-        solves: List[ProblemSolve] = []
-        for problem, reduction, result, reduce_time in zip(
-            problems, reductions, batch.results, reduce_times
-        ):
-            solves.append(
-                self._finish_batch_item(
-                    problem, reduction, result, backend, reduce_time
-                )
+        return [
+            self._finish(
+                problem, reduction, result, reduce_time,
+                time.perf_counter() - reduce_time,
             )
-        return solves
+            for problem, reduction, result, reduce_time in zip(
+                problems, reductions, batch.results, reduce_times
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Internal plumbing
     # ------------------------------------------------------------------
 
-    def _finish_batch_item(
+    def _finish(
         self,
         problem: Problem,
         reduction: Reduction,
         result: SolveResult,
-        backend: str,
         reduce_time_s: float,
+        started: float,
+        value_rtol: Optional[float] = None,
+        shards: Optional[int] = None,
+        cut: Optional[MinCutResult] = None,
     ) -> ProblemSolve:
-        """Decode + certify one pre-solved batch item (shared with solve)."""
-        start = time.perf_counter()
+        """Decode, certify and report one solved reduction (every route).
+
+        ``started`` is the ``perf_counter`` stamp the report's wall time
+        counts from; ``cut`` is the sharded route's stitched partition.
+        """
+        backend = result.backend
         if not result.ok:
+            if result.error_type == SolveTimeoutError.__name__:
+                raise SolveTimeoutError(
+                    f"{problem.kind}: backend {backend!r} timed out: {result.error}"
+                )
             raise ProblemError(
                 f"{problem.kind}: backend {backend!r} failed: {result.error}"
             )
-        flow, cut, decode_source = self._flat_decode_inputs(reduction, result, backend)
+        if shards is None:
+            flow, cut, decode_source = self._flat_decode_inputs(reduction, result)
+        else:
+            flow, decode_source = None, "partition"
+
         t0 = time.perf_counter()
-        solution, certificate, decode_source = self._decode_certified(
-            problem, reduction, flow, cut, decode_source, result, shards=None
-        )
+        with span("problem.decode", kind=problem.kind):
+            solution, certificate, decode_source = self._decode_certified(
+                problem, reduction, flow, cut, decode_source
+            )
         decode_time = time.perf_counter() - t0
-        rtol = self._default_rtol(backend, None)
-        backend_objective = reduction.objective_from_flow(result.flow_value)
+
+        if decode_source == "partition":
+            certificate.require(
+                "sharded-converged",
+                bool(result.detail.converged),
+                "coordinator did not converge; partition not certified",
+            )
+        rtol = value_rtol if value_rtol is not None else self._default_rtol(backend)
         certificate.require(
             "backend-value-consistent",
             self._close(result.flow_value, solution.flow_value, rtol),
@@ -465,10 +418,12 @@ class ProblemSolveService:
             f"(rtol {rtol})",
         )
         solution.certificate = certificate
+
+        backend_objective = reduction.objective_from_flow(result.flow_value)
         report = ProblemReport(
             kind=problem.kind,
             backend=backend,
-            shards=0,
+            shards=shards or 0,
             network_vertices=reduction.num_vertices,
             network_edges=reduction.num_edges,
             objective_value=solution.value,
@@ -479,54 +434,34 @@ class ProblemSolveService:
             reduce_time_s=reduce_time_s,
             solve_time_s=result.wall_time_s,
             decode_time_s=decode_time,
-            wall_time_s=reduce_time_s + (time.perf_counter() - start),
+            wall_time_s=time.perf_counter() - started,
+        )
+        annotate_span(
+            decode_source=decode_source,
+            certificate=certificate.status,
+            reduce_time_s=reduce_time_s,
+            decode_time_s=decode_time,
         )
         if self.strict and not certificate.ok:
             raise CertificateError(f"{problem.kind} via {backend}: {certificate.status}")
         return ProblemSolve(solution=solution, result=result, report=report)
 
-    def _solve_flat(self, reduction, backend, tag, options):
-        """One batch-service solve plus the decode inputs it supports."""
+    def _solve_flat(self, reduction, backend, tag, options) -> SolveResult:
+        """One solve on the batch service's backends, degrading on failure."""
         request = SolveRequest(
             network=reduction.network, backend=backend, options=dict(options), tag=tag
         )
-        # A one-request batch (rather than BatchSolveService.solve) so the
-        # tag survives into the request the result echoes back.
-        result = self.batch.solve_batch([request]).results[0]
-        if (
-            not result.ok
-            and self.failover
-            and result.error_type != SolveTimeoutError.__name__
-            and (backend in ALGORITHMS or backend == "analog")
-        ):
-            # Known backend failed at solve time: walk its degradation
-            # chain.  Unknown names keep failing fast (a typo must not be
-            # silently "fixed" by a fallback), and an expired deadline is
-            # terminal — the budget is already gone.
-            trail = [f"{backend}: {result.error}"]
-            for name in degradation_chain(backend)[1:]:
-                fallback_request = SolveRequest(
-                    network=reduction.network,
-                    backend=name,
-                    options=dict(options),
-                    tag=tag,
-                )
-                fallback = self.batch.solve_batch([fallback_request]).results[0]
-                if fallback.ok:
-                    fallback.degraded = True
-                    fallback.failover_trail = trail + list(fallback.failover_trail)
-                    result, backend = fallback, name
-                    break
-                trail.append(f"{name}: {fallback.error}")
-                if fallback.error_type == SolveTimeoutError.__name__:
-                    result = fallback
-                    break
-        flow, cut, decode_source = self._flat_decode_inputs(reduction, result, backend)
-        return result, flow, cut, decode_source, backend
+        policy = None
+        if self.failover:
+            # Built per solve, so no breaker state links independent problems.
+            policy = FailoverPolicy(
+                retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), validate=False
+            )
+        return self.batch._solve_one(request, policy)
 
-    def _flat_decode_inputs(self, reduction, result, backend):
+    def _flat_decode_inputs(self, reduction, result):
         """Classical backends decode natively; others use the decode pass."""
-        if backend in ALGORITHMS and result.ok:
+        if result.backend in ALGORITHMS:
             flow = result.detail
             cut = min_cut_from_flow(reduction.network, flow)
             return flow, cut, "backend"
@@ -555,12 +490,10 @@ class ProblemSolveService:
         if not outcome.converged:
             # Without a closed duality gap the partition is only an upper
             # bound; hand the decode to the exact pass instead.
-            return sharded.result, None, f"sharded:{backend}"
-        return sharded.result, cut, f"sharded:{backend}"
+            return sharded.result, None
+        return sharded.result, cut
 
-    def _decode_certified(
-        self, problem, reduction, flow, cut, decode_source, result, shards
-    ):
+    def _decode_certified(self, problem, reduction, flow, cut, decode_source):
         """Decode + verify; retry once through the exact decode pass."""
         if decode_source in ("backend", "partition") and (
             flow is not None or cut is not None
@@ -591,9 +524,9 @@ class ProblemSolveService:
         return flow, cut
 
     @staticmethod
-    def _default_rtol(backend_name: str, shards: Optional[int]) -> float:
+    def _default_rtol(backend_name: str) -> float:
         """Backend-family flow-value tolerance for the consistency check."""
-        if shards is not None or backend_name.startswith("sharded:"):
+        if backend_name.startswith("sharded:"):
             return BACKEND_VALUE_RTOL["sharded"]
         return BACKEND_VALUE_RTOL.get(backend_name, _EXACT_RTOL)
 

@@ -35,6 +35,7 @@ from ..resilience.policy import Deadline, RetryPolicy, deadline_scope
 from ..shard.coordinator import ShardCoordinator, ShardOutcome
 from ..shard.partition import validate_partition_args
 from .api import SolveRequest, SolveResult, relative_error
+from .batch import EXECUTORS, _default_max_workers
 
 __all__ = ["ShardReport", "ShardedSolve", "ShardedSolveService"]
 
@@ -194,9 +195,8 @@ class ShardedSolveService:
     Parameters
     ----------
     executor:
-        ``"thread"`` (default), ``"process"`` (classical backends only) or
-        ``"serial"`` — the service executor layer the per-iteration shard
-        solves fan out over.
+        ``"thread"`` (default) or ``"serial"`` — the service executor layer
+        the per-iteration shard solves fan out over.
     max_workers:
         Worker-pool width; defaults to ``min(shards, service default)``.
     analog_solver:
@@ -222,7 +222,7 @@ class ShardedSolveService:
         max_workers: Optional[int] = None,
         analog_solver=None,
     ) -> None:
-        if executor not in ("thread", "process", "serial"):
+        if executor not in EXECUTORS:
             raise DecompositionError(f"unknown executor {executor!r}")
         if max_workers is not None and max_workers < 1:
             raise DecompositionError("max_workers must be at least 1")
@@ -422,8 +422,6 @@ class ShardedSolveService:
     ) -> ShardReport:
         max_workers = self.max_workers
         if max_workers is None:
-            from .batch import _default_max_workers
-
             max_workers = min(outcome.num_shards, _default_max_workers())
         return ShardReport(
             num_shards=outcome.num_shards,

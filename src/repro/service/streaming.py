@@ -54,10 +54,11 @@ from ..obs import probes
 from ..obs.telemetry import build_telemetry
 from ..obs.trace import annotate_span, current_span, span, span_scope
 from ..resilience.failover import certify_flow_result
-from ..resilience.faults import corrupt_value, fault_point
+from ..resilience.faults import fault_point
 from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult
-from .cache import CompiledCircuitCache
+from .backends import analog_readout
+from .cache import CompiledCircuitCache, analog_config_signature
 
 __all__ = ["StreamingDelta", "StreamingSession", "push_all"]
 
@@ -193,7 +194,7 @@ class StreamingSession:
             # Always clone: the session owns a private solver instance, so
             # its persistent DC engine (cached base factorisation) is never
             # shared with other sessions pushing concurrently.
-            self.analog_solver = self._with_dedicated_clamps(solver)
+            self.analog_solver = solver.with_dedicated_clamps()
             self._last = self._analog_solve(batch=None)
         else:
             self.analog_solver = None
@@ -399,38 +400,6 @@ class StreamingSession:
     # Backend plumbing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _with_dedicated_clamps(solver: AnalogMaxFlowSolver) -> AnalogMaxFlowSolver:
-        """Clone an analog solver with re-programmable per-edge clamps."""
-        return AnalogMaxFlowSolver(
-            parameters=solver.parameters,
-            nonideal=solver.nonideal,
-            quantize=solver.quantize,
-            style=solver.style,
-            prune=solver.prune,
-            adaptive_drive=solver.adaptive_drive,
-            drive_tolerance=solver.drive_tolerance,
-            max_drive_doublings=solver.max_drive_doublings,
-            quantizer_mode=solver.quantizer_mode,
-            seed=solver.seed,
-            dedicated_clamp_sources=True,
-        )
-
-    def _analog_config_key(self) -> str:
-        solver = self.analog_solver
-        return repr(
-            (
-                solver.parameters,
-                solver.nonideal,
-                solver.quantize,
-                str(solver.style),
-                solver.prune,
-                solver.quantizer_mode,
-                solver.seed,
-                self.options.get("vflow_v"),
-            )
-        )
-
     def _analog_solve(self, batch: Optional[UpdateBatch]) -> SolveResult:
         """Solve the current revision on the analog backend (warm when possible)."""
         start = time.perf_counter()
@@ -456,13 +425,14 @@ class StreamingSession:
                 self.degraded_pushes += 1
                 structural = True
         if structural:
+            vflow_v = self.options.get("vflow_v")
             key = (
                 self._mutable.topology_signature(),
                 self._mutable.structural_revision,
-                self._analog_config_key(),
+                analog_config_signature(self.analog_solver),
+                vflow_v,
                 "streaming",
             )
-            vflow_v = self.options.get("vflow_v")
             hit, compiled = self.cache.lookup(key)
             if not hit:
                 compiled = self.analog_solver.compile(network, vflow_v=vflow_v)
@@ -493,12 +463,7 @@ class StreamingSession:
             network=network, backend="analog", options=dict(self.options)
         )
         # The readout builds a fresh flow dict per decode; no copy needed.
-        flow_value = corrupt_value("analog-readout", "analog", analog.flow_value)
-        edge_flows = analog.edge_flows
-        if flow_value != analog.flow_value and analog.flow_value != 0.0:
-            # Injected readout corruption scales the whole decode coherently.
-            factor = flow_value / analog.flow_value
-            edge_flows = {k: f * factor for k, f in edge_flows.items()}
+        flow_value, edge_flows = analog_readout(analog)
         return SolveResult(
             request=request,
             flow_value=flow_value,

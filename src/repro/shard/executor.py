@@ -21,8 +21,8 @@ path cheap:
   point, exactly the streaming subsystem's warm path.
 
 Shard solves of one iteration fan out over the service executor layer
-(:class:`~repro.service.batch.ParallelMap` thread/process pools); the pool
-persists across iterations so spin-up is paid once per coordinator run.
+(:class:`~repro.service.batch.ParallelMap` thread pools); the pool persists
+across iterations so spin-up is paid once per coordinator run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..flows.registry import ALGORITHMS, get_algorithm
 from ..graph.network import FlowNetwork
 from ..graph.updates import CapacityUpdate, MutableFlowNetwork
 from ..obs import probes
-from ..obs.trace import current_span, record_span, span, span_scope
+from ..obs.trace import current_span, span, span_scope
 from ..resilience.faults import fault_point
 from ..resilience.policy import RetryPolicy, active_deadline, deadline_scope
 from .partition import MultiwayPartition
@@ -277,14 +277,6 @@ def _source_side_from_flows(
     return reachable
 
 
-def _solve_shard_payload(payload) -> Tuple[float, List[Vertex]]:
-    """Top-level process-pool worker: cold-solve one classical shard."""
-    network, algorithm = payload
-    flow = get_algorithm(resolve_default_algorithm(algorithm)).solve(network)
-    cut = min_cut_from_flow(network, flow)
-    return cut.cut_value, list(cut.source_side)
-
-
 class ShardExecutor:
     """Solve every shard of a partition once per coordinator iteration.
 
@@ -297,10 +289,8 @@ class ShardExecutor:
         :data:`repro.flows.registry.ALGORITHMS`, or ``"analog"`` for the
         substrate pipeline with warm re-solves.
     executor:
-        ``"thread"`` (default), ``"process"`` or ``"serial"`` — the service
-        executor layer.  ``"process"`` is classical-only (analog shards
-        hold warm in-process solver state that cannot cross a pickle
-        boundary) and re-ships each shard network per iteration.
+        ``"thread"`` (default) or ``"serial"`` — the service executor
+        layer.
     max_workers:
         Pool width; defaults to ``min(num_shards, service default)``.
     analog_solver:
@@ -314,17 +304,15 @@ class ShardExecutor:
         ``False`` re-solves every iteration cold — the seed repository's
         behaviour, kept for benchmarking the warm path.  Analog shards are
         always warm (that is the point of the dedicated clamp sources).
-        ``"process"`` execution implies cold classical solves (warm state
-        cannot cross the pickle boundary).
     cold_ratio:
         Warm engine cutover: batches touching more than this fraction of a
         shard's edges rebuild cold (see
         :class:`~repro.flows.incremental.IncrementalMaxFlow`).
     retry:
         Optional :class:`~repro.resilience.policy.RetryPolicy` for failed
-        shard solves (thread/serial executors): each retry first drops the
-        shard's warm state so the attempt rebuilds cold from the consistent
-        augmented network.  Timeouts are never retried.
+        shard solves: each retry first drops the shard's warm state so the
+        attempt rebuilds cold from the consistent augmented network.
+        Timeouts are never retried.
     """
 
     def __init__(
@@ -355,11 +343,6 @@ class ShardExecutor:
                 raise DecompositionError(
                     f"unknown shard backend {name!r}; known: {known}"
                 )
-        if executor == "process" and any(b == ANALOG_BACKEND for b in backends):
-            raise DecompositionError(
-                "analog shards keep warm in-process solver state; "
-                "use executor='thread' or 'serial'"
-            )
 
         self.partition = partition
         self.backends = backends
@@ -386,7 +369,7 @@ class ShardExecutor:
                     overlap_vertices=overlap_here,
                     backend=backends[shard],
                     analog_solver=analog,
-                    warm=warm and executor != "process",
+                    warm=warm,
                     cold_ratio=cold_ratio,
                 )
             )
@@ -439,36 +422,6 @@ class ShardExecutor:
             )
         for state, coeffs in zip(self._states, coefficients):
             state.apply_coefficients(coeffs)
-        if self.executor == "process":
-            payloads = [(s.augmented, s.backend) for s in self._states]
-            started = time.perf_counter()
-            raw = self._pool.map(_solve_shard_payload, payloads)
-            elapsed = time.perf_counter() - started
-            solves = []
-            for state, (value, side) in zip(self._states, raw):
-                state._pending.clear()
-                state.solves += 1
-                per_shard = elapsed / max(1, len(self._states))
-                state.solve_time_s += per_shard
-                # Worker processes cannot attach to this trace tree, so the
-                # measured interval is recorded post hoc (see record_span).
-                record_span(
-                    "shard.solve",
-                    per_shard,
-                    shard=str(state.shard),
-                    backend=state.backend,
-                    executor="process",
-                )
-                probes.shard_solve(state.backend, False)
-                solves.append(
-                    ShardSolve(
-                        shard=state.shard,
-                        value=value,
-                        source_side=set(side),
-                        wall_time_s=per_shard,
-                    )
-                )
-            return solves
         # Capture the ambient deadline at dispatch: Deadline objects carry
         # an absolute expiry, but context variables do not propagate into
         # pool threads, so each worker re-opens the scope itself.
@@ -518,25 +471,11 @@ def _shard_analog_solver(template):
     from ..analog.solver import AnalogMaxFlowSolver
 
     if template is None:
-        return AnalogMaxFlowSolver(
-            quantize=False, prune=False, dedicated_clamp_sources=True
-        )
-    if template.adaptive_drive:
+        template = AnalogMaxFlowSolver(quantize=False)
+    elif template.adaptive_drive:
         raise DecompositionError(
             "analog shard solvers re-solve warm at a fixed drive; "
             "adaptive_drive is not supported — configure a fixed vflow_v "
             "above the instance's max-flow scale instead"
         )
-    return AnalogMaxFlowSolver(
-        parameters=template.parameters,
-        nonideal=template.nonideal,
-        quantize=template.quantize,
-        style=template.style,
-        prune=False,
-        adaptive_drive=False,
-        drive_tolerance=template.drive_tolerance,
-        max_drive_doublings=template.max_drive_doublings,
-        quantizer_mode=template.quantizer_mode,
-        seed=template.seed,
-        dedicated_clamp_sources=True,
-    )
+    return template.with_dedicated_clamps(prune=False)

@@ -1,13 +1,13 @@
 """Multi-way overlapping graph partitioning for N-way dual decomposition.
 
-Generalises the two-way scheme of :mod:`repro.decomposition.partition`
-(Section 6.4, after Strandmark & Kahl [39]) to an arbitrary number of
-overlapping shards.  Vertices are ordered by a lightweight METIS-style
-heuristic — BFS distance from the source, or a geometric source/sink
-potential — and chunked into ``num_shards`` contiguous *cores*; every edge
-crossing between two cores promotes both endpoints into the *overlap band*
-of both shards.  Each shard's subproblem is the induced subgraph on its side
-(core + overlap + terminals), and an edge appearing in ``m`` subproblems
+Generalises the two-way scheme of Section 6.4 (after Strandmark & Kahl
+[39]) to an arbitrary number of overlapping shards.  Vertices are ordered
+by a lightweight METIS-style heuristic — BFS distance from the source, or
+a geometric source/sink potential — and chunked into ``num_shards``
+contiguous *cores*; every edge crossing between two cores promotes both
+endpoints into the *overlap band* of both shards.  Each shard's subproblem
+is the induced subgraph on its side (core + overlap + terminals), and an
+edge appearing in ``m`` subproblems
 carries ``capacity / m`` in each of them, so the sum of the subproblem
 objectives over any *consistent* labelling equals the original objective —
 the property the dual coordinator's lower bound rests on.  For two shards

@@ -16,40 +16,41 @@ from repro.bench import (
     relative,
 )
 from repro.bench.workloads import FIG10_VERTEX_COUNTS, Fig10Workload
-from repro.decomposition import (
-    DualDecompositionSolver,
-    partition_with_overlap,
-)
 from repro.errors import DecompositionError, PowerBudgetError
 from repro.flows import CpuCostModel, dinic, min_cut, push_relabel
 from repro.graph import grid_graph, paper_example_graph, rmat_graph
 from repro.power import PowerModel, compare_energy
+from repro.shard import ShardCoordinator, partition_multiway
 
 
 class TestPartition:
+    """Section 6.4's two overlapping halves: the two-shard partition."""
+
     def test_overlap_partition_covers_graph(self):
         network = rmat_graph(30, 90, seed=3)
-        partition = partition_with_overlap(network)
-        assert partition.side_a | partition.side_b == set(network.vertices())
-        assert network.source in partition.side_a
-        assert network.sink in partition.side_b
-        description = partition.describe()
-        assert description["edges_a"] + description["edges_b"] >= network.num_edges
+        partition = partition_multiway(network, 2)
+        assert partition.sides[0] | partition.sides[1] == set(network.vertices())
+        assert network.source in partition.cores[0]
+        assert network.sink in partition.cores[1]
+        edges = sum(sub.num_edges for sub in partition.subproblems)
+        assert edges >= network.num_edges
 
     def test_balance_validation(self):
         with pytest.raises(DecompositionError):
-            partition_with_overlap(paper_example_graph(), balance=0.01)
+            partition_multiway(paper_example_graph(), 2, fractions=[0.0, 1.0])
 
     def test_overlap_edges_split_in_half(self):
         network = grid_graph(2, 4, capacity=2.0)
-        partition = partition_with_overlap(network)
-        for edge in partition.subproblem_a.edges():
+        partition = partition_multiway(network, 2)
+        for edge in partition.subproblems[0].edges():
             if edge.tail in partition.overlap and edge.head in partition.overlap:
                 originals = network.find_edges(edge.tail, edge.head)
                 assert edge.capacity == pytest.approx(originals[0].capacity / 2.0)
 
 
 class TestDualDecomposition:
+    """Section 6.4's coordination of two subproblems on the shard coordinator."""
+
     @pytest.mark.parametrize("network_factory, name", [
         (lambda: grid_graph(3, 5, capacity=2.0, seed=3, capacity_jitter=0.3), "grid"),
         (lambda: rmat_graph(25, 70, seed=5), "rmat"),
@@ -58,7 +59,9 @@ class TestDualDecomposition:
     def test_feasible_cut_upper_bounds_and_approximates_minimum(self, network_factory, name):
         network = network_factory()
         exact = min_cut(network).cut_value
-        result = DualDecompositionSolver(max_iterations=50).solve(network)
+        result = ShardCoordinator(num_shards=2, max_iterations=50).solve(
+            network, executor="serial"
+        )
         # The stitched cut is always a valid s-t cut, hence an upper bound on
         # the global minimum; the subgradient coordination keeps it within a
         # modest factor on these small instances (dual decomposition is an
@@ -69,8 +72,8 @@ class TestDualDecomposition:
         assert network.sink not in result.partition
 
     def test_history_recorded(self):
-        result = DualDecompositionSolver(max_iterations=10).solve(
-            grid_graph(2, 4, capacity=1.0)
+        result = ShardCoordinator(num_shards=2, max_iterations=10).solve(
+            grid_graph(2, 4, capacity=1.0), executor="serial"
         )
         assert 1 <= result.iterations <= 10
         assert len(result.history) == result.iterations
@@ -78,7 +81,9 @@ class TestDualDecomposition:
 
     def test_invalid_solver_name(self):
         with pytest.raises(DecompositionError):
-            DualDecompositionSolver(subproblem_solver="quantum")
+            ShardCoordinator(num_shards=2).solve(
+                paper_example_graph(), backend="quantum", executor="serial"
+            )
 
 
 class TestPowerModel:

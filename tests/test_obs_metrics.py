@@ -4,8 +4,7 @@ The registry half pins key formatting, counter/gauge/histogram behaviour
 and the deterministic snapshot.  The executor half runs actual
 ``BatchSolveService`` batches under every executor with obs enabled and
 asserts the probes aggregate into one registry regardless of where the
-work ran — thread workers count in-place (shared interpreter), process
-workers count on the parent side when results come home.
+work ran — thread workers count in-place (shared interpreter).
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ class TestExecutorAggregation:
     @pytest.mark.parametrize("executor,workers", [
         ("serial", 1),
         ("thread", 2),
-        ("process", 2),
     ])
     def test_solve_counters_aggregate_across_executors(
         self, obs_on, executor, workers
@@ -154,7 +152,6 @@ class TestExecutorAggregation:
     @pytest.mark.parametrize("executor,workers", [
         ("serial", 1),
         ("thread", 2),
-        ("process", 2),
     ])
     def test_batch_span_collects_per_request_children(
         self, obs_on, executor, workers
@@ -218,7 +215,6 @@ class TestSolveLatencyHistogram:
     @pytest.mark.parametrize("executor,workers", [
         ("serial", 1),
         ("thread", 2),
-        ("process", 2),
     ])
     def test_per_backend_latency_histogram(self, obs_on, executor, workers):
         service = BatchSolveService(executor=executor, max_workers=workers)

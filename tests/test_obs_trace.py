@@ -2,10 +2,9 @@
 
 The trace layer's contract mirrors the resilience deadline scope exactly
 (see ``tests/test_resilience_policy.py``): ambient within a thread via a
-contextvar, explicitly re-scoped across thread pools (``span_scope``),
-recorded post hoc across process pools (``record_span``).  These tests
-pin all three regimes plus the injectable clock and the guarantee that
-the disabled path allocates no spans.
+contextvar and explicitly re-scoped across thread pools
+(``span_scope``).  These tests pin both regimes plus the injectable clock
+and the guarantee that the disabled path allocates no spans.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.obs import (
     get_registry,
     obs_enabled,
     recent_traces,
-    record_span,
     reset_metrics,
     set_obs_enabled,
     set_trace_clock,
@@ -72,10 +70,6 @@ class TestDisabledPath:
             annotate_span(also_ignored=True)
         assert recent_traces() == []
         assert get_registry().snapshot()["histograms"] == {}
-
-    def test_disabled_record_span_returns_none(self):
-        assert record_span("backend.solve", 0.5) is None
-        assert recent_traces() == []
 
     def test_disabled_current_span_is_none(self):
         with span("x"):
@@ -175,23 +169,6 @@ class TestThreadPropagation:
                 with span_scope(root):
                     assert current_span() is root
                 assert current_span() is other
-
-
-class TestProcessPropagation:
-    def test_record_span_synthesises_completed_children(self, obs_on, ticking_clock):
-        # The process-pool contract: workers return timings, the parent
-        # records them post hoc (nothing ambient crosses the boundary).
-        with span("root") as root:
-            node = record_span("backend.solve", 0.25, backend="dinic", ok=True)
-        assert node in root.children
-        assert node.duration_s == 0.25
-        assert node.attributes == {"backend": "dinic", "ok": True}
-        hist = get_registry().snapshot()["histograms"]["span.backend.solve.seconds"]
-        assert hist["count"] == 1
-
-    def test_record_span_without_parent_is_a_root(self, obs_on):
-        node = record_span("orphan", 0.1)
-        assert node in recent_traces()
 
 
 class TestEnableToggle:

@@ -190,21 +190,27 @@ class TestBatchMatrix:
         assert result.error_type == "SolveTimeoutError"
 
     def test_corrupt_readout_is_rejected_then_degraded(self, network, reference):
-        service = BatchSolveService(
-            failover=True, analog_solver=certificate_grade_analog()
-        )
-        with inject_faults(
-            "kind=corrupt,site=analog-readout,relative_error=0.5,times=0"
-        ):
-            report = service.solve_batch(
-                [SolveRequest(network=network, backend="analog")]
+        # Two requests on two workers, so the pooled branch runs too.
+        for executor in ("serial", "thread"):
+            service = BatchSolveService(
+                executor=executor,
+                max_workers=2,
+                failover=True,
+                analog_solver=certificate_grade_analog(),
             )
-        result = report.results[0]
-        # Validation must refuse the corrupted analog answer and hand the
-        # request to an exact fallback — never return the inflated value.
-        assert result.ok and result.degraded
-        assert result.flow_value == pytest.approx(reference, abs=EXACT)
-        assert any("Infeasible" in step for step in result.failover_trail)
+            with inject_faults(
+                "kind=corrupt,site=analog-readout,relative_error=0.5,times=0"
+            ):
+                report = service.solve_batch(
+                    [SolveRequest(network=network, backend="analog")] * 2
+                )
+            # Validation must refuse the corrupted analog answer and hand
+            # the request to an exact fallback — never the inflated value.
+            assert report.num_degraded == 2, executor
+            for result in report.results:
+                assert result.ok and result.degraded
+                assert result.flow_value == pytest.approx(reference, abs=EXACT)
+                assert any("Infeasible" in step for step in result.failover_trail)
 
     def test_thread_executor_cells_recover_too(self, network, reference):
         service = BatchSolveService(executor="thread", max_workers=2, failover=True)

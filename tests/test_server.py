@@ -437,6 +437,14 @@ class TestDeadlineExpiry:
             response = await server.submit(tiny_network(), backend="dinic")
         assert response.status == 504
 
+    async def test_backend_typo_maps_to_500_not_a_fallback(self, obs_server):
+        # The default service fails over, but a misspelt backend must still
+        # fail: no fallback may answer a request naming no real backend.
+        async with AsyncSolveServer(workers=1) as server:
+            response = await server.submit(tiny_network(), backend="dinc")
+        assert response.status == 500
+        assert response.result.error_type == "AlgorithmError"
+
     async def test_typed_failure_maps_to_500(self, obs_server):
         async def broken(request) -> SolveResult:
             return SolveResult(

@@ -186,6 +186,15 @@ def test_batch_rejects_unknown_backend_up_front():
         BatchSolveService().solve_batch(["not a network"])
 
 
+def test_failover_never_repairs_a_backend_typo():
+    """A misspelt backend raises on both entry points, failover or not."""
+    service = BatchSolveService(failover=True)
+    with pytest.raises(AlgorithmError):
+        service.solve(tiny_network(), backend="dinc")
+    with pytest.raises(AlgorithmError):
+        service.solve_batch([SolveRequest(network=tiny_network(), backend="dinc")])
+
+
 def test_empty_batch():
     report = BatchSolveService().solve_batch([])
     assert report.num_requests == 0
@@ -202,34 +211,14 @@ def test_serial_and_thread_executors_agree():
     assert [r.flow_value for r in serial.results] == [r.flow_value for r in threaded.results]
 
 
-def test_process_executor_round_trip():
-    requests = [
-        SolveRequest(network=tiny_network(), backend="dinic", tag="d"),
-        SolveRequest(network=tiny_network(), backend="analog", tag="a"),
-    ]
-    report = BatchSolveService(executor="process", max_workers=2).solve_batch(requests)
-    assert report.num_ok == 2
-    assert report.executor == "process"
-    assert abs(report.by_tag("d")[0].flow_value - 2.0) < 1e-9
-
-
-def test_process_executor_single_request_keeps_shared_cache():
-    """A one-request process batch runs inline and reuses the service cache."""
-    service = BatchSolveService(executor="process", max_workers=2)
-    network = tiny_network()
-    first = service.solve_batch([SolveRequest(network=network, backend="analog")])
-    second = service.solve_batch([SolveRequest(network=network, backend="analog")])
-    assert first.results[0].cache_hit is False
-    assert second.results[0].cache_hit is True
-
-
 def test_single_solve_convenience():
     result = BatchSolveService().solve(tiny_network(), backend="dinic", validate=True)
     assert result.ok and abs(result.flow_value - 2.0) < 1e-9
 
 
 def test_invalid_service_configuration():
-    with pytest.raises(AlgorithmError):
-        BatchSolveService(executor="fiber")
+    for executor in ("fiber", "process"):
+        with pytest.raises(AlgorithmError):
+            BatchSolveService(executor=executor)
     with pytest.raises(AlgorithmError):
         BatchSolveService(max_workers=0)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.decomposition import DualDecompositionSolver
 from repro.errors import DecompositionError
 from repro.flows import min_cut
 from repro.graph import grid_graph, paper_example_graph, rmat_graph
@@ -54,13 +53,12 @@ class TestRandomizedEquivalence:
     def test_executors_agree(self, num_shards):
         network = grid_graph(3, 6, capacity=2.0, seed=5, capacity_jitter=0.2)
         results = {}
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "thread"):
             outcome = ShardCoordinator(
                 num_shards=num_shards, max_iterations=60
             ).solve(network, executor=executor, max_workers=2)
             results[executor] = outcome.cut_value
         assert results["serial"] == pytest.approx(results["thread"], abs=1e-9)
-        assert results["serial"] == pytest.approx(results["process"], abs=1e-9)
 
     def test_warm_and_cold_shard_solves_agree(self):
         network = grid_graph(4, 8, capacity=2.0, seed=7, capacity_jitter=0.3)
@@ -130,11 +128,6 @@ class TestShardExecutor:
         with pytest.raises(DecompositionError):
             ShardExecutor(partition, backend=["dinic"])
 
-    def test_analog_with_process_rejected(self):
-        partition = partition_multiway(paper_example_graph(), 2)
-        with pytest.raises(DecompositionError):
-            ShardExecutor(partition, backend="analog", executor="process")
-
     def test_adaptive_drive_template_rejected(self):
         from repro.analog.solver import AnalogMaxFlowSolver
 
@@ -183,8 +176,9 @@ class TestShardedSolveService:
         assert summary["executor"] == "thread"
 
     def test_invalid_configuration(self):
-        with pytest.raises(DecompositionError):
-            ShardedSolveService(executor="fleet")
+        for executor in ("fleet", "process"):
+            with pytest.raises(DecompositionError):
+                ShardedSolveService(executor=executor)
         with pytest.raises(DecompositionError):
             ShardedSolveService(max_workers=0)
         network = paper_example_graph()
@@ -198,28 +192,3 @@ class TestShardedSolveService:
         sharded = ShardedSolveService(executor="serial").solve(network, shards=2)
         table = format_table(sharded.report.as_rows())
         assert "shard" in table
-
-
-class TestDualDecompositionDelegation:
-    """The 2-way Section 6.4 API now runs on the N-way coordinator."""
-
-    def test_matches_exact_on_converged_runs(self):
-        network = grid_graph(3, 5, capacity=2.0, seed=3, capacity_jitter=0.3)
-        exact = min_cut(network).cut_value
-        result = DualDecompositionSolver(max_iterations=80).solve(network)
-        assert result.cut_value >= exact - 1e-9
-        if result.converged:
-            assert result.cut_value == pytest.approx(exact, abs=1e-9)
-        assert len(result.history) == result.iterations
-        assert result.duality_gap >= -1e-9
-
-    def test_balance_forwarded_to_partitioner(self):
-        network = grid_graph(3, 8, capacity=1.0, seed=2)
-        result = DualDecompositionSolver(max_iterations=20, balance=0.3).solve(network)
-        assert result.cut_value > 0
-
-    def test_invalid_arguments_still_rejected(self):
-        with pytest.raises(DecompositionError):
-            DualDecompositionSolver(subproblem_solver="quantum")
-        with pytest.raises(DecompositionError):
-            DualDecompositionSolver(balance=0.01)
