@@ -16,7 +16,7 @@ DOCTEST_MODULES := src/repro/service \
 	src/repro/obs/trace.py \
 	src/repro/obs/windows.py
 
-.PHONY: test test-conformance bench-smoke docs-check perf-gate perf-gate-streaming perf-gate-shard perf-gate-problems perf-gate-kernel perf-gate-resilience perf-gate-obs perf-gate-serving perf-gate-all bench-serving bench-check serve-demo ci
+.PHONY: test test-conformance bench-smoke perfbench-smoke docs-check perf-gate perf-gate-streaming perf-gate-shard perf-gate-problems perf-gate-kernel perf-gate-resilience perf-gate-obs perf-gate-serving perf-gate-all bench-serving bench-check serve-demo ci
 
 ## tier-1 suite plus the documented-API doctests
 test:
@@ -50,6 +50,15 @@ bench-smoke:
 		benchmarks/bench_obs.py \
 		benchmarks/bench_serving.py \
 		-o python_files='bench_*.py' -q -s
+
+## served-request benchmark smoke: the three BENCHMARK.json workloads for
+## 4 s each with the layer tracer on, so a renamed probe target or a probe
+## that never fires on its workload fails the target
+perfbench-smoke:
+	for workload in serve-large serve-analog stream-edit; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seconds 4 --trace 1 \
+			|| exit 1; \
+	done
 
 ## record assembly/DC-iteration medians to BENCH_assembly.json (perf trajectory)
 perf-gate:
@@ -121,5 +130,5 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 ## the full local CI chain: tests + doctests, conformance gate, doc health,
-## benchmark smoke, perf-regression sentinel
-ci: test test-conformance docs-check bench-smoke bench-check
+## benchmark smoke, served-request benchmark smoke, perf-regression sentinel
+ci: test test-conformance docs-check bench-smoke perfbench-smoke bench-check

@@ -2,7 +2,7 @@
 
 Measures, via the shared :mod:`repro.bench.obs` harness, the cost of the
 tracing/metrics layer on the kernel-corpus grid instance: the same
-``kernel-dinic`` solve timed raw (bare algorithm), through the service
+``kernel`` solve timed raw (bare algorithm), through the service
 backend with obs disabled (the default no-op path every caller pays),
 and with obs enabled (live spans at the service boundaries plus a
 registry counter bump per kernel discharge sweep).
@@ -67,7 +67,7 @@ def test_obs_overhead_ceilings(benchmark):
             "enabled": f"{overhead['enabled_overhead_fraction']:+.1%}",
             "sweeps": overhead["enabled_sweeps"],
         }],
-        title="Telemetry overhead (kernel-dinic backend, raw baseline)",
+        title="Telemetry overhead (kernel backend, raw baseline)",
     ))
 
     assert overhead["value_diff"] <= 1e-9, (

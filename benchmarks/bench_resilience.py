@@ -6,7 +6,7 @@ Measures, via the shared :mod:`repro.bench.resilience` harness:
   + failover wrapper + breaker bookkeeping + fault-hook probes) against
   the plain service backend on the kernel-corpus grid instance, and
 * the wall clock of one recovered solve per fault class — primary
-  ``kernel-dinic`` poisoned with a persistent injected fault, degraded to
+  ``kernel`` poisoned with a persistent injected fault, degraded to
   the certified reference Dinic (``stall`` instead records the deadline
   abort, per the timeouts-are-terminal contract).
 
@@ -75,7 +75,7 @@ def test_resilience_overhead_and_recovery(benchmark):
             "resilient_ms": round(overhead["resilient_s"] * 1e3, 2),
             "overhead": f"{overhead['overhead_fraction']:+.1%}",
         }],
-        title="Fault-free resilience overhead (kernel-dinic backend)",
+        title="Fault-free resilience overhead (kernel backend)",
     ))
     print(format_table(
         [{

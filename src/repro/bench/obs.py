@@ -8,7 +8,7 @@ workload, so the overhead numbers sit on the same instances as the
 kernel speedup and resilience records.
 
 The question measured: **what does the telemetry layer cost?**  The same
-``kernel-dinic`` solve is timed three ways —
+``kernel`` solve is timed three ways —
 
 * ``raw_s`` — the bare algorithm (:class:`~repro.flows.kernel.KernelDinic`
   directly, no service wrapper), the denominator both ceilings are
@@ -118,8 +118,8 @@ def _measure_overhead_once(
     reducer,
 ) -> Dict[str, object]:
     name, network = kernel_workload(regime, scale)
-    request = SolveRequest(network=network, backend="kernel-dinic")
-    backend = create_backend("kernel-dinic")
+    request = SolveRequest(network=network, backend="kernel")
+    backend = create_backend("kernel")
 
     previous = set_obs_enabled(False)
     try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict
 
+from ..flows.registry import DEFAULT_EXACT_ALGORITHM
 from ..problems import (
     BipartiteMatching,
     DisjointPaths,
@@ -98,7 +99,7 @@ def measure_problems_class(
     scale: float = 1.0,
     repeats: int = 3,
     reducer: Callable = min,
-    backend: str = "dinic",
+    backend: str = DEFAULT_EXACT_ALGORITHM,
 ) -> Dict[str, object]:
     """Measure one problem class end-to-end through the service.
 

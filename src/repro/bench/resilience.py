@@ -29,7 +29,7 @@ Two questions are measured:
 
 * **What does a degraded solve cost when the primary fails?**
   :func:`measure_recovery_class` injects a *persistent* fault of one
-  class into the primary ``kernel-dinic`` backend and times the full
+  class into the primary ``kernel`` backend and times the full
   failover: retry the primary, degrade to the reference Dinic, certify
   the fallback flow (feasibility + strong duality).  The ``stall`` class
   is the odd one out — stalls do not raise, they hang — so it is measured
@@ -159,8 +159,8 @@ def _measure_overhead_once(
     reducer,
 ) -> Dict[str, object]:
     name, network = kernel_workload(regime, scale)
-    request = SolveRequest(network=network, backend="kernel-dinic")
-    backend = create_backend("kernel-dinic")
+    request = SolveRequest(network=network, backend="kernel")
+    backend = create_backend("kernel")
     make = _make_backend_factory()
     policy = FailoverPolicy()
 
@@ -221,7 +221,7 @@ def measure_recovery_class(
     """Time one fault class through the failover machinery.
 
     For the raising classes a persistent (``times=0``) fault is pinned to
-    the primary ``kernel-dinic`` backend at the ``batch-solve`` hook; the
+    the primary ``kernel`` backend at the ``batch-solve`` hook; the
     measured solve retries the primary, degrades to the reference Dinic
     and certifies the fallback flow.  For ``stall`` the injected hang is
     cancelled by a :data:`STALL_ABORT_BUDGET_S` deadline and the typed
@@ -241,12 +241,12 @@ def measure_recovery_class(
     name, network = kernel_workload("grid", scale)
     reference = Dinic().solve(network).flow_value
     request = SolveRequest(
-        network=network, backend="kernel-dinic", reference_value=reference
+        network=network, backend="kernel", reference_value=reference
     )
     make = _make_backend_factory()
 
     baseline, baseline_s = _repeat(
-        lambda: _timed(lambda: make("kernel-dinic").solve(request)),
+        lambda: _timed(lambda: make("kernel").solve(request)),
         repeats,
         reducer,
     )
@@ -255,13 +255,13 @@ def measure_recovery_class(
 
     if kind == "stall":
         plan = FaultPlan(
-            kind="stall", backend="kernel-dinic", site="batch-solve",
+            kind="stall", backend="kernel", site="batch-solve",
             times=0, stall_s=60.0,
         )
         budget = STALL_ABORT_BUDGET_S
     else:
         plan = FaultPlan(
-            kind=kind, backend="kernel-dinic", site="batch-solve", times=0
+            kind=kind, backend="kernel", site="batch-solve", times=0
         )
         budget = 3600.0
 

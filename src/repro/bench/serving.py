@@ -86,7 +86,7 @@ def measure_serving_mixed(
     plan = [
         (
             rng.randrange(len(networks)),
-            rng.choice(["dinic", "push-relabel"]),
+            rng.choice(["kernel", "push-relabel"]),
             f"tenant-{rng.randrange(4)}",
             rng.randrange(3),
         )
@@ -180,7 +180,7 @@ def measure_coalescing_speedup(
         ) as server:
             for _ in range(waves):
                 responses = await asyncio.gather(*[
-                    server.submit(network, backend="dinic")
+                    server.submit(network, backend="kernel")
                     for _ in range(duplicates)
                 ])
                 if any(r.status != 200 for r in responses):

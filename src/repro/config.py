@@ -347,19 +347,19 @@ def ideal_nonidealities() -> NonIdealityModel:
 #
 # Every runtime knob the library reads from the environment goes through the
 # helpers below so that "what counts as off" is defined exactly once
-# (``REPRO_FLOW_KERNEL`` in :mod:`repro.flows.kernel` and the
-# ``REPRO_FAULT_PLAN``/retry knobs in :mod:`repro.resilience` all reuse them).
+# (``REPRO_OBS`` in :mod:`repro.obs.trace` and the ``REPRO_FAULT_PLAN``/retry
+# knobs in :mod:`repro.resilience` all reuse them).
 
 #: Spellings that disable a boolean flag, case-insensitively.
 ENV_FALSE_VALUES = frozenset({"0", "off", "false", "no"})
 
 
-def env_flag(name, default=True, extra_false=()):
+def env_flag(name, default=True):
     """Parse environment variable ``name`` as a boolean flag.
 
     Unset returns ``default``.  A set value is *false* when it matches
-    :data:`ENV_FALSE_VALUES` (or ``extra_false``) case-insensitively after
-    stripping, and *true* otherwise.
+    :data:`ENV_FALSE_VALUES` case-insensitively after stripping, and *true*
+    otherwise.
 
     >>> import os
     >>> os.environ["_REPRO_DEMO_FLAG"] = "OFF"
@@ -372,10 +372,7 @@ def env_flag(name, default=True, extra_false=()):
     raw = os.environ.get(name)
     if raw is None:
         return bool(default)
-    value = raw.strip().lower()
-    return value not in ENV_FALSE_VALUES and value not in {
-        str(v).strip().lower() for v in extra_false
-    }
+    return raw.strip().lower() not in ENV_FALSE_VALUES
 
 
 def env_float(name, default):

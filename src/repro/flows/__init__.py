@@ -10,6 +10,8 @@ CPU baseline in its evaluation:
 * :mod:`~repro.flows.push_relabel` — Goldberg–Tarjan push-relabel (FIFO and
   highest-label selection, gap and global-relabel heuristics); this is the
   algorithm the paper benchmarks against on a 3 GHz Xeon.
+* :mod:`~repro.flows.kernel` — flat-array lockstep preflow-push kernel
+  (``"kernel"``), the default engine of cold exact solves.
 * :mod:`~repro.flows.linprog` — reference LP formulation solved with
   :func:`scipy.optimize.linprog`.
 * :mod:`~repro.flows.mincut` — minimum-cut extraction from a maximum flow.
@@ -21,7 +23,7 @@ CPU baseline in its evaluation:
 
 from .base import FlowAlgorithm, MaxFlowResult, ResidualNetwork, validate_max_flow
 from .ford_fulkerson import FordFulkerson, ford_fulkerson
-from .kernel import FlatResidual, KernelDinic, kernel_enabled, resolve_default_algorithm
+from .kernel import FlatResidual, KernelDinic
 from .edmonds_karp import EdmondsKarp, edmonds_karp
 from .dinic import Dinic, dinic
 from .push_relabel import PushRelabel, push_relabel
@@ -29,7 +31,7 @@ from .linprog import LinearProgrammingSolver, solve_lp_maxflow
 from .mincut import MinCutResult, min_cut_from_flow, min_cut
 from .cost_model import CpuCostModel, CpuEstimate
 from .incremental import IncrementalMaxFlow
-from .registry import ALGORITHMS, get_algorithm, solve_max_flow
+from .registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM, get_algorithm, solve_max_flow
 
 __all__ = [
     "FlowAlgorithm",
@@ -54,9 +56,8 @@ __all__ = [
     "IncrementalMaxFlow",
     "FlatResidual",
     "KernelDinic",
-    "kernel_enabled",
-    "resolve_default_algorithm",
     "ALGORITHMS",
+    "DEFAULT_EXACT_ALGORITHM",
     "get_algorithm",
     "solve_max_flow",
 ]

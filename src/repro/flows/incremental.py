@@ -65,8 +65,8 @@ class IncrementalMaxFlow:
         Algorithm (a :data:`repro.flows.registry.ALGORITHMS` name) used for
         *cold* solves — the initial one and ``cold_ratio`` cutovers.  Warm
         repairs always run the Dinic machinery on the maintained residual
-        (the flat-array kernel when ``"kernel-dinic"`` is named explicitly,
-        the pure-Python engine otherwise).
+        (the flat-array kernel when ``"kernel"`` is named, the pure-Python
+        engine otherwise).
     cold_ratio:
         Cutover heuristic: when one batch touches more than this fraction of
         the network's edges, rebuild from scratch instead of repairing.
@@ -116,12 +116,12 @@ class IncrementalMaxFlow:
         self.cold_ratio = cold_ratio
         self.validate = validate
         # Warm repairs resume on the maintained residual.  The flat-array
-        # kernel round-trips that state, so explicit "kernel-dinic" streams
+        # kernel round-trips that state, so explicit "kernel" streams
         # run it as the augmentation engine; the "dinic" default keeps the
         # pure-Python repair, whose per-push cost scales with the delta
         # rather than the kernel's O(E) flat-array setup (at streaming
         # delta sizes the setup would dominate the repair itself).
-        self._dinic = KernelDinic() if algorithm == "kernel-dinic" else Dinic()
+        self._dinic = KernelDinic() if algorithm == "kernel" else Dinic()
         self.cold_solves = 0
         self.warm_solves = 0
         self.repair_failures = 0
@@ -214,7 +214,7 @@ class IncrementalMaxFlow:
         self._arc_of_edge: Dict[int, int] = {
             edge.index: 2 * edge.index for edge in self.network.edges()
         }
-        if self.algorithm in ("dinic", "kernel-dinic"):
+        if self.algorithm in ("dinic", "kernel"):
             phases = self._dinic.augment_residual(self._residual)
         else:
             # Solve with the configured algorithm, then seed the maintained

@@ -29,12 +29,11 @@ uncapacitated arcs keep their ``INFINITY`` residual because
 
 Selection
 ---------
-:class:`KernelDinic` registers as ``"kernel-dinic"`` in
-:mod:`repro.flows.registry`.  The service and shard layers route their
-``"dinic"`` default through :func:`resolve_default_algorithm`, so the
-kernel is used automatically; set ``REPRO_FLOW_KERNEL=0`` (or
-``reference``/``off``) to fall back to the pure-Python reference
-everywhere.
+:class:`KernelDinic` registers as ``"kernel"`` in
+:mod:`repro.flows.registry`, whose ``DEFAULT_EXACT_ALGORITHM`` names it as
+the engine of every cold exact solve that names no algorithm.  ``"dinic"``
+always means the pure-Python reference, so a failover chain that falls
+back from ``"kernel"`` to ``"dinic"`` runs a different engine.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..config import env_flag
 from ..errors import AlgorithmError
 from ..obs import probes
 from ..obs.trace import annotate_span
@@ -59,38 +57,7 @@ from .base import (
     validate_max_flow,
 )
 
-__all__ = [
-    "KERNEL_ENV_VAR",
-    "FlatResidual",
-    "KernelDinic",
-    "kernel_enabled",
-    "resolve_default_algorithm",
-]
-
-#: Environment escape hatch: set to 0/off/false/no/reference to disable the
-#: kernel default and run the pure-Python reference everywhere.
-KERNEL_ENV_VAR = "REPRO_FLOW_KERNEL"
-
-#: ``"reference"`` disables the kernel on top of the shared false spellings
-#: understood by :func:`repro.config.env_flag`.
-_EXTRA_DISABLED_VALUES = ("reference",)
-
-
-def kernel_enabled() -> bool:
-    """True unless ``REPRO_FLOW_KERNEL`` disables the flat-array kernel."""
-    return env_flag(KERNEL_ENV_VAR, default=True, extra_false=_EXTRA_DISABLED_VALUES)
-
-
-def resolve_default_algorithm(name: str) -> str:
-    """Map the ``"dinic"`` default onto the kernel unless it is disabled.
-
-    Explicit algorithm names other than ``"dinic"`` are returned unchanged,
-    so requesting e.g. ``"push-relabel"`` or ``"kernel-dinic"`` always means
-    exactly that implementation.
-    """
-    if name == "dinic" and kernel_enabled():
-        return "kernel-dinic"
-    return name
+__all__ = ["FlatResidual", "KernelDinic"]
 
 
 class FlatResidual:
@@ -494,7 +461,7 @@ def _segmented_fill(
 
 
 class KernelDinic(FlowAlgorithm):
-    """The flat-array kernel in the registry slot the Dinic default routes to.
+    """The flat-array kernel, registered as ``"kernel"``.
 
     Behaviourally a drop-in for :class:`~repro.flows.dinic.Dinic`: the same
     arc-pair residual semantics, the same warm-start contract via
@@ -506,7 +473,7 @@ class KernelDinic(FlowAlgorithm):
     sweeps, not Dinic phases.
     """
 
-    name = "kernel-dinic"
+    name = "kernel"
 
     def solve(self, network: FlowNetwork, validate: bool = False) -> MaxFlowResult:
         """Solve on flat arrays end to end (no object residual is built)."""

@@ -15,8 +15,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..graph.network import FlowNetwork
 from .base import MaxFlowResult
-from .dinic import Dinic
-from .kernel import KernelDinic, kernel_enabled
+from .registry import DEFAULT_EXACT_ALGORITHM, get_algorithm
 
 __all__ = ["MinCutResult", "min_cut_from_flow", "min_cut"]
 
@@ -97,13 +96,11 @@ def min_cut_from_flow(network: FlowNetwork, result: MaxFlowResult) -> MinCutResu
 
 
 def min_cut(network: FlowNetwork, flow_result: Optional[MaxFlowResult] = None) -> MinCutResult:
-    """Compute a minimum s-t cut (solving max-flow with Dinic if needed).
+    """Compute a minimum s-t cut, solving max-flow first if needed.
 
-    The implicit solve uses the flat-array kernel unless
-    ``REPRO_FLOW_KERNEL`` disables it; pass ``flow_result`` to pin the
-    solver.
+    The implicit solve runs ``DEFAULT_EXACT_ALGORITHM``; pass
+    ``flow_result`` to pin the solver.
     """
     if flow_result is None:
-        solver = KernelDinic() if kernel_enabled() else Dinic()
-        flow_result = solver.solve(network)
+        flow_result = get_algorithm(DEFAULT_EXACT_ALGORITHM).solve(network)
     return min_cut_from_flow(network, flow_result)

@@ -3,7 +3,9 @@
 Benchmarks, examples and the batch service select a CPU baseline by name;
 the registry maps those names to solver factories so call sites never import
 algorithm classes directly.  The same names are valid backend names for
-:class:`repro.service.batch.BatchSolveService`.
+:class:`repro.service.batch.BatchSolveService`, and each name means exactly
+one implementation everywhere: ``"dinic"`` is the reference Dinic,
+``"kernel"`` the flat-array preflow-push kernel.
 
 >>> from repro import FlowNetwork
 >>> from repro.flows.registry import solve_max_flow
@@ -28,7 +30,7 @@ from .kernel import KernelDinic
 from .linprog import LinearProgrammingSolver
 from .push_relabel import PushRelabel
 
-__all__ = ["ALGORITHMS", "get_algorithm", "solve_max_flow"]
+__all__ = ["ALGORITHMS", "DEFAULT_EXACT_ALGORITHM", "get_algorithm", "solve_max_flow"]
 
 
 #: Solver factories by public algorithm name.  Every entry is a zero-argument
@@ -41,8 +43,13 @@ ALGORITHMS: Dict[str, Callable[[], object]] = {
     "push-relabel": PushRelabel,
     "push-relabel-fifo": lambda: PushRelabel(selection="fifo"),
     "lp-reference": LinearProgrammingSolver,
-    "kernel-dinic": KernelDinic,
+    "kernel": KernelDinic,
 }
+
+#: The engine of every cold exact solve that names no algorithm: the
+#: server's exact route, the problem service, the sharded service's
+#: unsharded fallback and :func:`repro.flows.mincut.min_cut`.
+DEFAULT_EXACT_ALGORITHM = "kernel"
 
 
 def get_algorithm(name: str):
@@ -72,7 +79,7 @@ def get_algorithm(name: str):
     Traceback (most recent call last):
         ...
     repro.errors.AlgorithmError: unknown algorithm 'simplex'; known: dinic, \
-edmonds-karp, ford-fulkerson, kernel-dinic, lp-reference, push-relabel, \
+edmonds-karp, ford-fulkerson, kernel, lp-reference, push-relabel, \
 push-relabel-fifo
     """
     try:

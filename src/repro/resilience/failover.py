@@ -5,11 +5,15 @@ circuit breaker, exhausted SLO error budget — the request does not fail
 with it: it *degrades* along a declared chain of strictly-more-conservative
 backends::
 
-    analog        →  kernel-dinic  →  dinic
-    kernel-dinic  →  dinic
+    analog        →  kernel  →  dinic
+    kernel        →  dinic
     dinic         →  push-relabel
     shards=N      →  unsharded cold solve          (service/sharded.py)
     warm repair   →  cold re-solve                 (flows/incremental.py)
+
+Each name is one engine (see :mod:`repro.flows.registry`), so every hop
+runs a different implementation from the one that just failed: the
+flat-array ``kernel`` falls back to the reference ``dinic``.
 
 The crucial invariant is that **degradation can never silently return a
 wrong answer**: a fallback result is accepted only after
@@ -54,8 +58,8 @@ __all__ = [
 #: Built-in degradation chains, primary backend first.  Backends without an
 #: entry degrade to the reference Dinic implementation.
 DEGRADATION_CHAINS: Dict[str, Tuple[str, ...]] = {
-    "analog": ("analog", "kernel-dinic", "dinic"),
-    "kernel-dinic": ("kernel-dinic", "dinic"),
+    "analog": ("analog", "kernel", "dinic"),
+    "kernel": ("kernel", "dinic"),
     "dinic": ("dinic", "push-relabel"),
     "push-relabel": ("push-relabel", "dinic"),
 }

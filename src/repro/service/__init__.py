@@ -47,7 +47,6 @@ from .backends import (
     SolveBackend,
     available_backends,
     create_backend,
-    register_backend,
 )
 from .batch import BatchSolveService, ParallelMap
 from .cache import CompiledCircuitCache, network_signature
@@ -66,7 +65,6 @@ __all__ = [
     "ClassicalBackend",
     "available_backends",
     "create_backend",
-    "register_backend",
     "BatchSolveService",
     "ParallelMap",
     "AsyncSolveServer",

@@ -1,4 +1,4 @@
-"""Solver backends and the shared backend registry.
+"""Solver backends, created by name.
 
 A backend turns one :class:`~repro.service.api.SolveRequest` into one
 :class:`~repro.service.api.SolveResult`.  Two families ship with the
@@ -10,19 +10,18 @@ service:
 * :class:`ClassicalBackend` — any algorithm registered in
   :data:`repro.flows.registry.ALGORITHMS` (Dinic, push-relabel, ...).
 
-The module-level registry maps backend names to factories so batch requests
-select backends by name; :func:`register_backend` admits project-specific
-backends (e.g. a crossbar-engine backend) without touching the service.
+:func:`create_backend` maps a request's backend name onto one of them:
+``"analog"`` or an ``ALGORITHMS`` name, which means the same
+implementation here as everywhere else.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analog.solver import AnalogMaxFlowSolver
 from ..errors import AlgorithmError
-from ..flows.kernel import resolve_default_algorithm
 from ..flows.registry import ALGORITHMS, get_algorithm
 from ..graph.analysis import is_source_sink_connected
 from ..obs import probes
@@ -36,7 +35,6 @@ __all__ = [
     "SolveBackend",
     "AnalogBackend",
     "ClassicalBackend",
-    "register_backend",
     "create_backend",
     "available_backends",
 ]
@@ -120,8 +118,8 @@ class ClassicalBackend(SolveBackend):
     >>> g = FlowNetwork()
     >>> _ = g.add_edge("s", "t", 5.0)
     >>> result = ClassicalBackend("dinic").solve(SolveRequest(network=g))
-    >>> result.ok, round(result.flow_value, 2)
-    (True, 5.0)
+    >>> result.ok, round(result.flow_value, 2), result.detail.algorithm
+    (True, 5.0, 'dinic')
     """
 
     def __init__(self, algorithm: str) -> None:
@@ -130,9 +128,7 @@ class ClassicalBackend(SolveBackend):
         get_algorithm(algorithm)  # fail fast on unknown names
 
     def _solve(self, request: SolveRequest):
-        # The "dinic" default rides the flat-array kernel (explicit names
-        # always mean that exact implementation; REPRO_FLOW_KERNEL=0 reverts).
-        solver = get_algorithm(resolve_default_algorithm(self.algorithm))
+        solver = get_algorithm(self.algorithm)
         validate = bool(request.options.get("validate", False))
         result = solver.solve(request.network, validate=validate)
         return result.flow_value, result.edge_flows, result, False
@@ -237,34 +233,9 @@ def analog_readout(result) -> Tuple[float, Dict[int, float]]:
     return flow_value, edge_flows
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-BackendFactory = Callable[[], SolveBackend]
-
-_REGISTRY: Dict[str, BackendFactory] = {"analog": AnalogBackend}
-for _name in ALGORITHMS:
-    _REGISTRY[_name] = (lambda n: lambda: ClassicalBackend(n))(_name)
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register a custom backend factory under ``name`` (overwrites).
-
-    Examples
-    --------
-    >>> from repro.service import register_backend, available_backends
-    >>> from repro.service.backends import ClassicalBackend
-    >>> register_backend("bfs", lambda: ClassicalBackend("edmonds-karp"))
-    >>> "bfs" in available_backends()
-    True
-    """
-    _REGISTRY[name] = factory
-
-
 def available_backends() -> List[str]:
-    """Sorted names of every registered backend."""
-    return sorted(_REGISTRY)
+    """Sorted names of every backend :func:`create_backend` accepts."""
+    return sorted(["analog", *ALGORITHMS])
 
 
 def create_backend(
@@ -272,12 +243,13 @@ def create_backend(
     analog_solver: Optional[AnalogMaxFlowSolver] = None,
     cache: Optional[CompiledCircuitCache] = None,
 ) -> SolveBackend:
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the backend named ``name``.
 
     Parameters
     ----------
     name:
-        Registered backend name (``"analog"``, ``"dinic"``, ...).
+        ``"analog"`` or a :data:`repro.flows.registry.ALGORITHMS` name
+        (``"kernel"``, ``"dinic"``, ...).
     analog_solver, cache:
         Configuration injected into the ``"analog"`` backend; ignored by
         the others.
@@ -289,9 +261,7 @@ def create_backend(
     """
     if name == "analog":
         return AnalogBackend(solver=analog_solver, cache=cache)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError as exc:
+    if name not in ALGORITHMS:
         known = ", ".join(available_backends())
-        raise AlgorithmError(f"unknown backend {name!r}; known: {known}") from exc
-    return factory()
+        raise AlgorithmError(f"unknown backend {name!r}; known: {known}")
+    return ClassicalBackend(name)

@@ -31,7 +31,7 @@ from ..errors import AlgorithmError
 from ..graph.network import FlowNetwork
 from ..obs.trace import current_span, span, span_scope
 from ..resilience.failover import FailoverPolicy, solve_with_failover
-from ..resilience.policy import Deadline, deadline_scope
+from ..resilience.policy import Deadline, active_deadline, deadline_scope
 from .api import BatchReport, SolveRequest, SolveResult
 from .backends import SolveBackend, create_backend
 from .cache import CompiledCircuitCache, network_signature
@@ -93,6 +93,10 @@ class ParallelMap:
     batch service draining request waves) pay the pool spin-up once instead
     of per wave.  ``"serial"`` never creates a pool.
 
+    Every item runs under the caller's deadline and span: :meth:`map`
+    captures both at dispatch and re-enters them in the worker, because
+    context variables do not follow work into pool threads.
+
     Examples
     --------
     >>> with ParallelMap(executor="thread", max_workers=2) as pool:
@@ -117,14 +121,20 @@ class ParallelMap:
         ``Exception.add_note``.
         """
         items = list(items)
+        deadline, parent_span = active_deadline(), current_span()
+
+        def call(item):
+            with span_scope(parent_span), deadline_scope(deadline):
+                return fn(item)
+
         if describe is not None or self.executor != "serial":
-            fn = _with_context(fn, describe)
+            call = _with_context(call, describe)
             items = list(enumerate(items))
         if self.executor == "serial" or self.max_workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
+            return [call(item) for item in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return list(self._pool.map(fn, items))
+        return list(self._pool.map(call, items))
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
@@ -158,7 +168,7 @@ class BatchSolveService:
         Opt-in degraded-mode solving: ``True`` enables the default
         :class:`~repro.resilience.failover.FailoverPolicy`, or pass a
         configured policy.  Failed requests then retry and degrade along
-        their declared backend chain (``analog → kernel-dinic → dinic``,
+        their declared backend chain (``analog → kernel → dinic``,
         ...), with every fallback result re-validated before it is
         accepted; requests whose whole chain fails still come back as
         typed ``ok=False`` entries.  Off (``None``) by default so the
@@ -333,8 +343,6 @@ class BatchSolveService:
                 executor=self.executor,
                 cache_stats=self.cache.stats(),
             )
-        if deadline is not None and not isinstance(deadline, Deadline):
-            deadline = Deadline(float(deadline), label="batch")
         make = self._backend_factory()
         for name in {r.backend for r in reqs}:
             make(name)  # unknown names fail the whole batch up front
@@ -343,18 +351,12 @@ class BatchSolveService:
             "batch.solve", executor=self.executor, requests=len(reqs)
         ) as batch_span, ParallelMap(
             executor=self.executor, max_workers=self.max_workers
-        ) as pool:
-            parent_span = current_span()
-
-            def run(r: SolveRequest) -> SolveResult:
-                # Deadlines and trace context re-scope inside the worker: the
-                # Deadline object carries an absolute expiry, the parent span
-                # was captured at dispatch, and context variables do not
-                # propagate into pool threads.
-                with span_scope(parent_span), deadline_scope(deadline):
-                    return self._solve_one(r, self.failover, make)
-
-            results = pool.map(run, reqs, describe=_describe_request)
+        ) as pool, deadline_scope(deadline, label="batch"):
+            results = pool.map(
+                lambda r: self._solve_one(r, self.failover, make),
+                reqs,
+                describe=_describe_request,
+            )
             batch_span.set(
                 ok=sum(1 for r in results if r.ok),
                 failed=sum(1 for r in results if not r.ok),

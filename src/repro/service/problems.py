@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..errors import CertificateError, ProblemError, SolveTimeoutError
 from ..flows.dinic import Dinic
 from ..flows.mincut import MinCutResult, min_cut_from_flow
-from ..flows.registry import ALGORITHMS
+from ..flows.registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM
 from ..obs.trace import annotate_span, span
 from ..problems.base import Problem, Reduction, Solution
 from ..resilience.failover import FailoverPolicy
@@ -218,7 +218,7 @@ class ProblemSolveService:
         by default.
     failover:
         When a backend fails at solve time, walk its degradation chain
-        (e.g. ``analog -> kernel-dinic -> dinic``) through
+        (e.g. ``analog -> kernel -> dinic``) through
         :func:`~repro.resilience.failover.solve_with_failover`, one
         attempt per stage and without flow re-validation: the decode +
         certificate machinery judges whichever answer comes back.  The
@@ -269,7 +269,7 @@ class ProblemSolveService:
     def solve(
         self,
         problem: Problem,
-        backend: str = "dinic",
+        backend: str = DEFAULT_EXACT_ALGORITHM,
         shards: Optional[int] = None,
         tag: Optional[str] = None,
         value_rtol: Optional[float] = None,
@@ -283,8 +283,8 @@ class ProblemSolveService:
         problem:
             Any :class:`~repro.problems.base.Problem`.
         backend:
-            Registered backend name (``"dinic"``, ``"analog"``, ...); with
-            ``shards`` set it names the per-shard backend.
+            Backend name (``"kernel"``, ``"dinic"``, ``"analog"``, ...);
+            with ``shards`` set it names the per-shard backend.
         shards:
             Route through the sharded service with this many shards.
         tag:
@@ -330,7 +330,7 @@ class ProblemSolveService:
     def solve_batch(
         self,
         problems: Sequence[Problem],
-        backend: str = "dinic",
+        backend: str = DEFAULT_EXACT_ALGORITHM,
         **options: Any,
     ) -> List[ProblemSolve]:
         """Solve many problems concurrently through the batch service.

@@ -31,7 +31,8 @@ is pinned by ``tests/test_server.py`` without sleeps:
   analog backend *while its SLO error budget is healthy* (the same
   :class:`~repro.obs.slo.SloPolicy` verdicts the failover chain
   consults); exhausted budgets or loose deadlines take the exact
-  classical default.  This is the paper's analog-vs-exact latency
+  classical default, ``DEFAULT_EXACT_ALGORITHM`` (the ``"kernel"``
+  engine).  This is the paper's analog-vs-exact latency
   trade-off made into a routing decision, and the deadline itself rides
   into the solver (``deadline_s`` option → cooperative
   :func:`~repro.resilience.policy.deadline_scope`) and into any failover
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmError, SolveTimeoutError
+from ..flows.registry import DEFAULT_EXACT_ALGORITHM
 from ..graph.network import FlowNetwork
 from ..obs import probes
 from ..obs.slo import SloPolicy, get_slo_policy
@@ -169,8 +171,6 @@ class AsyncSolveServer:
     coalesce:
         Share one in-flight solve between identical concurrent requests
         (on by default; the benchmark's control arm turns it off).
-    exact_backend:
-        Classical backend for loose-deadline / routed traffic.
     analog_deadline_s:
         Deadline at or under which an auto-routed request prefers the
         analog backend (while its SLO budget is healthy).
@@ -194,7 +194,7 @@ class AsyncSolveServer:
     >>> _ = g.add_edge("s", "t", 3.0)
     >>> async def demo():
     ...     async with AsyncSolveServer(workers=1) as server:
-    ...         response = await server.submit(g, backend="dinic", deadline_s=30.0)
+    ...         response = await server.submit(g, backend="kernel", deadline_s=30.0)
     ...         return response.status, round(response.result.flow_value, 2)
     >>> asyncio.run(demo())
     (200, 3.0)
@@ -208,7 +208,6 @@ class AsyncSolveServer:
         max_pending: int = 64,
         per_tenant_queue: int = 16,
         coalesce: bool = True,
-        exact_backend: str = "dinic",
         analog_deadline_s: float = 0.25,
         slo: Optional[SloPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -223,7 +222,6 @@ class AsyncSolveServer:
         self.max_pending = max_pending
         self.per_tenant_queue = per_tenant_queue
         self.coalesce = coalesce
-        self.exact_backend = exact_backend
         self.analog_deadline_s = float(analog_deadline_s)
         self.slo = slo
         self._clock = clock
@@ -418,7 +416,7 @@ class AsyncSolveServer:
             policy = self.slo if self.slo is not None else get_slo_policy()
             if policy is None or not policy.health("analog").should_skip:
                 return "analog"
-        return self.exact_backend
+        return DEFAULT_EXACT_ALGORITHM
 
     def _admission_verdict(
         self, tenant: str, priority: int

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DecompositionError, ReproError, SolveTimeoutError
+from ..flows.registry import DEFAULT_EXACT_ALGORITHM, get_algorithm
 from ..graph.network import FlowNetwork
 from ..obs.trace import span
 from ..resilience.failover import certify_flow_result
@@ -378,12 +379,8 @@ class ShardedSolveService:
         Runs inside the caller's :func:`deadline_scope`, so a budget that
         killed the sharded path also bounds (and may kill) the fallback.
         """
-        from ..flows.kernel import resolve_default_algorithm
-        from ..flows.registry import get_algorithm
-
-        algorithm = resolve_default_algorithm("dinic")
-        with span("sharded.fallback", algorithm=algorithm):
-            flow = get_algorithm(algorithm).solve(request.network)
+        with span("sharded.fallback", algorithm=DEFAULT_EXACT_ALGORITHM):
+            flow = get_algorithm(DEFAULT_EXACT_ALGORITHM).solve(request.network)
             certify_flow_result(
                 request.network, flow.flow_value, flow.edge_flows, exact=True
             )
@@ -402,7 +399,7 @@ class ShardedSolveService:
         )
         report = ShardReport(
             num_shards=1,
-            backend=f"fallback:{algorithm}",
+            backend=f"fallback:{DEFAULT_EXACT_ALGORITHM}",
             executor=self.executor,
             max_workers=1,
             iterations=flow.iterations,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,12 +51,13 @@ from ..graph.network import FlowNetwork
 from ..graph.updates import MutableFlowNetwork, UpdateBatch, UpdateEvent
 from ..obs import probes
 from ..obs.telemetry import build_telemetry
-from ..obs.trace import annotate_span, current_span, span, span_scope
+from ..obs.trace import annotate_span, span
 from ..resilience.failover import certify_flow_result
 from ..resilience.faults import fault_point
 from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult
 from .backends import analog_readout
+from .batch import ParallelMap
 from .cache import CompiledCircuitCache, analog_config_signature
 
 __all__ = ["StreamingDelta", "StreamingSession", "push_all"]
@@ -526,9 +526,11 @@ def push_all(
 ) -> List[StreamingDelta]:
     """Push one update batch into each of many sessions concurrently.
 
-    Each session is independent state, so sessions fan out over a thread
-    pool exactly like batch requests do (the MNA hot path releases the GIL
-    inside LAPACK/SuperLU).  ``sessions[i]`` receives ``batches[i]``.
+    Each session is independent state, so sessions fan out over a
+    :class:`~repro.service.batch.ParallelMap` thread pool exactly like batch
+    requests do (the MNA hot path releases the GIL inside LAPACK/SuperLU),
+    under the caller's deadline and span.  ``sessions[i]`` receives
+    ``batches[i]``.
 
     Parameters
     ----------
@@ -551,17 +553,5 @@ def push_all(
     if not sessions:
         return []
     workers = max_workers if max_workers is not None else min(8, len(sessions))
-    if workers <= 1 or len(sessions) == 1:
-        return [s.push(b) for s, b in zip(sessions, batches)]
-    # Trace context is captured at dispatch and re-entered per worker —
-    # contextvars do not propagate into pool threads (same contract as the
-    # resilience deadline scope).
-    parent_span = current_span()
-
-    def push_one(pair):
-        session, events = pair
-        with span_scope(parent_span):
-            return session.push(events)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(push_one, zip(sessions, batches)))
+    with ParallelMap(executor="thread", max_workers=workers) as pool:
+        return pool.map(lambda pair: pair[0].push(pair[1]), zip(sessions, batches))

@@ -34,15 +34,14 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import DecompositionError
 from ..flows.incremental import IncrementalMaxFlow
-from ..flows.kernel import resolve_default_algorithm
 from ..flows.mincut import min_cut_from_flow
 from ..flows.registry import ALGORITHMS, get_algorithm
 from ..graph.network import FlowNetwork
 from ..graph.updates import CapacityUpdate, MutableFlowNetwork
 from ..obs import probes
-from ..obs.trace import current_span, span, span_scope
+from ..obs.trace import span
 from ..resilience.faults import fault_point
-from ..resilience.policy import RetryPolicy, active_deadline, deadline_scope
+from ..resilience.policy import RetryPolicy
 from .partition import MultiwayPartition
 
 __all__ = ["ShardSolve", "ShardExecutor"]
@@ -195,9 +194,7 @@ class _ShardState:
         network = self.mutable.network
         if not self.warm:
             self._pending.clear()
-            # Cold shard solves ride the flat-array kernel when the shard
-            # backend is the "dinic" default (REPRO_FLOW_KERNEL=0 reverts).
-            flow = get_algorithm(resolve_default_algorithm(self.backend)).solve(network)
+            flow = get_algorithm(self.backend).solve(network)
             cut = min_cut_from_flow(network, flow)
             return cut.cut_value, set(cut.source_side), False
         # Warm path: multiplier updates were capacity edits, so the engine
@@ -422,26 +419,18 @@ class ShardExecutor:
             )
         for state, coeffs in zip(self._states, coefficients):
             state.apply_coefficients(coeffs)
-        # Capture the ambient deadline at dispatch: Deadline objects carry
-        # an absolute expiry, but context variables do not propagate into
-        # pool threads, so each worker re-opens the scope itself.
-        deadline = active_deadline()
-        # Trace context obeys the same contract as the deadline: captured
-        # at dispatch, re-entered by each pool worker via span_scope.
-        parent_span = current_span()
         retry = self.retry
 
         def solve_state(state: _ShardState) -> ShardSolve:
-            with span_scope(parent_span), deadline_scope(deadline):
-                if retry is None:
-                    return state.solve()
-                # run() owns the attempt budget; each failed attempt drops
-                # the shard's warm state so the next one rebuilds cold
-                # (timeouts propagate immediately, never retried).
-                return retry.run(
-                    state.solve,
-                    on_retry=lambda attempt, exc: state.reset(),
-                )
+            if retry is None:
+                return state.solve()
+            # run() owns the attempt budget; each failed attempt drops the
+            # shard's warm state so the next one rebuilds cold (timeouts
+            # propagate immediately, never retried).
+            return retry.run(
+                state.solve,
+                on_retry=lambda attempt, exc: state.reset(),
+            )
 
         return self._pool.map(
             solve_state, self._states, describe=lambda s: f"shard {s.shard} ({s.backend})"

@@ -182,7 +182,7 @@ PROBLEMS = _problem_suite()
 BACKEND_ROUTES = [
     ("dinic", None),
     ("push-relabel", None),
-    ("kernel-dinic", None),
+    ("kernel", None),
     ("analog", None),
     ("dinic", 2),
 ]

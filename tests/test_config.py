@@ -154,7 +154,7 @@ class TestNonIdealityModel:
 
 
 class TestEnvHelpers:
-    """The centralized environment-knob parsers (shared by the kernel toggle
+    """The centralized environment-knob parsers (shared by the obs toggle
     and every resilience knob — 'what counts as off' is defined once)."""
 
     def test_env_flag_unset_returns_default(self, monkeypatch):
@@ -177,12 +177,6 @@ class TestEnvHelpers:
 
         monkeypatch.setenv("_REPRO_TEST_FLAG", spelling)
         assert env_flag("_REPRO_TEST_FLAG", default=False) is True
-
-    def test_env_flag_extra_false_values(self, monkeypatch):
-        from repro.config import env_flag
-
-        monkeypatch.setenv("_REPRO_TEST_FLAG", "Reference")
-        assert env_flag("_REPRO_TEST_FLAG", extra_false=("reference",)) is False
 
     def test_env_float_and_int(self, monkeypatch):
         from repro.config import env_float, env_int

@@ -30,13 +30,7 @@ from seeding import derive_seed
 
 from repro.flows.base import INFINITY
 from repro.flows.dinic import Dinic
-from repro.flows.kernel import (
-    KERNEL_ENV_VAR,
-    FlatResidual,
-    KernelDinic,
-    kernel_enabled,
-    resolve_default_algorithm,
-)
+from repro.flows.kernel import FlatResidual, KernelDinic
 from repro.flows.mincut import min_cut_from_flow
 from repro.flows.push_relabel import PushRelabel
 from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph
@@ -223,33 +217,62 @@ class TestFlatArrayDtypes:
 
 
 # ----------------------------------------------------------------------
-# Default routing / escape hatch
+# Engine names: one name, one implementation
 # ----------------------------------------------------------------------
 
 
 class TestKernelSelection:
-    def test_dinic_default_routes_to_kernel(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert kernel_enabled()
-        assert resolve_default_algorithm("dinic") == "kernel-dinic"
-        # Explicit names always mean exactly that implementation.
-        assert resolve_default_algorithm("push-relabel") == "push-relabel"
-        assert resolve_default_algorithm("kernel-dinic") == "kernel-dinic"
-
-    @pytest.mark.parametrize("value", ["0", "off", "reference", "FALSE", " no "])
-    def test_escape_hatch_reverts_to_reference(self, monkeypatch, value):
-        monkeypatch.setenv(KERNEL_ENV_VAR, value)
-        assert not kernel_enabled()
-        assert resolve_default_algorithm("dinic") == "dinic"
-
     def test_backend_and_registry_expose_kernel(self):
         from repro.flows.registry import ALGORITHMS, solve_max_flow
         from repro.service import available_backends
 
-        assert "kernel-dinic" in ALGORITHMS
-        assert "kernel-dinic" in available_backends()
+        assert "kernel" in ALGORITHMS
+        assert "kernel" in available_backends()
         network = FlowNetwork()
         network.add_edge("s", "t", 2.25)
-        result = solve_max_flow(network, algorithm="kernel-dinic", validate=True)
-        assert result.algorithm == "kernel-dinic"
+        result = solve_max_flow(network, algorithm="kernel", validate=True)
+        assert result.algorithm == "kernel"
         assert result.flow_value == 2.25
+
+    @pytest.mark.parametrize("name", ["dinic", "kernel"])
+    def test_classical_backend_runs_the_engine_it_names(self, name):
+        from repro.service import ClassicalBackend, SolveRequest
+
+        network = grid_graph(4, 5, seed=derive_seed("kernel-names"))
+        result = ClassicalBackend(name).solve(SolveRequest(network=network))
+        assert result.ok
+        assert result.detail.algorithm == name
+
+    def test_cold_exact_defaults_run_the_kernel(self, monkeypatch):
+        """Cold exact solves that name no engine run the kernel.
+
+        The server's exact route is pinned by ``tests/test_server.py``.
+        """
+        from repro.flows.mincut import min_cut
+        from repro.flows.registry import DEFAULT_EXACT_ALGORITHM
+        from repro.problems import BipartiteMatching
+        from repro.resilience.faults import inject_faults
+        from repro.service import ProblemSolveService
+        from repro.service.sharded import ShardedSolveService
+
+        assert DEFAULT_EXACT_ALGORITHM == "kernel"
+        calls = []
+        original = KernelDinic.solve
+
+        def counting(self, network, validate=False):
+            calls.append(network)
+            return original(self, network, validate=validate)
+
+        monkeypatch.setattr(KernelDinic, "solve", counting)
+        network = grid_graph(4, 5, seed=derive_seed("kernel-defaults"))
+
+        min_cut(network)
+        assert calls == [network]
+        problem = BipartiteMatching(["a"], ["x"], [("a", "x")])
+        assert ProblemSolveService().solve(problem).result.backend == "kernel"
+        with inject_faults("kind=error,site=shard-solve,times=0"):
+            sharded = ShardedSolveService(executor="serial").solve(
+                network, shards=2, backend="dinic"
+            )
+        assert sharded.result.degraded
+        assert sharded.result.detail.algorithm == "kernel"

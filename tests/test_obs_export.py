@@ -41,7 +41,7 @@ def obs_on():
 def populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry(latency_buckets_s=(0.001, 0.1, 1.0))
     reg.counter("service.solves", 5, backend="dinic")
-    reg.counter("service.solves", 2, backend="kernel-dinic")
+    reg.counter("service.solves", 2, backend="kernel")
     reg.counter("service.solve_errors", 1, backend="dinic", error_type="numerical")
     reg.gauge("cache.hits", 7, service="batch")
     reg.gauge("solver.depth", 3)

@@ -21,6 +21,7 @@ from repro import (
     reset_metrics,
     set_obs_enabled,
 )
+from repro.graph.updates import CapacityUpdate
 from repro.obs import clear_traces, probes, recent_traces
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -28,6 +29,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     metric_key,
 )
+from repro.obs.trace import span
+from repro.service import StreamingSession, push_all
 
 
 @pytest.fixture
@@ -168,10 +171,26 @@ class TestExecutorAggregation:
         assert root.attributes["ok"] == self.REQUESTS
         assert root.attributes["failed"] == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_push_all_span_collects_per_session_children(self, obs_on, workers):
+        sessions = [
+            StreamingSession(tiny_network(), backend="dinic")
+            for _ in range(self.REQUESTS)
+        ]
+        with span("fanout") as root:
+            push_all(
+                sessions,
+                [[CapacityUpdate(1, 1.0)] for _ in sessions],
+                max_workers=workers,
+            )
+        children = [c for c in root.children if c.name == "streaming.push"]
+        assert len(children) == self.REQUESTS
+        assert all(c.attributes.get("warm") is not None for c in children)
+
     def test_kernel_probe_counts_survive_thread_fanout(self, obs_on):
         BatchSolveService(executor="thread", max_workers=4).solve_batch(
             [
-                SolveRequest(network=tiny_network(), backend="kernel-dinic")
+                SolveRequest(network=tiny_network(), backend="kernel")
                 for _ in range(self.REQUESTS)
             ]
         )
@@ -239,7 +258,7 @@ class TestExporterRoundTrip:
 
         BatchSolveService(executor="serial").solve_batch([
             SolveRequest(network=tiny_network(), backend="dinic"),
-            SolveRequest(network=tiny_network(), backend="kernel-dinic"),
+            SolveRequest(network=tiny_network(), backend="kernel"),
         ])
         snap = get_registry().snapshot()
         assert snap["counters"], "live run produced no counters"

@@ -199,13 +199,13 @@ class TestFailoverIntegration:
     """The acceptance scenario: exhaustion -> the chain routes around."""
 
     def _exhaust_kernel_dinic(self, slo_policy):
-        """Seeded faults drive kernel-dinic's budget to zero, deterministically."""
+        """Seeded faults drive kernel's budget to zero, deterministically."""
         slo_policy.observe()  # baseline sample at t=0
-        request = SolveRequest(network=tiny_network(), backend="kernel-dinic")
-        plan = FaultPlan(kind="error", backend="kernel-dinic",
+        request = SolveRequest(network=tiny_network(), backend="kernel")
+        plan = FaultPlan(kind="error", backend="kernel",
                          site="batch-solve", times=0)
         with inject_faults(plan):
-            backend = create_backend("kernel-dinic")
+            backend = create_backend("kernel")
             for _ in range(12):
                 result = backend.solve(request)
                 assert not result.ok
@@ -219,16 +219,16 @@ class TestFailoverIntegration:
         )
         self._exhaust_kernel_dinic(slo_policy)
         advance(60.0)
-        health = slo_policy.health("kernel-dinic")
+        health = slo_policy.health("kernel")
         assert health.should_skip, health
 
         errors_before = get_registry().get_counter(
-            probes.EVENT_SOLVE_ERROR, backend="kernel-dinic",
+            probes.EVENT_SOLVE_ERROR, backend="kernel",
             error_type="AlgorithmError",
         )
         policy = FailoverPolicy(slo=slo_policy)
         result = solve_with_failover(
-            SolveRequest(network=tiny_network(), backend="kernel-dinic"),
+            SolveRequest(network=tiny_network(), backend="kernel"),
             policy,
             create_backend,
         )
@@ -237,15 +237,15 @@ class TestFailoverIntegration:
         assert result.request.backend == "dinic"
         assert any("error budget exhausted" in step
                    for step in result.failover_trail)
-        # kernel-dinic was never attempted: its error counter is frozen
+        # kernel was never attempted: its error counter is frozen
         # and the skip itself was counted.
         errors_after = get_registry().get_counter(
-            probes.EVENT_SOLVE_ERROR, backend="kernel-dinic",
+            probes.EVENT_SOLVE_ERROR, backend="kernel",
             error_type="AlgorithmError",
         )
         assert errors_after == errors_before
         assert get_registry().get_counter(
-            probes.EVENT_SLO_SKIP, backend="kernel-dinic", reason="exhausted"
+            probes.EVENT_SLO_SKIP, backend="kernel", reason="exhausted"
         ) == 1.0
 
     def test_fully_exhausted_chain_tries_last_element_and_records_skips(
@@ -259,11 +259,11 @@ class TestFailoverIntegration:
             clock=clock, min_requests=5,
         )
         slo_policy.observe()
-        for backend in ("analog", "kernel-dinic", "dinic"):
+        for backend in ("analog", "kernel", "dinic"):
             get_registry().counter("service.solve_errors", 20,
                                    backend=backend, error_type="e")
         advance(60.0)
-        for backend in ("analog", "kernel-dinic", "dinic"):
+        for backend in ("analog", "kernel", "dinic"):
             assert slo_policy.should_skip(backend), backend
 
         solves_before = get_registry().get_counter(
@@ -281,11 +281,11 @@ class TestFailoverIntegration:
         # exhaustion verdict recorded verbatim in the trail...
         assert len(result.failover_trail) == 2
         for step, name in zip(result.failover_trail,
-                              ("analog", "kernel-dinic")):
+                              ("analog", "kernel")):
             assert step.startswith(f"{name}: error budget exhausted")
         # ...and in the skip counters — but never for the last resort.
         reg = get_registry()
-        for name in ("analog", "kernel-dinic"):
+        for name in ("analog", "kernel"):
             assert reg.get_counter(
                 probes.EVENT_SLO_SKIP, backend=name, reason="exhausted"
             ) == 1.0
@@ -309,17 +309,17 @@ class TestFailoverIntegration:
         assert deadline.expired()
         with deadline_scope(deadline):
             result = solve_with_failover(
-                SolveRequest(network=tiny_network(), backend="kernel-dinic"),
+                SolveRequest(network=tiny_network(), backend="kernel"),
                 FailoverPolicy(),
                 create_backend,
             )
         assert not result.ok
         assert result.error_type == "SolveTimeoutError"
         assert result.failover_trail == [
-            "kernel-dinic: not attempted, deadline expired"
+            "kernel: not attempted, deadline expired"
         ]
         assert get_registry().get_counter(
-            probes.EVENT_FAILOVER_HOP, backend="kernel-dinic",
+            probes.EVENT_FAILOVER_HOP, backend="kernel",
             outcome="deadline-expired",
         ) == 1.0
 
@@ -331,14 +331,14 @@ class TestFailoverIntegration:
         )
         slo_policy.observe()
         # Exhaust *every* chain member's budget.
-        for backend in ("kernel-dinic", "dinic"):
+        for backend in ("kernel", "dinic"):
             get_registry().counter("service.solve_errors", 20,
                                    backend=backend, error_type="e")
         advance(60.0)
         assert slo_policy.should_skip("dinic")
         policy = FailoverPolicy(slo=slo_policy)
         result = solve_with_failover(
-            SolveRequest(network=tiny_network(), backend="kernel-dinic"),
+            SolveRequest(network=tiny_network(), backend="kernel"),
             policy,
             create_backend,
         )
@@ -354,11 +354,11 @@ class TestFailoverIntegration:
         )
         slo_policy.observe()
         get_registry().counter("service.solve_errors", 20,
-                               backend="kernel-dinic", error_type="e")
+                               backend="kernel", error_type="e")
         advance(60.0)
         set_slo_policy(slo_policy)
         result = solve_with_failover(
-            SolveRequest(network=tiny_network(), backend="kernel-dinic"),
+            SolveRequest(network=tiny_network(), backend="kernel"),
             FailoverPolicy(),  # no explicit slo: falls through to global
             create_backend,
         )

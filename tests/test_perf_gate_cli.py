@@ -37,9 +37,9 @@ class TestListSuites:
         captured = capsys.readouterr()
         assert status == 0
         assert captured.err == ""
-        for name, (_, output) in perf_gate.SUITES.items():
+        for name, suite in perf_gate.SUITES.items():
             assert name in captured.out
-            assert output in captured.out
+            assert suite.output in captured.out
 
     def test_listing_is_one_line_per_suite_sorted(self, perf_gate, capsys):
         perf_gate.main(["--list-suites"])

@@ -19,6 +19,7 @@ import pytest
 
 from repro import FlowNetwork, grid_graph
 from repro.errors import (
+    AlgorithmError,
     CertificateError,
     ConfigurationError,
     InfeasibleFlowError,
@@ -26,6 +27,7 @@ from repro.errors import (
     SolveTimeoutError,
 )
 from repro.flows.dinic import Dinic
+from repro.flows.kernel import KernelDinic
 from repro.graph.updates import CapacityUpdate
 from repro.resilience.faults import (
     FaultInjector,
@@ -221,6 +223,56 @@ class TestBatchMatrix:
         assert report.num_failed == 0
         for result in report.results:
             assert result.flow_value == pytest.approx(reference, abs=EXACT)
+
+
+class TestHonestChains:
+    """Every chain hop runs a different engine from the one that failed."""
+
+    @pytest.fixture()
+    def engine_calls(self, monkeypatch):
+        """Make the kernel raise; count kernel and reference Dinic calls."""
+        calls = {"kernel": 0, "dinic": 0}
+        dinic_solve = Dinic.solve
+
+        def broken_kernel(self, network, validate=False):
+            calls["kernel"] += 1
+            raise AlgorithmError("kernel unavailable")
+
+        def counting_dinic(self, network, validate=False):
+            calls["dinic"] += 1
+            return dinic_solve(self, network, validate=validate)
+
+        monkeypatch.setattr(KernelDinic, "solve", broken_kernel)
+        monkeypatch.setattr(Dinic, "solve", counting_dinic)
+        return calls
+
+    def test_failing_kernel_is_answered_by_reference_dinic(
+        self, network, reference, engine_calls
+    ):
+        service = BatchSolveService(failover=True, executor="serial")
+        result = service.solve(network, backend="kernel")
+        assert result.ok and result.degraded
+        assert result.request.backend == "dinic"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert engine_calls["dinic"] == 1
+
+    def test_dinic_never_runs_the_kernel(self, network, reference, engine_calls):
+        service = BatchSolveService(failover=True, executor="serial")
+        result = service.solve(network, backend="dinic")
+        assert result.ok and not result.degraded
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert engine_calls["kernel"] == 0
+
+    def test_persistent_analog_fault_ends_on_dinic(
+        self, network, reference, engine_calls
+    ):
+        service = BatchSolveService(failover=True, executor="serial")
+        with inject_faults("kind=error,site=batch-solve,backend=analog,times=0"):
+            result = service.solve(network, backend="analog")
+        assert result.ok and result.degraded
+        assert result.request.backend == "dinic"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert engine_calls["kernel"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,9 @@ class TestDeadlineRouting:
             loose = await server.submit(tiny_network(), deadline_s=10.0)
             bare = await server.submit(tiny_network())
         assert tight.backend == "analog"
-        assert loose.backend == "dinic"
-        assert bare.backend == "dinic"
-        assert [r.backend for r in backend.calls] == ["analog", "dinic", "dinic"]
+        assert loose.backend == "kernel"
+        assert bare.backend == "kernel"
+        assert [r.backend for r in backend.calls] == ["analog", "kernel", "kernel"]
 
     async def test_exhausted_analog_budget_flips_tight_deadlines_classical(
         self, obs_server
@@ -326,8 +326,8 @@ class TestDeadlineRouting:
             workers=1, solve_fn=backend, slo=policy, clock=clock,
         ) as server:
             tight = await server.submit(tiny_network(), deadline_s=0.1)
-        assert tight.backend == "dinic"
-        assert backend.calls[0].backend == "dinic"
+        assert tight.backend == "kernel"
+        assert backend.calls[0].backend == "kernel"
 
     async def test_router_falls_through_to_process_global_policy(
         self, obs_server
@@ -339,7 +339,7 @@ class TestDeadlineRouting:
             workers=1, solve_fn=backend, clock=clock,
         ) as server:
             tight = await server.submit(tiny_network(), deadline_s=0.1)
-        assert tight.backend == "dinic"
+        assert tight.backend == "kernel"
 
     async def test_explicit_backend_bypasses_router(self, obs_server):
         backend = Recorder()
@@ -395,7 +395,7 @@ class TestDeadlineRouting:
                 )
                 for i in range(10)
             ]
-            assert [r.backend for r in phase2] == ["dinic"] * 10
+            assert [r.backend for r in phase2] == ["kernel"] * 10
         assert all(r.status == 200 for r in phase1 + phase2)
 
 

@@ -10,11 +10,13 @@ from repro import (
     BatchSolveService,
     FlowNetwork,
     SolveRequest,
+    grid_graph,
     paper_example_graph,
     push_relabel,
     rmat_graph,
 )
 from repro.errors import AlgorithmError
+from repro.resilience.policy import Deadline, deadline_scope
 from repro.service import (
     AnalogBackend,
     ClassicalBackend,
@@ -22,7 +24,6 @@ from repro.service import (
     available_backends,
     create_backend,
     network_signature,
-    register_backend,
 )
 
 
@@ -119,13 +120,6 @@ def test_registry_knows_analog_and_all_classical_algorithms():
         create_backend("quantum-annealer")
 
 
-def test_register_custom_backend():
-    register_backend("custom-bfs", lambda: ClassicalBackend("edmonds-karp"))
-    backend = create_backend("custom-bfs")
-    result = backend.solve(SolveRequest(network=tiny_network()))
-    assert result.ok and abs(result.flow_value - 2.0) < 1e-9
-
-
 # ----------------------------------------------------------------------
 # The batch service
 # ----------------------------------------------------------------------
@@ -209,6 +203,26 @@ def test_serial_and_thread_executors_agree():
     serial = BatchSolveService(executor="serial").solve_batch(requests)
     threaded = BatchSolveService(executor="thread", max_workers=4).solve_batch(requests)
     assert [r.flow_value for r in serial.results] == [r.flow_value for r in threaded.results]
+
+
+def expired_deadline() -> Deadline:
+    deadline = Deadline(1e-9, label="caller")
+    while not deadline.expired():
+        pass
+    return deadline
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_ambient_deadline_reaches_every_executor(executor):
+    """The caller's deadline governs pooled requests as well as inline ones."""
+    service = BatchSolveService(executor=executor, max_workers=4)
+    requests = [
+        SolveRequest(network=grid_graph(4, 6, seed=i), backend="kernel")
+        for i in range(4)
+    ]
+    with deadline_scope(expired_deadline()):
+        report = service.solve_batch(requests)
+    assert [r.error_type for r in report.results] == ["SolveTimeoutError"] * 4
 
 
 def test_single_solve_convenience():

@@ -25,17 +25,18 @@ import pytest
 from seeding import derive_seed
 
 from repro.analog import AnalogMaxFlowSolver
-from repro.errors import EdgeNotFoundError, InvalidGraphError
+from repro.errors import EdgeNotFoundError, InvalidGraphError, SolveTimeoutError
 from repro.flows.incremental import IncrementalMaxFlow
 from repro.flows.kernel import KernelDinic
 from repro.flows.registry import solve_max_flow
-from repro.graph import FlowNetwork, MutableFlowNetwork, rmat_graph
+from repro.graph import FlowNetwork, MutableFlowNetwork, grid_graph, rmat_graph
 from repro.graph.updates import (
     CapacityUpdate,
     EdgeInsert,
     EdgeRemove,
     topology_signature,
 )
+from repro.resilience.policy import Deadline, deadline_scope
 from repro.service import CompiledCircuitCache, StreamingSession, push_all
 
 
@@ -242,10 +243,10 @@ class TestKernelIncremental:
                 rng.randint(15, 40), rng.randint(50, 150), seed=rng.randint(0, 10**6)
             )
             dyn = MutableFlowNetwork(g)
-            engine = IncrementalMaxFlow(dyn, algorithm="kernel-dinic", validate=True)
+            engine = IncrementalMaxFlow(dyn, algorithm="kernel", validate=True)
             for _ in range(6):
                 result = engine.push(random_update_batch(dyn, rng))
-                cold = solve_max_flow(dyn.snapshot(), algorithm="kernel-dinic")
+                cold = solve_max_flow(dyn.snapshot(), algorithm="kernel")
                 reference = solve_max_flow(dyn.snapshot(), algorithm="dinic")
                 assert result.flow_value == pytest.approx(
                     cold.flow_value, abs=1e-9, rel=1e-9
@@ -259,7 +260,7 @@ class TestKernelIncremental:
     def test_kernel_warm_repair_reports_incremental(self):
         g = rmat_graph(30, 120, seed=derive_seed("kernel-warm"))
         dyn = MutableFlowNetwork(g)
-        engine = IncrementalMaxFlow(dyn, algorithm="kernel-dinic", validate=True)
+        engine = IncrementalMaxFlow(dyn, algorithm="kernel", validate=True)
         result = engine.push([CapacityUpdate(0, g.edge(0).capacity * 2)])
         assert result.algorithm == "incremental-dinic"
         assert engine.warm_solves == 1 and engine.cold_solves == 1
@@ -269,7 +270,7 @@ class TestKernelIncremental:
 
         The "dinic" streaming default keeps the pure-Python repair engine
         (its per-push cost scales with the delta, not with |E| flat-array
-        setup); explicit "kernel-dinic" swaps in the flat-array kernel.
+        setup); explicit "kernel" swaps in the flat-array kernel.
         Both must walk the same stream to identical flow values.
         """
         events_seed = derive_seed("kernel-vs-reference")
@@ -280,14 +281,14 @@ class TestKernelIncremental:
             dyn = MutableFlowNetwork(g)
             engine = IncrementalMaxFlow(dyn, algorithm=algorithm, validate=True)
             assert isinstance(engine._dinic, KernelDinic) == (
-                algorithm == "kernel-dinic"
+                algorithm == "kernel"
             )
             return [
                 engine.push(random_update_batch(dyn, rng)).flow_value
                 for _ in range(6)
             ]
 
-        kernel_values = run_stream("kernel-dinic")
+        kernel_values = run_stream("kernel")
         reference_values = run_stream("dinic")
         assert kernel_values == pytest.approx(reference_values, abs=1e-9, rel=1e-9)
 
@@ -517,6 +518,25 @@ class TestStreamingSession:
         deltas = push_all(sessions, batches, max_workers=2)
         assert len(deltas) == 2
         assert deltas[0].flow_value == pytest.approx(deltas[1].flow_value)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_push_all_honours_the_callers_deadline(self, count):
+        """An expired caller deadline stops fanned-out pushes too."""
+        sessions = [
+            StreamingSession(grid_graph(4, 6, seed=3), backend="dinic")
+            for _ in range(count)
+        ]
+        # Touching every edge forces a cold re-solve, which checks the
+        # deadline once per blocking-flow phase.
+        batches = [
+            [CapacityUpdate(e.index, 3 * e.capacity) for e in s.snapshot().edges()]
+            for s in sessions
+        ]
+        deadline = Deadline(1e-9, label="caller")
+        while not deadline.expired():
+            pass
+        with deadline_scope(deadline), pytest.raises(SolveTimeoutError):
+            push_all(sessions, batches, max_workers=count)
 
     def test_unknown_backend_rejected(self):
         from repro.errors import AlgorithmError

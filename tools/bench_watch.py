@@ -39,7 +39,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -47,26 +47,11 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import perf_gate  # noqa: E402
 
-#: Tracked timing metrics per suite: dotted paths into the report, with
-#: ``*`` expanding over every key at that level (instance classes).  Only
-#: headline end-to-end timings are tracked — per-stage breakdowns shift
-#: with refactors without the total regressing.
-TRACKED_METRICS: Dict[str, List[str]] = {
-    "assembly": ["classes.*.assembly_ms", "classes.*.dc_solve_ms"],
-    "streaming": ["classes.*.classical_warm_ms", "classes.*.analog_warm_ms"],
-    "shard": ["classes.*.parn_ms"],
-    "problems": ["classes.*.total_ms"],
-    "kernel": ["classes.*.kernel_ms"],
-    "resilience": ["overhead.resilient_ms"],
-    "obs": ["overhead.disabled_ms", "overhead.enabled_ms"],
-    "serving": ["mixed.p50_ms", "mixed.p99_ms"],
-}
-
 #: Default regression tolerance: candidate/baseline ratios above this fail.
 DEFAULT_TOLERANCE = 1.6
 
 
-def extract_metrics(report: dict, paths: List[str]) -> Dict[str, float]:
+def extract_metrics(report: dict, paths: Sequence[str]) -> Dict[str, float]:
     """Resolve tracked ``paths`` in ``report`` to ``{flat.path: value}``.
 
     ``*`` segments expand over the dict keys present at that level, so the
@@ -103,7 +88,7 @@ def trajectory(record: dict) -> List[dict]:
 
 
 def baseline_metrics(
-    record: dict, paths: List[str], scale: Optional[float]
+    record: dict, paths: Sequence[str], scale: Optional[float]
 ) -> Dict[str, float]:
     """Best (minimum) value per tracked metric across same-scale runs."""
     best: Dict[str, float] = {}
@@ -120,7 +105,7 @@ def judge_suite(
     suite: str, record: dict, candidate: dict, tolerance: float
 ) -> List[dict]:
     """Verdict rows for one suite's candidate report vs its committed record."""
-    paths = TRACKED_METRICS[suite]
+    paths = perf_gate.SUITES[suite].tracked
     scale = candidate.get("scale")
     candidate_values = extract_metrics(candidate, paths)
     baselines = baseline_metrics(record, paths, scale)
@@ -184,16 +169,15 @@ def print_verdicts(rows: List[dict]) -> None:
 
 def _fresh_report(suite: str, scale: float, repeats: int) -> dict:
     """Run the suite's perf_gate builder in-memory (nothing written)."""
-    builder, _ = perf_gate.SUITES[suite]
     args = argparse.Namespace(scale=scale, repeats=repeats)
-    return builder(args)
+    return perf_gate.SUITES[suite].builder(args)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", default="all",
                         help="suite to judge: "
-                             f"{', '.join(sorted(TRACKED_METRICS))}, or 'all' "
+                             f"{', '.join(sorted(perf_gate.SUITES))}, or 'all' "
                              "(default all)")
     parser.add_argument("--list-suites", action="store_true",
                         help="print the watched suites and their metrics")
@@ -216,24 +200,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_suites:
-        for name in sorted(TRACKED_METRICS):
-            print(f"{name}\t-> {', '.join(TRACKED_METRICS[name])}")
+        for name in sorted(perf_gate.SUITES):
+            print(f"{name}\t-> {', '.join(perf_gate.SUITES[name].tracked)}")
         return 0
-    if args.suite != "all" and args.suite not in TRACKED_METRICS:
+    if args.suite != "all" and args.suite not in perf_gate.SUITES:
         parser.error(
             f"unknown suite {args.suite!r}; valid suites: "
-            f"{', '.join(sorted(TRACKED_METRICS))}, or 'all'"
+            f"{', '.join(sorted(perf_gate.SUITES))}, or 'all'"
         )
     if args.tolerance <= 1.0:
         parser.error("--tolerance must exceed 1.0")
-    suites = tuple(sorted(TRACKED_METRICS)) if args.suite == "all" else (args.suite,)
+    suites = tuple(sorted(perf_gate.SUITES)) if args.suite == "all" else (args.suite,)
     if args.candidate is not None and len(suites) > 1:
         parser.error("--candidate needs a single --suite")
 
     rows: List[dict] = []
     for suite in suites:
-        _, record_name = perf_gate.SUITES[suite]
-        record_path = REPO_ROOT / record_name
+        record_path = REPO_ROOT / perf_gate.SUITES[suite].output
         record = perf_gate._load_existing(record_path)
         if args.candidate is not None:
             candidate = json.loads(args.candidate.read_text())

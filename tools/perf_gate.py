@@ -60,7 +60,7 @@ stall records the deadline-abort lag).  The <5 % overhead ceiling is
 enforced by ``benchmarks/bench_resilience.py``.
 
 ``--suite obs`` writes ``BENCH_obs.json`` with the observability layer's
-cost on the kernel-corpus grid: the same ``kernel-dinic`` solve timed raw
+cost on the kernel-corpus grid: the same ``kernel`` solve timed raw
 (bare algorithm), through the service backend with obs disabled (the
 default no-op path), and with obs enabled (live spans + per-sweep probe
 counters), plus both overhead fractions against raw.  The ceilings
@@ -94,6 +94,7 @@ import statistics
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -441,16 +442,37 @@ def _merge_history(existing: dict, report: dict, history_only: bool) -> dict:
     return merged
 
 
-#: Registered suites: name -> (report builder, default output file name).
+class Suite(NamedTuple):
+    """One registered suite.
+
+    ``tracked`` lists the timings ``tools/bench_watch.py`` judges: dotted
+    paths into the report, with ``*`` expanding over every key at that
+    level (instance classes).  Only headline end-to-end timings are
+    tracked — per-stage breakdowns shift with refactors without the total
+    regressing.
+    """
+
+    builder: Callable[[argparse.Namespace], dict]
+    output: str
+    tracked: Tuple[str, ...]
+
+
+#: Registered suites by name.
 SUITES = {
-    "assembly": (_assembly_report, "BENCH_assembly.json"),
-    "streaming": (_streaming_report, "BENCH_streaming.json"),
-    "shard": (_shard_report, "BENCH_shard.json"),
-    "problems": (_problems_report, "BENCH_problems.json"),
-    "kernel": (_kernel_report, "BENCH_kernel.json"),
-    "resilience": (_resilience_report, "BENCH_resilience.json"),
-    "obs": (_obs_report, "BENCH_obs.json"),
-    "serving": (_serving_report, "BENCH_serving.json"),
+    "assembly": Suite(_assembly_report, "BENCH_assembly.json",
+                      ("classes.*.assembly_ms", "classes.*.dc_solve_ms")),
+    "streaming": Suite(_streaming_report, "BENCH_streaming.json",
+                       ("classes.*.classical_warm_ms", "classes.*.analog_warm_ms")),
+    "shard": Suite(_shard_report, "BENCH_shard.json", ("classes.*.parn_ms",)),
+    "problems": Suite(_problems_report, "BENCH_problems.json",
+                      ("classes.*.total_ms",)),
+    "kernel": Suite(_kernel_report, "BENCH_kernel.json", ("classes.*.kernel_ms",)),
+    "resilience": Suite(_resilience_report, "BENCH_resilience.json",
+                        ("overhead.resilient_ms",)),
+    "obs": Suite(_obs_report, "BENCH_obs.json",
+                 ("overhead.disabled_ms", "overhead.enabled_ms")),
+    "serving": Suite(_serving_report, "BENCH_serving.json",
+                     ("mixed.p50_ms", "mixed.p99_ms")),
 }
 
 
@@ -572,7 +594,7 @@ def main(argv=None) -> int:
         # (``perf_gate.py --list-suites | grep ...``); only diagnostics may
         # use stderr.  Guarded by tests/test_perf_gate_cli.py.
         for name in sorted(SUITES):
-            print(f"{name}\t-> {SUITES[name][1]}", file=sys.stdout)
+            print(f"{name}\t-> {SUITES[name].output}", file=sys.stdout)
         sys.stdout.flush()
         return 0
     if args.suite != "all" and args.suite not in SUITES:
@@ -586,9 +608,8 @@ def main(argv=None) -> int:
         parser.error("--output needs a single --suite")
 
     for suite in suites:
-        builder, default_output = SUITES[suite]
-        report = builder(args)
-        output = args.output or REPO_ROOT / default_output
+        report = SUITES[suite].builder(args)
+        output = args.output or REPO_ROOT / SUITES[suite].output
         merged = _merge_history(_load_existing(output), report, args.history_only)
         output.write_text(json.dumps(merged, indent=2) + "\n")
         runs = len(merged["history"])
