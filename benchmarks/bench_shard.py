@@ -3,10 +3,10 @@
 Measures, on capacity-jittered grid instances (via the shared
 :mod:`repro.bench.shard` harness):
 
-* **1-shard cold** — one Dinic solve of the whole instance (the reference
+* **1-shard cold** — one exact solve of the whole instance (the reference
   value; only possible when the instance fits one solver);
-* **sequential 2-way** — ``ShardedSolveService(executor="serial")`` with
-  two shards (the paper's Section 6.4 flow);
+* **sequential 2-way** — a ``"sharded:dinic"`` request with two shards on
+  ``BatchSolveService(executor="serial")`` (the paper's Section 6.4 flow);
 * **N-way parallel** — four shards fanned out over the thread executor.
 
 Thresholds:

@@ -2,10 +2,12 @@
 
 A capacity-jittered grid (the vision-workload family dual decomposition was
 designed for) is split into overlapping shards, each shard is solved
-independently — here with exact Dinic; swap ``backend="analog"`` for the
-substrate pipeline with warm re-solves — and the dual coordinator stitches
-the shard cuts into a globally optimal one, bracketing the optimum from
-both sides on every subgradient iteration.
+independently — here with exact Dinic (``"sharded:dinic"``); name
+``"sharded:analog"`` for the substrate pipeline with warm re-solves — and
+the dual coordinator stitches the shard cuts into a globally optimal one,
+bracketing the optimum from both sides on every subgradient iteration.
+Sharding is just a backend: the request takes the batch service's one
+solve path, so deadlines and failover apply to it like to any other.
 
 Run with defaults (16x60 grid, 4 shards)::
 
@@ -14,9 +16,10 @@ Run with defaults (16x60 grid, 4 shards)::
 
 from __future__ import annotations
 
+from repro.bench import format_table
 from repro.flows import min_cut
 from repro.graph import grid_graph
-from repro.service import ShardedSolveService
+from repro.service import BatchSolveService, SolveRequest
 
 
 def main(
@@ -34,19 +37,27 @@ def main(
     )
 
     exact = min_cut(network)
-    print(f"exact min cut (1-shard Dinic): {exact.cut_value:.6f}")
+    print(f"exact min cut (1-shard solve): {exact.cut_value:.6f}")
 
-    service = ShardedSolveService(executor="thread")
-    sharded = service.solve(
-        network, shards=shards, backend="dinic", max_iterations=max_iterations,
-        reference_value=exact.cut_value,
+    service = BatchSolveService(executor="thread")
+    report = service.solve_batch(
+        [
+            SolveRequest(
+                network=network,
+                backend="sharded:dinic",
+                options={"shards": shards, "max_iterations": max_iterations},
+                reference_value=exact.cut_value,
+            )
+        ]
     )
+    result = report.results[0]
+    outcome = result.detail
 
     print()
-    print(sharded.report.format(title=f"{shards}-way sharded solve"))
+    print(format_table(outcome.shard_stats, title=f"{shards}-way sharded solve"))
     print()
     print("bound trajectory (dual lower bound -> stitched upper bound):")
-    trajectory = sharded.report.bound_trajectory
+    trajectory = outcome.history
     steps = max(1, len(trajectory) // 8)
     for i in range(0, len(trajectory), steps):
         dual, feasible, disagreements = trajectory[i]
@@ -55,11 +66,11 @@ def main(
             f"<= {feasible:10.4f}  ({disagreements} overlap disagreements)"
         )
     print()
-    relative = sharded.result.relative_error
     print(
-        f"sharded cut {sharded.flow_value:.6f} vs exact {exact.cut_value:.6f} "
-        f"(relative error {relative:.2e}, "
-        f"{'converged' if sharded.report.converged else 'budget exhausted'})"
+        f"sharded cut {result.flow_value:.6f} vs exact {exact.cut_value:.6f} "
+        f"(relative error {result.relative_error:.2e}, "
+        f"{'converged' if outcome.converged else 'budget exhausted'} after "
+        f"{outcome.iterations} iterations, {result.wall_time_s:.3f} s)"
     )
 
 

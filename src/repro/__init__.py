@@ -140,7 +140,6 @@ from .service import (
     BatchReport,
     BatchSolveService,
     ProblemSolveService,
-    ShardedSolveService,
     SolveRequest,
     SolveResult,
 )
@@ -205,7 +204,6 @@ __all__ = [
     "compare_energy",
     # N-way sharding
     "ShardCoordinator",
-    "ShardedSolveService",
     "partition_multiway",
     # problem reductions
     "BipartiteMatching",

@@ -11,12 +11,14 @@ capacity-jittered grid (the image-segmentation/vision workload family dual
 decomposition was designed for — R-MAT's hub vertices put almost every
 vertex into the overlap band, which defeats *any* partitioner) is solved
 
-* **cold** — one Dinic solve of the whole instance (the 1-shard
+* **cold** — one exact solve of the whole instance (the 1-shard
   reference, only possible when the instance fits one solver);
-* **sequentially 2-way** — ``ShardedSolveService(executor="serial")``
-  with two shards, the paper's Section 6.4 flow;
-* **N-way parallel** — the same service with ``shards=N`` fanned out over
-  the thread executor.
+* **sequentially 2-way** — ``BatchSolveService(executor="serial")``
+  solving on ``backend="sharded:dinic"`` with two shards, the paper's
+  Section 6.4 flow;
+* **N-way parallel** — the same request with ``shards=N`` on a
+  ``BatchSolveService(executor="thread")``, whose pool the shard solves
+  fan out over.
 
 All three must agree on the cut value (to 1e-6, asserted on converged
 runs).  The wall-clock comparison records both the end-to-end solve and
@@ -38,7 +40,8 @@ from typing import Dict, Tuple
 from ..flows.mincut import min_cut
 from ..graph.generators import grid_graph
 from ..graph.network import FlowNetwork
-from ..service.sharded import ShardedSolve, ShardedSolveService
+from ..service.api import SolveResult
+from ..service.batch import BatchSolveService
 
 __all__ = [
     "shard_workload",
@@ -95,11 +98,29 @@ def _repeat(func, repeats: int, reducer):
     return result, float(reducer(samples))
 
 
-def _bracket_ok(sharded: ShardedSolve, exact: float, tol: float = 1e-9) -> bool:
+def _bracket_ok(sharded: SolveResult, exact: float, tol: float = 1e-9) -> bool:
     """Every iteration's dual/feasible pair must bracket the exact value."""
     return all(
         dual <= exact + tol and feasible >= exact - tol
-        for dual, feasible, _ in sharded.report.bound_trajectory
+        for dual, feasible, _ in sharded.detail.history
+    )
+
+
+def _sharded_solve(
+    executor: str, network: FlowNetwork, shards: int, max_iterations: int
+):
+    """A timed thunk: one ``sharded:dinic`` request on a batch service.
+
+    The service is built outside the timing, so only the request is timed.
+    """
+    service = BatchSolveService(executor=executor)
+    return lambda: _timed(
+        lambda: service.solve(
+            network,
+            backend="sharded:dinic",
+            shards=shards,
+            max_iterations=max_iterations,
+        )
     )
 
 
@@ -144,22 +165,10 @@ def measure_shard_class(
     exact = exact_result.cut_value
 
     seq2, seq2_s = _repeat(
-        lambda: _timed(
-            lambda: ShardedSolveService(executor="serial").solve(
-                network, shards=2, max_iterations=max_iterations
-            )
-        ),
-        repeats,
-        reducer,
+        _sharded_solve("serial", network, 2, max_iterations), repeats, reducer
     )
     parn, parn_s = _repeat(
-        lambda: _timed(
-            lambda: ShardedSolveService(executor="thread").solve(
-                network, shards=shards, max_iterations=max_iterations
-            )
-        ),
-        repeats,
-        reducer,
+        _sharded_solve("thread", network, shards, max_iterations), repeats, reducer
     )
 
     def rel_diff(value: float) -> float:
@@ -172,21 +181,21 @@ def measure_shard_class(
         "shards": shards,
         "exact_value": exact,
         "cold_s": cold_s,
-        "seq2_value": seq2.result.flow_value,
-        "seq2_iterations": seq2.report.iterations,
-        "seq2_converged": seq2.report.converged,
+        "seq2_value": seq2.flow_value,
+        "seq2_iterations": seq2.detail.iterations,
+        "seq2_converged": seq2.detail.converged,
         "seq2_s": seq2_s,
-        "seq2_iter_s": seq2_s / max(1, seq2.report.iterations),
-        "parn_value": parn.result.flow_value,
-        "parn_iterations": parn.report.iterations,
-        "parn_converged": parn.report.converged,
+        "seq2_iter_s": seq2_s / max(1, seq2.detail.iterations),
+        "parn_value": parn.flow_value,
+        "parn_iterations": parn.detail.iterations,
+        "parn_converged": parn.detail.converged,
         "parn_s": parn_s,
-        "parn_iter_s": parn_s / max(1, parn.report.iterations),
+        "parn_iter_s": parn_s / max(1, parn.detail.iterations),
         "speedup": seq2_s / parn_s,
-        "iter_speedup": (seq2_s / max(1, seq2.report.iterations))
-        / (parn_s / max(1, parn.report.iterations)),
-        "seq2_value_diff": rel_diff(seq2.result.flow_value),
-        "parn_value_diff": rel_diff(parn.result.flow_value),
+        "iter_speedup": (seq2_s / max(1, seq2.detail.iterations))
+        / (parn_s / max(1, parn.detail.iterations)),
+        "seq2_value_diff": rel_diff(seq2.flow_value),
+        "parn_value_diff": rel_diff(parn.flow_value),
         "seq2_bracket_ok": _bracket_ok(seq2, exact),
         "parn_bracket_ok": _bracket_ok(parn, exact),
     }
@@ -219,13 +228,7 @@ def measure_shard_rmat(
     )
     exact = exact_result.cut_value
     parn, parn_s = _repeat(
-        lambda: _timed(
-            lambda: ShardedSolveService(executor="thread").solve(
-                network, shards=shards, max_iterations=max_iterations
-            )
-        ),
-        repeats,
-        reducer,
+        _sharded_solve("thread", network, shards, max_iterations), repeats, reducer
     )
     return {
         "workload": workload.name,
@@ -234,15 +237,15 @@ def measure_shard_rmat(
         "shards": shards,
         "exact_value": exact,
         "cold_s": cold_s,
-        "parn_value": parn.result.flow_value,
-        "parn_iterations": parn.report.iterations,
-        "parn_converged": parn.report.converged,
+        "parn_value": parn.flow_value,
+        "parn_iterations": parn.detail.iterations,
+        "parn_converged": parn.detail.converged,
         "parn_s": parn_s,
         "overhead": parn_s / max(cold_s, 1e-12),
-        "parn_value_diff": abs(parn.result.flow_value - exact)
+        "parn_value_diff": abs(parn.flow_value - exact)
         / max(1.0, abs(exact)),
         "overlap_fraction": (
-            parn.result.detail.partition_summary["overlap"]
+            parn.detail.partition_summary["overlap"]
             / max(1, network.num_vertices)
         ),
     }

@@ -47,8 +47,8 @@ ALGORITHMS: Dict[str, Callable[[], object]] = {
 }
 
 #: The engine of every cold exact solve that names no algorithm: the
-#: server's exact route, the problem service, the sharded service's
-#: unsharded fallback and :func:`repro.flows.mincut.min_cut`.
+#: server's exact route, the problem service, the first unsharded hop of
+#: every ``"sharded:*"`` failover chain and :func:`repro.flows.mincut.min_cut`.
 DEFAULT_EXACT_ALGORITHM = "kernel"
 
 

@@ -1,6 +1,6 @@
 """The unified ``telemetry()`` document shared by every solving service.
 
-``BatchReport``, ``ShardReport``, ``ProblemReport`` and
+``BatchReport`` (sharded requests included), ``ProblemReport`` and
 ``StreamingSession`` each keep a service-specific ``summary()`` dict;
 :func:`build_telemetry` wraps any of them in one fixed JSON schema so a
 single document shape describes any solve:
@@ -23,7 +23,7 @@ single document shape describes any solve:
   telemetry dump is enough for ``tools/trace_dump.py`` to render the
   run's span tree.
 
-The schema is pinned by ``tests/test_obs_telemetry.py``: all four
+The schema is pinned by ``tests/test_obs_telemetry.py``: all three
 services must produce the same top-level key set and the document must
 survive a JSON round trip unchanged.
 """

@@ -5,11 +5,11 @@ circuit breaker, exhausted SLO error budget — the request does not fail
 with it: it *degrades* along a declared chain of strictly-more-conservative
 backends::
 
-    analog        →  kernel  →  dinic
-    kernel        →  dinic
-    dinic         →  push-relabel
-    shards=N      →  unsharded cold solve          (service/sharded.py)
-    warm repair   →  cold re-solve                 (flows/incremental.py)
+    analog           →  kernel  →  dinic
+    kernel           →  dinic
+    dinic            →  push-relabel
+    sharded:<engine> →  kernel  →  dinic     (unsharded cold solves)
+    warm repair      →  cold re-solve        (flows/incremental.py)
 
 Each name is one engine (see :mod:`repro.flows.registry`), so every hop
 runs a different implementation from the one that just failed: the
@@ -73,10 +73,20 @@ ANALOG_RTOL = 5e-2
 
 
 def degradation_chain(backend: str) -> Tuple[str, ...]:
-    """The declared chain for ``backend`` (itself first, fallbacks after)."""
+    """The declared chain for ``backend`` (itself first, fallbacks after).
+
+    Every ``"sharded:<engine>"`` backend degrades to unsharded cold exact
+    solves: :data:`~repro.flows.registry.DEFAULT_EXACT_ALGORITHM`, then
+    the reference ``dinic``.
+    """
     chain = DEGRADATION_CHAINS.get(backend)
     if chain is not None:
         return chain
+    if backend.startswith("sharded:"):
+        # Imported late: repro.flows imports repro.resilience.
+        from ..flows.registry import DEFAULT_EXACT_ALGORITHM
+
+        return (backend, DEFAULT_EXACT_ALGORITHM, "dinic")
     return (backend, "dinic")
 
 
@@ -206,6 +216,8 @@ def solve_with_failover(
     ``make_backend(name)`` supplies a ready
     :class:`~repro.service.backends.SolveBackend`; the caller (the batch
     service) injects its shared analog solver and compiled-circuit cache.
+    Every stage runs under the caller's ambient deadline: the batch
+    service opens a request's ``deadline_s`` once around the whole walk.
 
     Returns a :class:`~repro.service.api.SolveResult`.  On success the
     result's request carries the backend that actually ran, ``degraded``

@@ -6,16 +6,16 @@ package turns the reproduction into a serving system:
 * :mod:`~repro.service.api` — :class:`SolveRequest` / :class:`SolveResult`
   / :class:`BatchReport`, the wire-level data model;
 * :mod:`~repro.service.backends` — the backend registry dispatching each
-  request to the analog pipeline or a classical algorithm;
+  request to the analog pipeline, a classical algorithm, or N-way
+  dual-decomposition sharding (``"sharded:<engine>"``, over the
+  :mod:`repro.shard` subsystem) for instances larger than one
+  solver/substrate;
 * :mod:`~repro.service.cache` — topology hashing and the compiled-circuit
   LRU memo;
 * :mod:`~repro.service.batch` — :class:`BatchSolveService`, the concurrent
   batch executor;
 * :mod:`~repro.service.streaming` — :class:`StreamingSession`, incremental
   solving over dynamic networks (push update batches, pull result deltas);
-* :mod:`~repro.service.sharded` — :class:`ShardedSolveService`, N-way
-  partitioned solving for instances larger than one solver/substrate
-  (dual-decomposition sharding over the :mod:`repro.shard` subsystem);
 * :mod:`~repro.service.problems` — :class:`ProblemSolveService`, the
   problem→flow reduction front door: solve matchings, disjoint paths,
   segmentations and closures on any backend, with certified decoding
@@ -25,8 +25,9 @@ package turns the reproduction into a serving system:
   with load shedding, and deadline-aware analog-vs-exact routing.
 
 Every service is resilience-aware (:mod:`repro.resilience`): solves accept
-wall-clock deadlines, failed backends degrade along validated failover
-chains, and the fault injector exercises all of it deterministically.
+wall-clock deadlines, failed backends (sharded ones included) degrade along
+validated failover chains, and the fault injector exercises all of it
+deterministically.
 
 Quick start::
 
@@ -44,6 +45,7 @@ from .api import BatchReport, SolveRequest, SolveResult, relative_error
 from .backends import (
     AnalogBackend,
     ClassicalBackend,
+    ShardedBackend,
     SolveBackend,
     available_backends,
     create_backend,
@@ -52,7 +54,6 @@ from .batch import BatchSolveService, ParallelMap
 from .cache import CompiledCircuitCache, network_signature
 from .problems import ProblemReport, ProblemSolve, ProblemSolveService
 from .server import AsyncSolveServer, ServerResponse
-from .sharded import ShardReport, ShardedSolve, ShardedSolveService
 from .streaming import StreamingDelta, StreamingSession, push_all
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "SolveBackend",
     "AnalogBackend",
     "ClassicalBackend",
+    "ShardedBackend",
     "available_backends",
     "create_backend",
     "BatchSolveService",
@@ -74,9 +76,6 @@ __all__ = [
     "ProblemReport",
     "ProblemSolve",
     "ProblemSolveService",
-    "ShardReport",
-    "ShardedSolve",
-    "ShardedSolveService",
     "StreamingDelta",
     "StreamingSession",
     "push_all",

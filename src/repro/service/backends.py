@@ -1,18 +1,21 @@
 """Solver backends, created by name.
 
 A backend turns one :class:`~repro.service.api.SolveRequest` into one
-:class:`~repro.service.api.SolveResult`.  Two families ship with the
+:class:`~repro.service.api.SolveResult`.  Three families ship with the
 service:
 
 * :class:`AnalogBackend` — the paper's pipeline (quantize → compile → MNA
   solve → readout) via :class:`~repro.analog.solver.AnalogMaxFlowSolver`,
   with compiled circuits memoized per network topology;
 * :class:`ClassicalBackend` — any algorithm registered in
-  :data:`repro.flows.registry.ALGORITHMS` (Dinic, push-relabel, ...).
+  :data:`repro.flows.registry.ALGORITHMS` (Dinic, push-relabel, ...);
+* :class:`ShardedBackend` — Section 6.4's dual decomposition: the
+  instance is split into overlapping shards, each solved by one engine,
+  and the :class:`~repro.shard.ShardCoordinator` stitches their cuts.
 
 :func:`create_backend` maps a request's backend name onto one of them:
-``"analog"`` or an ``ALGORITHMS`` name, which means the same
-implementation here as everywhere else.
+``"analog"``, an ``ALGORITHMS`` name (which means the same
+implementation here as everywhere else), or ``"sharded:<engine>"``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..analog.solver import AnalogMaxFlowSolver
-from ..errors import AlgorithmError
+from ..errors import AlgorithmError, DecompositionError
 from ..flows.registry import ALGORITHMS, get_algorithm
 from ..graph.analysis import is_source_sink_connected
 from ..obs import probes
 from ..obs.trace import span
 from ..resilience.faults import corrupt_value, fault_point
-from ..resilience.policy import Deadline, deadline_scope
+from ..resilience.policy import RetryPolicy
+from ..shard.coordinator import ShardCoordinator
+from ..shard.partition import validate_partition_args
 from .api import SolveRequest, SolveResult, relative_error
 from .cache import CompiledCircuitCache, analog_config_signature, network_signature
 
@@ -35,6 +40,7 @@ __all__ = [
     "SolveBackend",
     "AnalogBackend",
     "ClassicalBackend",
+    "ShardedBackend",
     "create_backend",
     "available_backends",
 ]
@@ -50,14 +56,22 @@ class SolveBackend:
 
     name = "abstract"
 
+    def check(self, request: SolveRequest) -> None:
+        """Raise for a request this backend can never solve; no-op by default.
+
+        Services call it before anything runs, so a configuration mistake
+        (``shards=1`` for a sharded backend) surfaces as an exception
+        instead of a failed attempt that failover would route around.
+        """
+
     def solve(self, request: SolveRequest) -> SolveResult:
         """Solve ``request``, never raising: failures become ``ok=False`` results.
 
-        ``request.options["deadline_s"]`` opens a cooperative wall-clock
-        budget around the solve (see :mod:`repro.resilience.policy`); an
-        ambient deadline from an enclosing :func:`deadline_scope` stays in
-        force if it is tighter.  Failures carry ``error_type`` (the
-        exception class name) so callers can route on failure class.
+        The solve runs under whatever deadline is ambient (the batch
+        service opens ``request.options["deadline_s"]`` once around the
+        whole request; see :mod:`repro.resilience.policy`).  Failures
+        carry ``error_type`` (the exception class name) so callers can
+        route on failure class.
 
         Every attempt (success or typed failure) records its wall time
         into the ``service.solve.seconds{backend=}`` histogram via
@@ -67,10 +81,8 @@ class SolveBackend:
         start = time.perf_counter()
         with span("backend.solve", backend=self.name) as sp:
             try:
-                budget = request.options.get("deadline_s")
-                with deadline_scope(Deadline.from_seconds(budget, label=self.name)):
-                    fault_point("batch-solve", self.name)
-                    flow_value, edge_flows, detail, cache_hit = self._solve(request)
+                fault_point("batch-solve", self.name)
+                flow_value, edge_flows, detail, cache_hit = self._solve(request)
             except Exception as exc:  # noqa: BLE001 - per-instance fault isolation
                 wall_time = time.perf_counter() - start
                 sp.set(ok=False, error_type=type(exc).__name__)
@@ -233,8 +245,88 @@ def analog_readout(result) -> Tuple[float, Dict[int, float]]:
     return flow_value, edge_flows
 
 
+class ShardedBackend(SolveBackend):
+    """Section 6.4's dual decomposition as a backend: ``"sharded:<engine>"``.
+
+    The request's network is split into ``options["shards"]`` overlapping
+    shards (default 2), every shard is solved by ``engine`` — any
+    :data:`repro.flows.registry.ALGORITHMS` name, or ``"analog"`` for warm
+    substrate re-solves — and the :class:`~repro.shard.ShardCoordinator`
+    stitches their cuts for at most ``options["max_iterations"]``
+    subgradient iterations (default 60).  A failed shard solve is retried
+    once from a cold rebuild.
+
+    The answer is a *cut*: ``flow_value`` is the stitched cut value,
+    ``edge_flows`` stays empty and ``detail`` is the
+    :class:`~repro.shard.ShardOutcome` (partition, bound trajectory,
+    per-shard rows).  A dual bound above the stitched cut raises
+    :class:`~repro.errors.DecompositionError`, so failover can replace
+    the answer with a certified unsharded one.  Analog shards use the
+    shard layer's fixed-drive template (see
+    :class:`~repro.shard.ShardExecutor`), not the service's solver:
+    warm shard re-solves cannot escalate the drive.
+
+    Parameters
+    ----------
+    engine:
+        Per-shard engine name.
+    executor, max_workers:
+        The service executor layer the shard solves fan out over.
+
+    Examples
+    --------
+    >>> from repro import FlowNetwork
+    >>> from repro.service import SolveRequest, create_backend
+    >>> g = FlowNetwork()
+    >>> for triple in [("s", "a", 3.0), ("a", "b", 2.0), ("b", "t", 4.0)]:
+    ...     _ = g.add_edge(*triple)
+    >>> backend = create_backend("sharded:dinic", executor="serial")
+    >>> result = backend.solve(SolveRequest(network=g, options={"shards": 2}))
+    >>> round(result.flow_value, 2), result.detail.num_shards
+    (2.0, 2)
+    """
+
+    def __init__(
+        self, engine: str, executor: str = "thread", max_workers: Optional[int] = None
+    ) -> None:
+        if engine != "analog" and engine not in ALGORITHMS:
+            known = ", ".join(["analog", *sorted(ALGORITHMS)])
+            raise AlgorithmError(f"unknown shard engine {engine!r}; known: {known}")
+        self.engine = engine
+        self.name = f"sharded:{engine}"
+        self.executor = executor
+        self.max_workers = max_workers
+
+    def check(self, request: SolveRequest) -> None:
+        validate_partition_args(request.network, request.options.get("shards", 2))
+
+    def _solve(self, request: SolveRequest):
+        options = request.options
+        coordinator = ShardCoordinator(
+            num_shards=options.get("shards", 2),
+            max_iterations=options.get("max_iterations", 60),
+        )
+        outcome = coordinator.solve(
+            request.network,
+            backend=self.engine,
+            executor=self.executor,
+            max_workers=self.max_workers,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+        )
+        slack = 1e-6 * max(1.0, abs(outcome.cut_value))
+        if outcome.dual_value > outcome.cut_value + slack:
+            raise DecompositionError(
+                f"bound bracket violated: dual {outcome.dual_value!r} "
+                f"exceeds feasible {outcome.cut_value!r}"
+            )
+        return outcome.cut_value, {}, outcome, False
+
+
 def available_backends() -> List[str]:
-    """Sorted names of every backend :func:`create_backend` accepts."""
+    """Sorted names of every unsharded backend :func:`create_backend` accepts.
+
+    Each of them also runs per shard as ``"sharded:<name>"``.
+    """
     return sorted(["analog", *ALGORITHMS])
 
 
@@ -242,26 +334,35 @@ def create_backend(
     name: str,
     analog_solver: Optional[AnalogMaxFlowSolver] = None,
     cache: Optional[CompiledCircuitCache] = None,
+    executor: str = "thread",
+    max_workers: Optional[int] = None,
 ) -> SolveBackend:
     """Instantiate the backend named ``name``.
 
     Parameters
     ----------
     name:
-        ``"analog"`` or a :data:`repro.flows.registry.ALGORITHMS` name
-        (``"kernel"``, ``"dinic"``, ...).
+        ``"analog"``, a :data:`repro.flows.registry.ALGORITHMS` name
+        (``"kernel"``, ``"dinic"``, ...) or ``"sharded:<either>"``.
     analog_solver, cache:
         Configuration injected into the ``"analog"`` backend; ignored by
         the others.
+    executor, max_workers:
+        The executor layer a ``"sharded:*"`` backend fans its shard solves
+        out over; ignored by the others.
 
     Raises
     ------
     AlgorithmError
-        For unknown backend names.
+        For unknown backend and shard engine names.
     """
     if name == "analog":
         return AnalogBackend(solver=analog_solver, cache=cache)
+    if name.startswith("sharded:"):
+        return ShardedBackend(
+            name[len("sharded:"):], executor=executor, max_workers=max_workers
+        )
     if name not in ALGORITHMS:
-        known = ", ".join(available_backends())
+        known = ", ".join([*available_backends(), "sharded:<engine>"])
         raise AlgorithmError(f"unknown backend {name!r}; known: {known}")
     return ClassicalBackend(name)

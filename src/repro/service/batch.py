@@ -2,9 +2,9 @@
 
 :class:`BatchSolveService` is the front door for heavy traffic: it accepts a
 batch of flow networks (or fully-specified
-:class:`~repro.service.api.SolveRequest` objects mixing analog and classical
-backends), fans the instances out over a worker pool, memoizes compiled
-analog circuits across the batch, and returns one
+:class:`~repro.service.api.SolveRequest` objects mixing analog, classical
+and ``"sharded:<engine>"`` backends), fans the instances out over a worker
+pool, memoizes compiled analog circuits across the batch, and returns one
 :class:`~repro.service.api.BatchReport` with per-instance results and
 aggregate statistics.
 
@@ -15,8 +15,10 @@ hot path spends its time inside scipy's LAPACK/SuperLU calls, which release
 the GIL, so threads overlap well and share one compiled-circuit cache.
 ``executor="serial"`` runs in-line, which is the reference behaviour for
 debugging.  Under either, every request takes the same in-process path —
-:meth:`BatchSolveService.solve` included — so backend-name checks, failover
-validation and trace context never depend on where a request ran.
+:meth:`BatchSolveService.solve` included — so backend-name checks,
+deadlines, failover validation and trace context never depend on where a
+request ran.  A sharded request fans its shard solves out over the same
+executor kind and width.
 """
 
 from __future__ import annotations
@@ -246,7 +248,11 @@ class BatchSolveService:
             backend = created.get(name)
             if backend is None:
                 backend = create_backend(
-                    name, analog_solver=self.analog_solver, cache=self.cache
+                    name,
+                    analog_solver=self.analog_solver,
+                    cache=self.cache,
+                    executor=self.executor,
+                    max_workers=self.max_workers,
                 )
                 created[name] = backend
             return backend
@@ -262,16 +268,23 @@ class BatchSolveService:
         """The one in-process path every request takes.
 
         ``failover`` is the chain policy to walk (``None``: one backend, one
-        result).  The requested backend is created before anything runs, so
-        an unknown name raises :class:`~repro.errors.AlgorithmError` even
-        with failover on: a fallback must never "repair" a typo.
+        result).  The requested backend is created and checked before
+        anything runs, so an unknown name or a malformed request raises
+        (:class:`~repro.errors.AlgorithmError`,
+        :class:`~repro.errors.DecompositionError`) even with failover on: a
+        fallback must never "repair" a typo.  ``options["deadline_s"]``
+        opens one budget around the whole request, every failover attempt
+        included.
         """
         if make is None:
             make = self._backend_factory()
         backend = make(request.backend)
-        if failover is None:
-            return backend.solve(request)
-        return solve_with_failover(request, failover, make)
+        backend.check(request)
+        budget = request.options.get("deadline_s")
+        with deadline_scope(Deadline.from_seconds(budget, label=request.backend)):
+            if failover is None:
+                return backend.solve(request)
+            return solve_with_failover(request, failover, make)
 
     # ------------------------------------------------------------------
 
@@ -283,14 +296,20 @@ class BatchSolveService:
         network:
             The instance to solve.
         backend:
-            Registered backend name.
+            Registered backend name (see
+            :func:`~repro.service.backends.create_backend`).
         **options:
-            Backend-specific options (see :class:`SolveRequest`).
+            Request options (see :class:`SolveRequest`): ``deadline_s``
+            bounds the whole request, failover included; ``"sharded:*"``
+            backends read ``shards`` and ``max_iterations``.
 
         Raises
         ------
         AlgorithmError
             For unknown backend names, with or without failover.
+        DecompositionError
+            For a ``"sharded:*"`` request whose ``shards`` the network
+            cannot be cut into.
 
         Examples
         --------
@@ -329,7 +348,8 @@ class BatchSolveService:
             Per-instance results in request order plus aggregate stats.
             Backend exceptions are captured per instance (``ok=False``,
             typed ``error_type``); only malformed batches (unknown backend
-            name, wrong item type) raise, before any instance runs.  With a
+            name, wrong item type, a request its backend rejects such as
+            ``shards=1``) raise, before any instance runs.  With a
             ``failover`` policy configured, failed instances degrade along
             their backend chain before being reported as failures.
         """
@@ -344,8 +364,8 @@ class BatchSolveService:
                 cache_stats=self.cache.stats(),
             )
         make = self._backend_factory()
-        for name in {r.backend for r in reqs}:
-            make(name)  # unknown names fail the whole batch up front
+        for r in reqs:  # unknown names and malformed requests fail up front
+            make(r.backend).check(r)
 
         with span(
             "batch.solve", executor=self.executor, requests=len(reqs)

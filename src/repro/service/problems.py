@@ -2,8 +2,8 @@
 
 :class:`ProblemSolveService` runs any :class:`~repro.problems.base.Problem`
 through any registered max-flow backend: the reduction's network is solved
-by the batch service (classical algorithms or the analog substrate) or the
-sharded service (``shards=N``), the answer is decoded back into the domain,
+by the batch service (classical algorithms, the analog substrate, or
+N-way sharding with ``shards=N``), the answer is decoded back into the domain,
 and the decoded solution is certified by its max-flow/min-cut duality
 witness.  One :class:`ProblemReport` records the reduction, the backend, the
 network size, where the decode came from and the certificate status::
@@ -25,11 +25,14 @@ Backends differ in what they can hand the decoder:
   *decode pass* (one exact Dinic solve of the already-built reduction) and
   the analog value is cross-checked against the certified value to the
   backend's tolerance;
-* the **sharded** backend natively returns a *cut* — cut-decoding problems
-  (segmentation, closure) decode its stitched partition directly, with the
-  coordinator's dual bound closing the optimality gap; flow-decoding
-  problems (matching, paths) fall back to the decode pass.
+* a **sharded** backend (``shards=N`` routes to ``"sharded:<backend>"``)
+  natively returns a *cut* — cut-decoding problems (segmentation, closure)
+  decode its stitched partition directly, with the coordinator's dual
+  bound closing the optimality gap; flow-decoding problems (matching,
+  paths) fall back to the decode pass.
 
+The decode inputs come from what actually ran: when failover replaced a
+failed backend, the fallback's flow is decoded like any classical answer.
 If a backend-faithful decode fails its certificate, the service retries
 once through the decode pass, so a returned solution is certified whenever
 the reduction itself is sound; the report's ``decode_source`` says which
@@ -50,6 +53,7 @@ from ..obs.trace import annotate_span, span
 from ..problems.base import Problem, Reduction, Solution
 from ..resilience.failover import FailoverPolicy
 from ..resilience.policy import Deadline, RetryPolicy, deadline_scope
+from ..shard.coordinator import ShardOutcome
 from .api import SolveRequest, SolveResult, relative_error
 
 __all__ = ["ProblemReport", "ProblemSolve", "ProblemSolveService"]
@@ -70,9 +74,10 @@ class ProblemReport:
         Problem kind (``"bipartite-matching"``, ...).
     backend:
         Backend the reduced network was solved on (``"sharded:dinic"`` for
-        sharded runs).
+        sharded runs; the fallback's name when failover replaced it).
     shards:
-        Shard count for sharded runs (``0`` otherwise).
+        Shard count when a sharded backend produced the answer (``0``
+        otherwise).
     network_vertices, network_edges:
         Size of the reduced flow network.
     objective_value:
@@ -204,9 +209,6 @@ class ProblemSolveService:
         analog solver — the certificate-grade analog configuration
         (quantization error would otherwise dominate the cross-check
         tolerance).
-    sharded_service:
-        :class:`~repro.service.sharded.ShardedSolveService` used when
-        ``shards`` is requested; a thread-executor instance by default.
     strict:
         When set, a failed certificate raises
         :class:`~repro.errors.CertificateError` instead of returning a
@@ -222,10 +224,10 @@ class ProblemSolveService:
         :func:`~repro.resilience.failover.solve_with_failover`, one
         attempt per stage and without flow re-validation: the decode +
         certificate machinery judges whichever answer comes back.  The
-        result is marked ``degraded`` with a ``failover_trail``.  Unknown
-        backend names and timeouts still fail fast, and the sharded path
-        keeps its own unsharded fallback.  ``False`` restores strict
-        fail-fast behaviour.
+        result is marked ``degraded`` with a ``failover_trail``.  A sharded
+        solve degrades to unsharded exact solves the same way.  Unknown
+        backend names, malformed shard counts and timeouts still fail
+        fast.  ``False`` restores strict fail-fast behaviour.
 
     Examples
     --------
@@ -240,7 +242,6 @@ class ProblemSolveService:
     def __init__(
         self,
         batch_service=None,
-        sharded_service=None,
         strict: bool = False,
         retry: Optional[RetryPolicy] = None,
         failover: bool = True,
@@ -252,12 +253,7 @@ class ProblemSolveService:
             batch_service = BatchSolveService(
                 analog_solver=AnalogMaxFlowSolver(quantize=False, adaptive_drive=True)
             )
-        if sharded_service is None:
-            from .sharded import ShardedSolveService
-
-            sharded_service = ShardedSolveService()
         self.batch = batch_service
-        self.sharded = sharded_service
         self.strict = strict
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=2, base_delay_s=0.0
@@ -284,9 +280,10 @@ class ProblemSolveService:
             Any :class:`~repro.problems.base.Problem`.
         backend:
             Backend name (``"kernel"``, ``"dinic"``, ``"analog"``, ...);
-            with ``shards`` set it names the per-shard backend.
+            with ``shards`` set it names the per-shard engine.
         shards:
-            Route through the sharded service with this many shards.
+            Solve on ``"sharded:<backend>"`` with this many shards (and
+            ``max_iterations`` defaulting to 120).
         tag:
             Free-form label echoed into the underlying solve request.
         value_rtol:
@@ -298,7 +295,7 @@ class ProblemSolveService:
             every solve attempt (primary *and* failover) and the decode
             pass; expiry raises :class:`~repro.errors.SolveTimeoutError`.
         **options:
-            Passed through to the underlying backend / sharded solve.
+            Passed through to the underlying backend as request options.
 
         Returns
         -------
@@ -319,13 +316,11 @@ class ProblemSolveService:
         with span("problem.reduce", kind=problem.kind):
             reduction = problem.reduce()
         reduce_time = time.perf_counter() - start
-        if shards is None:
-            result, cut = self._solve_flat(reduction, backend, tag, options), None
-        else:
-            result, cut = self._solve_sharded(reduction, backend, shards, tag, options)
-        return self._finish(
-            problem, reduction, result, reduce_time, start, value_rtol, shards, cut
-        )
+        if shards is not None:
+            backend = f"sharded:{backend}"
+            options = {"max_iterations": 120, **options, "shards": shards}
+        result = self._solve_flat(reduction, backend, tag, options)
+        return self._finish(problem, reduction, result, reduce_time, start, value_rtol)
 
     def solve_batch(
         self,
@@ -338,8 +333,10 @@ class ProblemSolveService:
         The reductions are built up front, their networks go through
         :meth:`~repro.service.batch.BatchSolveService.solve_batch` as one
         batch (sharing its worker pool and compiled-circuit cache), and
-        each answer is decoded and certified in request order.
+        each answer is decoded and certified in request order.  Every
+        report's ``wall_time_s`` counts from the start of the call.
         """
+        started = time.perf_counter()
         reductions: List[Reduction] = []
         reduce_times: List[float] = []
         for problem in problems:
@@ -354,10 +351,7 @@ class ProblemSolveService:
         ]
         batch = self.batch.solve_batch(requests)
         return [
-            self._finish(
-                problem, reduction, result, reduce_time,
-                time.perf_counter() - reduce_time,
-            )
+            self._finish(problem, reduction, result, reduce_time, started)
             for problem, reduction, result, reduce_time in zip(
                 problems, reductions, batch.results, reduce_times
             )
@@ -375,13 +369,11 @@ class ProblemSolveService:
         reduce_time_s: float,
         started: float,
         value_rtol: Optional[float] = None,
-        shards: Optional[int] = None,
-        cut: Optional[MinCutResult] = None,
     ) -> ProblemSolve:
         """Decode, certify and report one solved reduction (every route).
 
         ``started`` is the ``perf_counter`` stamp the report's wall time
-        counts from; ``cut`` is the sharded route's stitched partition.
+        counts from.
         """
         backend = result.backend
         if not result.ok:
@@ -392,10 +384,7 @@ class ProblemSolveService:
             raise ProblemError(
                 f"{problem.kind}: backend {backend!r} failed: {result.error}"
             )
-        if shards is None:
-            flow, cut, decode_source = self._flat_decode_inputs(reduction, result)
-        else:
-            flow, decode_source = None, "partition"
+        flow, cut, decode_source = self._decode_inputs(reduction, result)
 
         t0 = time.perf_counter()
         with span("problem.decode", kind=problem.kind):
@@ -423,7 +412,11 @@ class ProblemSolveService:
         report = ProblemReport(
             kind=problem.kind,
             backend=backend,
-            shards=shards or 0,
+            shards=(
+                result.detail.num_shards
+                if isinstance(result.detail, ShardOutcome)
+                else 0
+            ),
             network_vertices=reduction.num_vertices,
             network_edges=reduction.num_edges,
             objective_value=solution.value,
@@ -459,39 +452,35 @@ class ProblemSolveService:
             )
         return self.batch._solve_one(request, policy)
 
-    def _flat_decode_inputs(self, reduction, result):
-        """Classical backends decode natively; others use the decode pass."""
-        if result.backend in ALGORITHMS:
-            flow = result.detail
-            cut = min_cut_from_flow(reduction.network, flow)
-            return flow, cut, "backend"
-        return None, None, "decode-pass"
+    @staticmethod
+    def _decode_inputs(reduction, result):
+        """``(flow, cut, decode_source)`` from the backend that actually ran.
 
-    def _solve_sharded(self, reduction, backend, shards, tag, options):
-        """Sharded solve; the stitched partition becomes the decoder's cut."""
-        options.setdefault("max_iterations", 120)
-        sharded = self.sharded.solve(
-            reduction.network, shards=shards, backend=backend, tag=tag, **options
-        )
-        outcome = sharded.result.detail
+        A classical flow decodes natively; a converged shard outcome
+        decodes from its stitched partition; anything else (an analog
+        flow, an unconverged partition that is only an upper bound) goes
+        through the exact decode pass.
+        """
         network = reduction.network
-        source_side = frozenset(outcome.partition)
-        cut_edges = tuple(
-            e.index
-            for e in network.edges()
-            if e.tail in source_side and e.head not in source_side
-        )
-        cut = MinCutResult(
-            cut_value=outcome.cut_value,
-            source_side=source_side,
-            sink_side=frozenset(v for v in network.vertices() if v not in source_side),
-            cut_edges=cut_edges,
-        )
-        if not outcome.converged:
-            # Without a closed duality gap the partition is only an upper
-            # bound; hand the decode to the exact pass instead.
-            return sharded.result, None
-        return sharded.result, cut
+        detail = result.detail
+        if isinstance(detail, ShardOutcome):
+            if not detail.converged:
+                return None, None, "decode-pass"
+            source_side = frozenset(detail.partition)
+            cut = MinCutResult(
+                cut_value=detail.cut_value,
+                source_side=source_side,
+                sink_side=frozenset(network.vertices()) - source_side,
+                cut_edges=tuple(
+                    e.index
+                    for e in network.edges()
+                    if e.tail in source_side and e.head not in source_side
+                ),
+            )
+            return None, cut, "partition"
+        if result.backend in ALGORITHMS:
+            return detail, min_cut_from_flow(network, detail), "backend"
+        return None, None, "decode-pass"
 
     def _decode_certified(self, problem, reduction, flow, cut, decode_source):
         """Decode + verify; retry once through the exact decode pass."""

@@ -33,10 +33,11 @@ is pinned by ``tests/test_server.py`` without sleeps:
   consults); exhausted budgets or loose deadlines take the exact
   classical default, ``DEFAULT_EXACT_ALGORITHM`` (the ``"kernel"``
   engine).  This is the paper's analog-vs-exact latency
-  trade-off made into a routing decision, and the deadline itself rides
-  into the solver (``deadline_s`` option → cooperative
-  :func:`~repro.resilience.policy.deadline_scope`) and into any failover
-  chain walk, which now aborts between stages once the budget is spent.
+  trade-off made into a routing decision, and what is left of the
+  deadline at dispatch rides into the solver (``deadline_s`` option → one
+  cooperative :func:`~repro.resilience.policy.deadline_scope` around the
+  whole failover chain walk, which aborts between stages once the budget
+  is spent).
 
 Statuses follow HTTP conventions: 200 served (the result may still be a
 typed ``ok=False`` failure-free report), 500 typed solve failure, 503
@@ -49,7 +50,7 @@ import asyncio
 import heapq
 import inspect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmError, SolveTimeoutError
@@ -296,7 +297,8 @@ class AsyncSolveServer:
         omitted ``backend`` engages the deadline router (see the class
         docstring); an explicit one is honoured as-is.  ``deadline_s``
         bounds the whole journey: requests still queued past it answer
-        504, and the remaining budget rides into the solver cooperatively.
+        504, and the budget left at dispatch rides into the solver as its
+        ``deadline_s`` option, bounding every failover attempt together.
         """
         if self._closed:
             raise AlgorithmError("server is closed")
@@ -495,8 +497,16 @@ class AsyncSolveServer:
                     f"{shared.queued_s:.4g} s in queue",
                 ))
             return
+        request = entry.request
+        if entry.deadline_at is not None:
+            # The solver gets what is left of the budget at dispatch, on
+            # the server's clock, not a fresh copy of the whole budget.
+            request = replace(request, options={
+                **request.options,
+                "deadline_s": entry.deadline_at - self._clock(),
+            })
         try:
-            result = await self._invoke(entry.request)
+            result = await self._invoke(request)
         except asyncio.CancelledError:
             self._inflight.pop(entry.key, None)
             if not shared.future.done():
@@ -504,7 +514,7 @@ class AsyncSolveServer:
             raise
         except Exception as exc:  # noqa: BLE001 - front door never raises
             result = SolveResult(
-                request=entry.request, ok=False,
+                request=request, ok=False,
                 error=f"{type(exc).__name__}: {exc}",
                 error_type=type(exc).__name__,
             )
@@ -525,8 +535,8 @@ class AsyncSolveServer:
 
     def _solve_sync(self, request: SolveRequest) -> SolveResult:
         # The deadline travels as the plain ``deadline_s`` option: the
-        # backend re-opens a cooperative deadline_scope in the executor
-        # thread (contextvars do not cross run_in_executor).
+        # batch service re-opens a cooperative deadline_scope in the
+        # executor thread (contextvars do not cross run_in_executor).
         return self.service.solve(
             request.network, backend=request.backend, **request.options
         )

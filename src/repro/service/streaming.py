@@ -189,6 +189,7 @@ class StreamingSession:
         self._incremental: Optional[IncrementalMaxFlow] = None
         self._compiled = None
         self._analog_previous: Optional[AnalogMaxFlowResult] = None
+        self._stale = False  # True after a failed push: _last is out of date
         if backend == "analog":
             solver = analog_solver if analog_solver is not None else AnalogMaxFlowSolver()
             # Always clone: the session owns a private solver instance, so
@@ -289,8 +290,9 @@ class StreamingSession:
             Optional wall-clock budget (seconds or a
             :class:`~repro.resilience.policy.Deadline`) for this push.  On
             expiry :class:`~repro.errors.SolveTimeoutError` is raised and
-            the session's warm state is discarded, so the next push rebuilds
-            cold from the (already-applied) current revision.
+            the session's warm state is discarded, so the next push — even
+            one that changes nothing, such as a retry of the same events —
+            solves the (already-applied) current revision cold.
 
         Returns
         -------
@@ -300,7 +302,7 @@ class StreamingSession:
         previous = self._last
         batch = self._mutable.apply(events)
         recompiles_before = self.recompiles
-        if batch.num_changed_edges == 0:
+        if batch.num_changed_edges == 0 and not self._stale:
             # Idempotent batch (values already current): nothing to re-solve,
             # and the telemetry must not re-count the previous solve.
             return StreamingDelta(
@@ -329,13 +331,19 @@ class StreamingSession:
             sp.set(warm=warm)
             probes.streaming_push(self.backend, warm)
         self._last = result
+        self._stale = False
         return self._delta(previous, result, batch, warm, recompiles_before)
 
     def _invalidate(self) -> None:
-        """Discard warm solver state after a failed push (session stays usable)."""
+        """Discard warm solver state after a failed push (session stays usable).
+
+        The last result then describes an older revision, so the next push
+        must solve even if its batch changes nothing.
+        """
         self._compiled = None
         self._analog_previous = None
         self._incremental = None
+        self._stale = True
 
     def _classical_push(self, batch: UpdateBatch) -> Tuple[SolveResult, bool]:
         if self._incremental is None:

@@ -15,8 +15,9 @@ decomposition, generalising the two-way scheme of Section 6.4 / Strandmark
   coordinator with chain consistency multipliers, stitched feasible cuts
   and bound-gap convergence.
 
-The service-level front door is
-:class:`repro.service.sharded.ShardedSolveService`.
+Services reach it as the ``"sharded:<engine>"`` backend
+(:class:`repro.service.backends.ShardedBackend`), so a sharded request
+takes the same solve path — deadlines, failover, spans — as any other.
 """
 
 from .partition import MultiwayPartition, partition_multiway

@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..errors import DecompositionError
 from ..graph.network import FlowNetwork
 from ..obs import probes
 from ..resilience.policy import check_deadline
@@ -121,13 +120,6 @@ class ShardCoordinator:
         :func:`~repro.shard.partition.partition_multiway`.
     fractions:
         Optional per-shard vertex fractions (see the partitioner).
-    step_rule:
-        ``"harmonic"`` (default) uses the diminishing
-        ``initial_step * C / iteration`` schedule of the two-way paper
-        implementation — robust on the non-smooth cut dual; ``"polyak"``
-        scales the step by the current bound gap over the squared
-        subgradient norm (faster when the stitched-cut optimum estimate is
-        tight, but prone to oscillation on plateaued duals).
     """
 
     def __init__(
@@ -138,17 +130,13 @@ class ShardCoordinator:
         gap_tolerance: float = 1e-9,
         partition_method: str = "bfs",
         fractions: Optional[Sequence[float]] = None,
-        step_rule: str = "harmonic",
     ) -> None:
-        if step_rule not in ("polyak", "harmonic"):
-            raise DecompositionError(f"unknown step rule {step_rule!r}")
         self.num_shards = num_shards
         self.max_iterations = max_iterations
         self.initial_step = initial_step
         self.gap_tolerance = gap_tolerance
         self.partition_method = partition_method
         self.fractions = fractions
-        self.step_rule = step_rule
 
     # ------------------------------------------------------------------
 
@@ -159,8 +147,6 @@ class ShardCoordinator:
         executor: str = "thread",
         max_workers: Optional[int] = None,
         analog_solver=None,
-        warm: bool = True,
-        cold_ratio: float = 0.25,
         retry=None,
     ) -> ShardOutcome:
         """Run the coordinated N-way solve on ``network``.
@@ -169,10 +155,10 @@ class ShardCoordinator:
         ----------
         network:
             The instance to solve.
-        backend, executor, max_workers, analog_solver, warm, cold_ratio, retry:
+        backend, executor, max_workers, analog_solver, retry:
             Passed through to :class:`~repro.shard.executor.ShardExecutor`
-            (per-shard backend choice, service executor layer, warm shard
-            re-solves across iterations, per-shard retry policy).
+            (per-shard backend choice, service executor layer, analog
+            template, per-shard retry policy).
 
         Returns
         -------
@@ -210,8 +196,6 @@ class ShardCoordinator:
             executor=executor,
             max_workers=max_workers,
             analog_solver=analog_solver,
-            warm=warm,
-            cold_ratio=cold_ratio,
             retry=retry,
         ) as shards:
             for iteration in range(1, self.max_iterations + 1):
@@ -252,15 +236,7 @@ class ShardCoordinator:
                         there = vertex in solves[member_list[pos + 1]].source_side
                         if here != there:
                             links.append((vertex, pos, 1.0 if here else -1.0))
-                if self.step_rule == "polyak":
-                    # Polyak: gap over squared subgradient norm, using the
-                    # best stitched cut as the running optimum estimate.
-                    gap = max(best_feasible - dual_value, 0.0)
-                    step = gap / max(1, len(links))
-                    if step <= 0.0:
-                        step = self.initial_step * capacity_scale / iteration
-                else:
-                    step = self.initial_step * capacity_scale / iteration
+                step = self.initial_step * capacity_scale / iteration
                 for vertex, pos, direction in links:
                     # Ascend the dual: charging the copy that said "source"
                     # and rebating the one that said "sink" pushes the chain

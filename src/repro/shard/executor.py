@@ -11,8 +11,10 @@ fixed sparsity pattern.  That makes every backend's iteration-over-iteration
 path cheap:
 
 * classical backends (any :data:`repro.flows.registry.ALGORITHMS` name)
-  re-solve the mutated shard network from scratch — small shards, so each
-  solve is far cheaper than the whole instance;
+  repair the previous iteration's maximum flow through
+  :class:`~repro.flows.incremental.IncrementalMaxFlow` — the multiplier
+  edits are capacity changes, so the engine resumes instead of
+  re-solving the shard cold;
 * the ``"analog"`` backend compiles each shard **once** (dedicated
   re-programmable clamp sources, no pruning) and re-solves every iteration
   through :meth:`~repro.analog.solver.AnalogMaxFlowSolver.resolve` — clamp
@@ -35,7 +37,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 from ..errors import DecompositionError
 from ..flows.incremental import IncrementalMaxFlow
 from ..flows.mincut import min_cut_from_flow
-from ..flows.registry import ALGORITHMS, get_algorithm
+from ..flows.registry import ALGORITHMS
 from ..graph.network import FlowNetwork
 from ..graph.updates import CapacityUpdate, MutableFlowNetwork
 from ..obs import probes
@@ -90,13 +92,9 @@ class _ShardState:
         overlap_vertices: Sequence[Vertex],
         backend: str,
         analog_solver=None,
-        warm: bool = True,
-        cold_ratio: float = 0.25,
     ) -> None:
         self.shard = shard
         self.backend = backend
-        self.warm = warm
-        self.cold_ratio = cold_ratio
         augmented = subproblem.snapshot()
         # Pre-allocate both multiplier terminal edges per overlap vertex so
         # later multiplier updates never change the sparsity pattern —
@@ -192,19 +190,12 @@ class _ShardState:
 
     def _solve_classical(self) -> Tuple[float, Set[Vertex], bool]:
         network = self.mutable.network
-        if not self.warm:
-            self._pending.clear()
-            flow = get_algorithm(self.backend).solve(network)
-            cut = min_cut_from_flow(network, flow)
-            return cut.cut_value, set(cut.source_side), False
-        # Warm path: multiplier updates were capacity edits, so the engine
-        # repairs the previous maximum flow instead of re-solving cold.
+        # Multiplier updates were capacity edits, so the engine repairs the
+        # previous maximum flow instead of re-solving cold.
         warm = self._incremental is not None
         if self._incremental is None:
             self._pending.clear()
-            self._incremental = IncrementalMaxFlow(
-                self.mutable, algorithm=self.backend, cold_ratio=self.cold_ratio
-            )
+            self._incremental = IncrementalMaxFlow(self.mutable, algorithm=self.backend)
             flow = self._incremental.result
         else:
             flow = self._incremental.result
@@ -295,16 +286,6 @@ class ShardExecutor:
         analog shards.  Each shard clones it with dedicated clamp sources
         and pruning disabled (both required for warm re-solves on a stable
         edge-to-clamp mapping).
-    warm:
-        Re-solve classical shards warm across iterations through
-        :class:`~repro.flows.incremental.IncrementalMaxFlow` (default).
-        ``False`` re-solves every iteration cold — the seed repository's
-        behaviour, kept for benchmarking the warm path.  Analog shards are
-        always warm (that is the point of the dedicated clamp sources).
-    cold_ratio:
-        Warm engine cutover: batches touching more than this fraction of a
-        shard's edges rebuild cold (see
-        :class:`~repro.flows.incremental.IncrementalMaxFlow`).
     retry:
         Optional :class:`~repro.resilience.policy.RetryPolicy` for failed
         shard solves: each retry first drops the shard's warm state so the
@@ -319,8 +300,6 @@ class ShardExecutor:
         executor: str = "thread",
         max_workers: Optional[int] = None,
         analog_solver=None,
-        warm: bool = True,
-        cold_ratio: float = 0.25,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         from ..service.batch import ParallelMap, _default_max_workers
@@ -366,8 +345,6 @@ class ShardExecutor:
                     overlap_vertices=overlap_here,
                     backend=backends[shard],
                     analog_solver=analog,
-                    warm=warm,
-                    cold_ratio=cold_ratio,
                 )
             )
 

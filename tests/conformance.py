@@ -7,7 +7,7 @@ solving path must clear instead of four per-subsystem copies:
 
 * every classical algorithm in :data:`repro.flows.registry.ALGORITHMS`,
 * the analog pipeline (certificate-grade: unquantized, adaptive drive),
-* the sharded service (:class:`repro.service.ShardedSolveService`),
+* the ``"sharded:dinic"`` backend on :class:`repro.service.BatchSolveService`,
 * a one-push :class:`repro.service.StreamingSession` (classical + analog).
 
 Instance seeds derive from ``REPRO_TEST_SEED`` (see ``conftest.py``), so a
@@ -42,7 +42,7 @@ from repro.graph import (
     rmat_graph,
 )
 from repro.graph.updates import CapacityUpdate
-from repro.service import ShardedSolveService, StreamingSession
+from repro.service import BatchSolveService, StreamingSession
 
 #: Relative flow-value tolerance per backend family.
 TOLERANCES: Dict[str, float] = {
@@ -184,9 +184,9 @@ def analog_value(network: FlowNetwork) -> float:
 
 
 def sharded_solve(network: FlowNetwork, shards: int = 2):
-    """Full sharded result (value, convergence, bound trajectory)."""
-    return ShardedSolveService(executor="serial").solve(
-        network, shards=shards, backend="dinic", max_iterations=120
+    """Full sharded result; ``detail`` carries convergence and bound trajectory."""
+    return BatchSolveService(executor="serial").solve(
+        network, backend="sharded:dinic", shards=shards, max_iterations=120
     )
 
 

@@ -1,8 +1,8 @@
 """The cross-backend conformance gate.
 
 Four independent solving paths grew up in this repo — classical registry
-algorithms, the analog pipeline, the sharded service and streaming
-sessions — each previously checked only inside its own test file.  This is
+algorithms, the analog pipeline, sharded solving and streaming sessions —
+each previously checked only inside its own test file.  This is
 the single shared gate: every path must agree with the exact Dinic
 reference on one randomized + degenerate instance corpus
 (``tests/conformance.py``) to its backend tolerance, and every problem
@@ -71,12 +71,13 @@ def test_sharded_service_agrees(instance):
     if not instance.shardable:
         pytest.skip("instance has no interior vertices to shard")
     sharded = conformance.sharded_solve(instance.network, shards=2)
+    assert sharded.ok, f"sharded failed on {instance.name}: {sharded.error}"
     exact = instance.reference_value
     # Bound validity holds on every iteration, converged or not.
-    for dual, feasible, _ in sharded.report.bound_trajectory:
+    for dual, feasible, _ in sharded.detail.history:
         assert dual <= exact + 1e-9
         assert feasible >= exact - 1e-9
-    assert sharded.report.converged, f"sharded did not converge on {instance.name}"
+    assert sharded.detail.converged, f"sharded did not converge on {instance.name}"
     assert (
         conformance.relative_gap(sharded.flow_value, exact)
         <= conformance.TOLERANCES["sharded"]

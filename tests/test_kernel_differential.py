@@ -252,8 +252,7 @@ class TestKernelSelection:
         from repro.flows.registry import DEFAULT_EXACT_ALGORITHM
         from repro.problems import BipartiteMatching
         from repro.resilience.faults import inject_faults
-        from repro.service import ProblemSolveService
-        from repro.service.sharded import ShardedSolveService
+        from repro.service import BatchSolveService, ProblemSolveService
 
         assert DEFAULT_EXACT_ALGORITHM == "kernel"
         calls = []
@@ -271,8 +270,8 @@ class TestKernelSelection:
         problem = BipartiteMatching(["a"], ["x"], [("a", "x")])
         assert ProblemSolveService().solve(problem).result.backend == "kernel"
         with inject_faults("kind=error,site=shard-solve,times=0"):
-            sharded = ShardedSolveService(executor="serial").solve(
-                network, shards=2, backend="dinic"
+            sharded = BatchSolveService(executor="serial", failover=True).solve(
+                network, backend="sharded:dinic", shards=2
             )
-        assert sharded.result.degraded
-        assert sharded.result.detail.algorithm == "kernel"
+        assert sharded.degraded
+        assert sharded.detail.algorithm == "kernel"

@@ -1,6 +1,6 @@
-"""One telemetry document shape across all four solving services.
+"""One telemetry document shape across all three solving services.
 
-``BatchReport``, ``StreamingSession``, ``ShardReport`` and
+``BatchReport`` (sharded requests included), ``StreamingSession`` and
 ``ProblemReport`` each expose ``telemetry()``; every document must share
 the pinned ``repro.telemetry/v1`` top-level key set and survive a JSON
 round trip unchanged, so a single dashboard/exporter understands any
@@ -19,7 +19,6 @@ import pytest
 from repro import (
     BatchSolveService,
     FlowNetwork,
-    ShardedSolveService,
     SolveRequest,
     get_registry,
     reset_metrics,
@@ -61,19 +60,26 @@ def matching_problem() -> BipartiteMatching:
 
 
 def all_service_documents():
-    """Run one solve per service and collect the four telemetry docs."""
+    """Run one solve per service and collect the three telemetry docs.
+
+    The batch mixes a plain and a sharded request: sharding is a backend,
+    so its telemetry is the batch document's.
+    """
     batch = BatchSolveService(executor="serial").solve_batch(
-        [SolveRequest(network=tiny_network(), backend="dinic")]
+        [
+            SolveRequest(network=tiny_network(), backend="dinic"),
+            SolveRequest(
+                network=rmat_graph(12, 30, seed=derive_seed("obs-telemetry-shard")),
+                backend="sharded:dinic",
+                options={"shards": 2},
+            ),
+        ]
     )
     session = StreamingSession(tiny_network(), backend="dinic")
-    sharded = ShardedSolveService(executor="serial").solve(
-        rmat_graph(12, 30, seed=derive_seed("obs-telemetry-shard")), shards=2
-    )
     problem = ProblemSolveService().solve(matching_problem(), backend="dinic")
     return {
         "batch": batch.telemetry(),
         "streaming": session.telemetry(),
-        "sharded": sharded.report.telemetry(),
         "problems": problem.report.telemetry(),
     }
 
@@ -105,10 +111,14 @@ class TestBuildTelemetry:
         assert get_registry().snapshot()["gauges"] == {}
 
 
-class TestFourServiceSchema:
+class TestServiceSchema:
     def test_all_services_share_the_key_set_and_round_trip(self, obs_on):
         documents = all_service_documents()
-        assert set(documents) == {"batch", "streaming", "sharded", "problems"}
+        assert set(documents) == {"batch", "streaming", "problems"}
+        assert documents["batch"]["summary"]["backends"] == {
+            "dinic": 1,
+            "sharded:dinic": 1,
+        }
         for name, doc in documents.items():
             assert tuple(doc) == TELEMETRY_KEYS, name
             assert doc["schema"] == TELEMETRY_SCHEMA
@@ -125,8 +135,7 @@ class TestFourServiceSchema:
         for name in ("batch", "streaming"):
             cache = documents[name]["cache"]
             assert {"hits", "misses"} <= set(cache), name
-        for name in ("sharded", "problems"):
-            assert documents[name]["cache"] == {}, name
+        assert documents["problems"]["cache"] == {}
 
     def test_solver_counters_visible_through_any_document(self, obs_on):
         documents = all_service_documents()

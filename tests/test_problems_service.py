@@ -84,6 +84,13 @@ class TestRouting:
         assert solved.report.decode_source == "decode-pass"
         assert solved.certified
 
+    def test_sharded_analog_route_is_certified(self, service, matching_problem):
+        solved = service.solve(matching_problem, backend="analog", shards=2)
+        assert solved.certified
+        assert not solved.result.degraded
+        assert solved.report.backend == "sharded:analog"
+        assert solved.report.shards == 2
+
     def test_backends_agree_on_objective(self, service, closure_problem):
         reference = solve_problem(closure_problem)[0].value
         for kwargs in (
@@ -168,6 +175,33 @@ class TestBatch:
         references = [solve_problem(p)[0].value for p in problems]
         for solved, reference in zip(solves, references):
             assert solved.value == pytest.approx(reference, abs=1e-9)
+
+    def test_batch_wall_time_covers_every_stage(self, service):
+        rng = random.Random(derive_seed("service-batch-wall"))
+        problems = [
+            BipartiteMatching(["a"], ["x"], [("a", "x")]),
+            BipartiteMatching(
+                list(range(300)),
+                list(range(300)),
+                [(rng.randrange(300), rng.randrange(300)) for _ in range(3000)],
+            ),
+        ]
+        for solved in service.solve_batch(problems, backend="dinic"):
+            report = solved.report
+            stages = report.reduce_time_s + report.solve_time_s + report.decode_time_s
+            assert report.wall_time_s >= stages
+
+    def test_batch_decodes_sharded_answers_from_the_partition(
+        self, service, closure_problem
+    ):
+        (solved,) = service.solve_batch(
+            [closure_problem], backend="sharded:dinic", shards=2, max_iterations=120
+        )
+        assert solved.certified
+        assert solved.report.decode_source == "partition"
+        assert solved.value == pytest.approx(
+            solve_problem(closure_problem)[0].value, abs=1e-9
+        )
 
     def test_batch_shares_the_injected_service(self):
         batch = BatchSolveService(max_workers=2, executor="serial")

@@ -1,6 +1,6 @@
 """Fault-injection matrix: every service x every fault class.
 
-The contract under test (ISSUE 7 / docs/architecture.md): for each cell of
+The contract under test (docs/architecture.md): for each cell of
 (batch, streaming, sharded, problems) x (convergence, singular, error,
 stall + deadline, corrupt), the service either
 
@@ -15,9 +15,12 @@ and never hangs: stalls are bounded by tiny deadlines.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro import FlowNetwork, grid_graph
+from repro import FlowNetwork, errors, grid_graph
+from repro.analog import AnalogMaxFlowSolver
 from repro.errors import (
     AlgorithmError,
     CertificateError,
@@ -28,7 +31,9 @@ from repro.errors import (
 )
 from repro.flows.dinic import Dinic
 from repro.flows.kernel import KernelDinic
+from repro.flows.registry import DEFAULT_EXACT_ALGORITHM
 from repro.graph.updates import CapacityUpdate
+from repro.resilience.failover import certify_flow_result
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -36,9 +41,8 @@ from repro.resilience.faults import (
     fault_point,
     inject_faults,
 )
-from repro.service import BatchSolveService, SolveRequest
+from repro.service import AsyncSolveServer, BatchSolveService, SolveRequest
 from repro.service.problems import ProblemSolveService
-from repro.service.sharded import ShardedSolveService
 from repro.service.streaming import StreamingSession
 
 RAISING_KINDS = ["convergence", "singular", "error"]
@@ -49,8 +53,6 @@ ANALOG_RTOL = 0.1  # warm resolves drift a few percent more than solve()
 def certificate_grade_analog():
     """Unquantized adaptive-drive solver: accurate enough that an inflated
     readout violates saturated min-cut capacities (the detection premise)."""
-    from repro.analog import AnalogMaxFlowSolver
-
     return AnalogMaxFlowSolver(quantize=False, adaptive_drive=True)
 
 
@@ -191,6 +193,23 @@ class TestBatchMatrix:
         assert not result.ok
         assert result.error_type == "SolveTimeoutError"
 
+    def test_deadline_bounds_the_whole_failover_walk(self):
+        # Each analog attempt stalls 0.25 s and then fails: a budget opened
+        # per attempt would let the walk reach kernel after ~0.5 s.
+        service = BatchSolveService(failover=True)
+        with inject_faults(
+            "kind=stall,backend=analog,site=batch-solve,stall_s=0.25,times=0;"
+            "kind=convergence,backend=analog,site=batch-solve,times=0"
+        ):
+            result = service.solve(
+                grid_graph(6, 8, capacity=1.0, seed=3),
+                backend="analog",
+                deadline_s=0.3,
+            )
+        assert not result.ok
+        assert result.error_type == "SolveTimeoutError"
+        assert result.backend == "analog"  # kernel never ran
+
     def test_corrupt_readout_is_rejected_then_degraded(self, network, reference):
         # Two requests on two workers, so the pooled branch runs too.
         for executor in ("serial", "thread"):
@@ -223,6 +242,41 @@ class TestBatchMatrix:
         assert report.num_failed == 0
         for result in report.results:
             assert result.flow_value == pytest.approx(reference, abs=EXACT)
+
+
+class TestServerDeadlines:
+    """The server's deadline covers queue wait and every failover attempt."""
+
+    async def test_deadline_bounds_the_whole_failover_walk(self):
+        # Each analog attempt stalls 0.25 s and then fails: a budget opened
+        # per attempt would let the walk reach kernel after ~0.5 s.
+        network = grid_graph(6, 8, capacity=1.0, seed=3)
+        async with AsyncSolveServer(workers=1) as server:
+            with inject_faults(
+                "kind=stall,backend=analog,site=batch-solve,stall_s=0.25,times=0;"
+                "kind=convergence,backend=analog,site=batch-solve,times=0"
+            ):
+                response = await server.submit(
+                    network, backend="analog", deadline_s=0.3
+                )
+        assert response.status == 504
+        assert response.result.error_type == "SolveTimeoutError"
+
+    async def test_queue_wait_is_spent_from_the_solve_budget(self):
+        # The second request waits ~0.2 s behind the first, so it reaches
+        # the solver with ~0.1 s left: too little for the 0.2 s stall.
+        network = grid_graph(6, 8, capacity=1.0, seed=3)
+        async with AsyncSolveServer(workers=1, coalesce=False) as server:
+            with inject_faults(
+                "kind=stall,backend=kernel,site=batch-solve,stall_s=0.2,times=0"
+            ):
+                first, second = await asyncio.gather(
+                    server.submit(network, backend="kernel"),
+                    server.submit(network, backend="kernel", deadline_s=0.3),
+                )
+        assert first.status == 200
+        assert second.status == 504
+        assert second.result.error_type == "SolveTimeoutError"
 
 
 class TestHonestChains:
@@ -314,6 +368,36 @@ class TestStreamingMatrix:
             Dinic().solve(session.snapshot()).flow_value, abs=EXACT
         )
 
+    @pytest.mark.parametrize("backend", ["dinic", "analog"])
+    def test_retried_push_after_a_failed_one_solves_the_current_revision(
+        self, backend
+    ):
+        kwargs = {}
+        if backend == "analog":
+            kwargs["analog_solver"] = AnalogMaxFlowSolver(quantize=False)
+        session = StreamingSession(
+            grid_graph(4, 5, capacity=1.0, seed=3),
+            backend=backend,
+            cold_ratio=1.0,
+            **kwargs,
+        )
+        net = session.network
+        events = [
+            CapacityUpdate(e.index, 0.1) for e in net.edges() if e.tail == net.source
+        ]
+        with inject_faults("kind=stall,stall_s=5.0,times=0"):
+            with pytest.raises(SolveTimeoutError):
+                session.push(events, deadline=0.01)
+        # The failed push already applied its events, so the retry changes
+        # no capacity — yet the pre-edit answer must not come back.
+        retry = session.push(events)
+        reference = Dinic().solve(session.snapshot()).flow_value
+        assert not retry.warm
+        assert retry.flow_value == pytest.approx(reference, rel=1e-3)
+        assert session.flow_value == retry.flow_value
+        # With the session current again, an idempotent push is free.
+        assert session.push(events).result is retry.result
+
     def test_corrupt_readout_validated_and_recovered(self):
         session = analog_session(
             grid_graph(3, 4, capacity=1.0, seed=11), validate=True
@@ -341,7 +425,7 @@ class TestStreamingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sharded service
+# Sharded backend
 # ---------------------------------------------------------------------------
 
 
@@ -350,40 +434,52 @@ class TestShardedMatrix:
     def test_persistent_shard_fault_falls_back_unsharded(
         self, network, reference, kind
     ):
-        service = ShardedSolveService(executor="serial")
+        service = BatchSolveService(executor="serial", failover=True)
         with inject_faults(f"kind={kind},site=shard-solve,times=0"):
-            sharded = service.solve(network, shards=2, backend="dinic")
-        assert sharded.result.ok and sharded.result.degraded
-        assert sharded.result.flow_value == pytest.approx(reference, abs=EXACT)
-        assert sharded.report.num_shards == 1
-        assert sharded.result.edge_flows  # the fallback is a real flow
+            result = service.solve(network, backend="sharded:dinic", shards=2)
+        assert result.ok and result.degraded
+        assert result.backend == DEFAULT_EXACT_ALGORITHM
+        assert result.failover_trail[0].startswith("sharded:dinic#1:")
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert result.edge_flows  # the fallback is a real, maximum flow
+        certify_flow_result(network, result.flow_value, result.edge_flows)
 
     def test_transient_shard_fault_recovers_via_retry(self, network, reference):
-        service = ShardedSolveService(executor="serial")
+        # No failover: only the per-shard retry inside the backend can recover.
+        service = BatchSolveService(executor="serial")
         with inject_faults("kind=convergence,site=shard-solve,times=1"):
-            sharded = service.solve(network, shards=2, backend="dinic")
-        assert not sharded.result.degraded
-        assert sharded.result.flow_value == pytest.approx(reference, abs=EXACT)
+            result = service.solve(network, backend="sharded:dinic", shards=2)
+        assert result.ok and not result.degraded
+        assert result.backend == "sharded:dinic"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
 
     def test_stall_bounded_by_deadline_no_fallback(self, network):
-        service = ShardedSolveService(executor="serial")
+        service = BatchSolveService(executor="serial", failover=True)
         with inject_faults("kind=stall,site=shard-solve,stall_s=5.0,times=0"):
-            with pytest.raises(SolveTimeoutError):
-                service.solve(network, shards=2, backend="dinic", deadline=0.05)
+            result = service.solve(
+                network, backend="sharded:dinic", shards=2, deadline_s=0.05
+            )
+        assert not result.ok and not result.degraded
+        assert result.error_type == "SolveTimeoutError"
+        assert result.backend == "sharded:dinic"
+        assert result.wall_time_s < 1.0
 
     def test_corrupt_cannot_touch_exact_sharded_solves(self, network, reference):
         # Corrupt faults only exist at analog readouts; a classical sharded
         # solve has none, so the answer must equal the reference untouched.
-        service = ShardedSolveService(executor="serial")
+        service = BatchSolveService(executor="serial", failover=True)
         with inject_faults("kind=corrupt,relative_error=0.5,times=0"):
-            sharded = service.solve(network, shards=2, backend="dinic")
-        assert sharded.result.flow_value == pytest.approx(reference, abs=EXACT)
+            result = service.solve(network, backend="sharded:dinic", shards=2)
+        assert not result.degraded
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
 
-    def test_fallback_false_raises_typed(self, network):
-        service = ShardedSolveService(executor="serial")
+    def test_without_failover_fails_typed(self, network):
+        service = BatchSolveService(executor="serial")
         with inject_faults("kind=singular,site=shard-solve,times=0"):
-            with pytest.raises(ReproError):
-                service.solve(network, shards=2, backend="dinic", fallback=False)
+            result = service.solve(network, backend="sharded:dinic", shards=2)
+        assert not result.ok and not result.degraded
+        assert result.error_type == "SingularCircuitError"
+        assert issubclass(getattr(errors, result.error_type), ReproError)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +515,19 @@ class TestProblemsMatrix:
         with inject_faults("kind=stall,site=batch-solve,stall_s=5.0,times=0"):
             with pytest.raises(SolveTimeoutError):
                 service.solve(_matching_problem(), backend="dinic", deadline=0.05)
+
+    def test_failed_sharded_solve_decodes_the_fallback_flow(self):
+        problem = _matching_problem()
+        service = ProblemSolveService()
+        baseline = service.solve(problem, backend="dinic")
+        with inject_faults("kind=error,site=shard-solve,times=0"):
+            solved = service.solve(problem, backend="dinic", shards=2)
+        assert solved.certified
+        assert solved.result.degraded
+        assert solved.report.backend == DEFAULT_EXACT_ALGORITHM
+        assert solved.report.shards == 0  # no sharded solve produced it
+        assert solved.report.decode_source == "backend"
+        assert solved.value == pytest.approx(baseline.value, abs=EXACT)
 
     def test_corrupt_analog_fails_certificate_in_strict_mode(self):
         problem = _matching_problem()

@@ -355,9 +355,31 @@ class TestDeadlineRouting:
 
     async def test_deadline_rides_into_solver_options(self, obs_server):
         backend = Recorder()
-        async with AsyncSolveServer(workers=1, solve_fn=backend) as server:
+        clock, _ = stepped_clock()
+        async with AsyncSolveServer(
+            workers=1, solve_fn=backend, clock=clock
+        ) as server:
             await server.submit(tiny_network(), backend="dinic", deadline_s=1.5)
         assert backend.calls[0].options["deadline_s"] == 1.5
+
+    async def test_solver_gets_the_budget_left_at_dispatch(self, obs_server):
+        backend = Recorder(gated=True)
+        clock, advance = stepped_clock()
+        async with AsyncSolveServer(
+            workers=1, solve_fn=backend, coalesce=False, clock=clock,
+        ) as server:
+            blocker = asyncio.ensure_future(
+                server.submit(distinct_network(0), backend="dinic")
+            )
+            await backend.started.wait()
+            queued = asyncio.ensure_future(
+                server.submit(distinct_network(1), backend="dinic", deadline_s=1.5)
+            )
+            await spin_until(lambda: server.stats()["queue_depth"] == 1)
+            advance(0.5)  # virtual time passes while queued
+            backend.gate.set()
+            await asyncio.gather(blocker, queued)
+        assert backend.calls[1].options["deadline_s"] == 1.0
 
     async def test_seeded_e2e_routing_scenario_on_injected_clock(
         self, obs_server, rng

@@ -1,14 +1,26 @@
-"""Tests for the N-way shard coordinator and the sharded solving service."""
+"""Tests for the N-way shard coordinator and the ``"sharded:<engine>"`` backend."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import DecompositionError
+from repro.errors import AlgorithmError, DecompositionError
 from repro.flows import min_cut
 from repro.graph import grid_graph, paper_example_graph, rmat_graph
-from repro.service import ShardedSolveService
-from repro.shard import ShardCoordinator, ShardExecutor, partition_multiway
+from repro.problems import ProjectSelection
+from repro.service import (
+    AsyncSolveServer,
+    BatchSolveService,
+    ProblemSolveService,
+    SolveBackend,
+    SolveRequest,
+)
+from repro.shard import (
+    ShardCoordinator,
+    ShardExecutor,
+    ShardOutcome,
+    partition_multiway,
+)
 
 
 EQUIVALENCE_CASES = [
@@ -60,24 +72,12 @@ class TestRandomizedEquivalence:
             results[executor] = outcome.cut_value
         assert results["serial"] == pytest.approx(results["thread"], abs=1e-9)
 
-    def test_warm_and_cold_shard_solves_agree(self):
-        network = grid_graph(4, 8, capacity=2.0, seed=7, capacity_jitter=0.3)
-        warm = ShardCoordinator(num_shards=3, max_iterations=60).solve(
-            network, executor="serial", warm=True
-        )
-        cold = ShardCoordinator(num_shards=3, max_iterations=60).solve(
-            network, executor="serial", warm=False
-        )
-        assert warm.cut_value == pytest.approx(cold.cut_value, abs=1e-9)
-        assert warm.iterations == cold.iterations
-
-    @pytest.mark.parametrize("step_rule", ["harmonic", "polyak"])
-    def test_step_rules_keep_bounds_valid(self, step_rule):
+    def test_step_rule_keeps_bounds_valid(self):
         network = grid_graph(3, 6, capacity=2.0, seed=2, capacity_jitter=0.2)
         exact = min_cut(network).cut_value
-        outcome = ShardCoordinator(
-            num_shards=3, max_iterations=40, step_rule=step_rule
-        ).solve(network, executor="serial")
+        outcome = ShardCoordinator(num_shards=3, max_iterations=40).solve(
+            network, executor="serial"
+        )
         for dual, feasible, _ in outcome.history:
             assert dual <= exact + 1e-9
             assert feasible >= exact - 1e-9
@@ -151,44 +151,105 @@ class TestShardExecutor:
             assert net.edge(state.sink_cost_edge[vertex]).capacity == 0.5
 
 
-class TestShardedSolveService:
-    def test_solve_returns_result_and_report(self):
+class TestShardedBackend:
+    def test_batch_request_returns_outcome_and_report(self):
         network = grid_graph(3, 6, capacity=2.0, seed=3, capacity_jitter=0.2)
         exact = min_cut(network).cut_value
-        sharded = ShardedSolveService(executor="thread").solve(
-            network, shards=3, tag="unit", reference_value=exact
+        report = BatchSolveService(executor="thread").solve_batch(
+            [
+                SolveRequest(
+                    network=network,
+                    backend="sharded:dinic",
+                    options={"shards": 3},
+                    tag="unit",
+                    reference_value=exact,
+                )
+            ]
         )
-        assert sharded.result.ok
-        assert sharded.result.tag == "unit"
-        assert sharded.result.backend == "sharded:dinic"
-        assert sharded.flow_value == sharded.result.flow_value
-        if sharded.report.converged:
-            assert sharded.result.relative_error == pytest.approx(0.0, abs=1e-9)
-        report = sharded.report
-        assert report.num_shards == 3
-        assert len(report.shard_rows) == 3
-        assert report.iterations == len(report.bound_trajectory)
-        assert report.duality_gap >= -1e-9
-        formatted = report.format(title="sharded")
-        assert "cut" in formatted and "iterations" in formatted
-        summary = report.summary()
-        assert summary["shards"] == 3
-        assert summary["executor"] == "thread"
+        result = report.results[0]
+        assert result.ok and not result.degraded
+        assert result.tag == "unit"
+        assert result.backend == "sharded:dinic"
+        assert result.edge_flows == {}  # the sharded answer is a cut
+        outcome = result.detail
+        assert isinstance(outcome, ShardOutcome)
+        assert result.flow_value == outcome.cut_value
+        if outcome.converged:
+            assert result.relative_error == pytest.approx(0.0, abs=1e-9)
+        assert outcome.num_shards == 3
+        assert len(outcome.shard_stats) == 3
+        assert outcome.iterations == len(outcome.history)
+        assert outcome.duality_gap >= -1e-9
+        assert report.summary()["backends"] == {"sharded:dinic": 1}
+        assert "sharded:dinic" in report.format(title="sharded")
 
-    def test_invalid_configuration(self):
-        for executor in ("fleet", "process"):
-            with pytest.raises(DecompositionError):
-                ShardedSolveService(executor=executor)
-        with pytest.raises(DecompositionError):
-            ShardedSolveService(max_workers=0)
+    @pytest.mark.parametrize("failover", [None, True])
+    def test_configuration_mistakes_raise_before_any_solve(self, failover, monkeypatch):
+        attempts = []
+        monkeypatch.setattr(
+            SolveBackend, "solve", lambda self, request: attempts.append(request)
+        )
         network = paper_example_graph()
+        service = BatchSolveService(executor="serial", failover=failover)
         with pytest.raises(DecompositionError):
-            ShardedSolveService().solve(network, shards=1)
+            service.solve(network, backend="sharded:dinic", shards=1)
+        with pytest.raises(AlgorithmError, match="dinc"):
+            service.solve(network, backend="sharded:dinc", shards=2)
+        with pytest.raises(DecompositionError):
+            service.solve_batch(
+                [
+                    SolveRequest(network=network, backend="kernel"),
+                    SolveRequest(
+                        network=network, backend="sharded:dinic", options={"shards": 1}
+                    ),
+                ]
+            )
+        problems = ProblemSolveService(failover=bool(failover))
+        closure = ProjectSelection({0: 2.0, 1: -1.0, 2: 1.5}, [(0, 1)])
+        with pytest.raises(DecompositionError):
+            problems.solve(closure, backend="dinic", shards=1)
+        with pytest.raises(AlgorithmError, match="dinc"):
+            problems.solve(closure, backend="dinc", shards=2)
+        assert attempts == []
 
     def test_report_rows_feed_format_table(self):
         from repro.bench import format_table
 
         network = grid_graph(2, 5, capacity=1.0, seed=1)
-        sharded = ShardedSolveService(executor="serial").solve(network, shards=2)
-        table = format_table(sharded.report.as_rows())
-        assert "shard" in table
+        report = BatchSolveService(executor="serial").solve_batch(
+            [SolveRequest(network=network, backend="sharded:dinic")]
+        )
+        assert "sharded:dinic" in format_table(report.as_rows())
+        assert "shard" in format_table(report.results[0].detail.shard_stats)
+
+    def test_sharded_request_inside_a_mixed_batch(self):
+        network = grid_graph(3, 6, capacity=2.0, seed=3, capacity_jitter=0.2)
+        exact = min_cut(network).cut_value
+        report = BatchSolveService(max_workers=2).solve_batch(
+            [
+                SolveRequest(network=network, backend="kernel", tag="kernel"),
+                SolveRequest(
+                    network=network,
+                    backend="sharded:dinic",
+                    options={"shards": 2, "max_iterations": 120},
+                    tag="sharded",
+                ),
+                SolveRequest(network=network, backend="dinic", tag="dinic"),
+            ]
+        )
+        assert report.num_ok == 3
+        for result in report.results:
+            assert result.flow_value == pytest.approx(exact, abs=1e-9), result.tag
+        assert report.by_tag("sharded")[0].detail.converged
+        assert report.telemetry()["summary"]["backends"]["sharded:dinic"] == 1
+
+    async def test_server_carries_sharded_requests(self):
+        network = grid_graph(3, 6, capacity=2.0, seed=3, capacity_jitter=0.2)
+        exact = min_cut(network).cut_value
+        async with AsyncSolveServer(workers=1) as server:
+            response = await server.submit(
+                network, backend="sharded:dinic", shards=2, deadline_s=60.0
+            )
+        assert response.status == 200
+        assert response.result.backend == "sharded:dinic"
+        assert response.result.flow_value == pytest.approx(exact, abs=1e-9)
