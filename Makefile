@@ -6,6 +6,7 @@ export PYTHONPATH := src
 
 # Modules whose docstring examples are part of the documented API surface.
 DOCTEST_MODULES := src/repro/service \
+	src/repro/flows/incremental.py \
 	src/repro/flows/registry.py \
 	src/repro/analog/solver.py \
 	src/repro/circuit/linsolve.py \
@@ -125,7 +126,7 @@ serve-demo:
 bench-check:
 	$(PYTHON) tools/bench_watch.py --suite all --run --scale 0.05 --repeats 1
 
-## broken intra-doc links + docstring coverage of repro.service
+## broken intra-doc links + docstring coverage of repro.service and repro.shard
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

@@ -100,11 +100,10 @@ def main(districts: int = 6, steps: int = 4) -> None:
         f"{summary['cold_solves']} cold, revision {summary['revision']}"
     )
     analog_summary = analog.summary()
-    cache = analog_summary["cache"]
     print(
-        f"analog session: {analog_summary['recompiles']} recompiles, "
-        f"compiled-circuit cache {cache['hits']} hits / {cache['misses']} misses / "
-        f"{cache['evictions']} evictions"
+        f"analog session: {analog_summary['recompiles']} recompiles "
+        f"(the opening compile plus one per structural batch), "
+        f"{analog_summary['warm_solves']} warm / {analog_summary['cold_solves']} cold"
     )
 
 

@@ -200,12 +200,24 @@ def solve_timed(backend: str, seconds: float) -> None:
 
 
 def shard_solve(backend: str, warm: bool) -> None:
-    """One per-shard subproblem solve (warm = reused incremental state)."""
+    """One per-shard subproblem solve (warm = no cold solve ran).
+
+    Each shard re-solves through its own streaming session: after the
+    shard's opening solve, every shard solve whose multipliers changed
+    also records a ``streaming.push`` span and event
+    (:func:`streaming_push`) under its ``shard.solve`` span.
+    """
     emit(EVENT_SHARD_SOLVE, backend=backend, warm=warm)
 
 
 def streaming_push(backend: str, warm: bool) -> None:
-    """One streaming revision applied (warm = incremental repair path)."""
+    """One streaming revision re-solved (warm = incremental repair path).
+
+    Shard solves push through a session too, so these events also count
+    the re-solves of ``"sharded:<engine>"`` requests (see
+    :func:`shard_solve`).  A push that changes nothing runs no solver and
+    records neither this event nor its span.
+    """
     emit(EVENT_STREAMING_PUSH, backend=backend, warm=warm)
 
 

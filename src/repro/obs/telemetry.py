@@ -11,7 +11,7 @@ single document shape describes any solve:
 * ``summary`` is the service's own flat summary, unchanged — existing
   consumers keep their fields;
 * ``cache`` carries ``CompiledCircuitCache.stats()`` where the service
-  has one (batch, streaming) and ``{}`` elsewhere, and the same numbers
+  has one (batch) and ``{}`` elsewhere, and the same numbers
   are mirrored into the registry as ``cache.*`` gauges when obs is on;
 * ``metrics`` is the process registry snapshot — probe counters and span
   latency histograms — so the one document also holds the solver-loop

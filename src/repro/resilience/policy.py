@@ -205,32 +205,23 @@ class RetryPolicy:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
 
-    def run(
-        self,
-        fn: Callable[[], "object"],
-        *,
-        describe: str = "",
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ):
+    def run(self, fn: Callable[[], "object"], *, describe: str = ""):
         """Call ``fn`` up to ``max_attempts`` times, backing off in between.
 
         Exceptions not matching ``retry_on`` — and every
-        :class:`SolveTimeoutError` — propagate immediately.  ``on_retry``
-        (if given) observes each failed attempt before its backoff sleep.
+        :class:`SolveTimeoutError` — propagate immediately.
         """
         for attempt in range(1, self.max_attempts + 1):
             try:
                 return fn()
             except SolveTimeoutError:
                 raise
-            except self.retry_on as exc:
+            except self.retry_on:
                 if attempt >= self.max_attempts:
                     raise
                 deadline = _ACTIVE_DEADLINE.get()
                 if deadline is not None and deadline.expired():
                     raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
                 probes.retry_attempt(describe, attempt)
                 delay = self.delay_for(attempt)
                 if deadline is not None and deadline.remaining() <= delay:

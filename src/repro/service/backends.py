@@ -254,7 +254,8 @@ class ShardedBackend(SolveBackend):
     substrate re-solves — and the :class:`~repro.shard.ShardCoordinator`
     stitches their cuts for at most ``options["max_iterations"]``
     subgradient iterations (default 60).  A failed shard solve is retried
-    once from a cold rebuild.
+    once; its failed push left the shard's session cold, so the retry
+    re-solves that shard from scratch.
 
     The answer is a *cut*: ``flow_value`` is the stitched cut value,
     ``edge_flows`` stays empty and ``detail`` is the

@@ -14,7 +14,7 @@ the solve cost of a hit collapses to the linear algebra itself.
 
 The cache is a thread-safe LRU: entries are evicted least-recently-used once
 ``max_entries`` is reached, and hit/miss/eviction counters feed the batch
-report and the streaming session summary.
+report.
 """
 
 from __future__ import annotations
@@ -172,8 +172,7 @@ class CompiledCircuitCache:
         """Hit/miss/eviction/size counters as a plain dictionary.
 
         Surfaced through :attr:`repro.service.api.BatchReport.cache_stats`
-        and the streaming session summary so production cache behaviour
-        (thrash, undersizing) is observable.
+        so production cache behaviour (thrash, undersizing) is observable.
         """
         with self._lock:
             return {

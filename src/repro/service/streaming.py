@@ -10,15 +10,17 @@ instead of a full recompile + refactorise:
   route through :class:`~repro.flows.incremental.IncrementalMaxFlow`:
   residual-graph repair on capacity decreases, warm-resumed augmentation on
   increases/inserts, cold cutover for large deltas;
-* the **analog backend** keeps one compiled circuit (with per-edge
+* the **analog backend** owns one compiled circuit (with per-edge
   re-programmable clamp sources) and re-solves capacity edits through
   :meth:`~repro.analog.solver.AnalogMaxFlowSolver.resolve` — a pure
   right-hand-side update against the cached base factorisation, with the
   induced diode flips applied as Sherman–Morrison–Woodbury rank-``k``
   corrections.  Structural batches (edge inserts, finite/infinite capacity
-  transitions) recompile through the shared
-  :class:`~repro.service.cache.CompiledCircuitCache`, keyed by
-  ``(topology_signature, structural_revision)`` plus the solver config.
+  transitions) recompile that circuit.
+
+The session is the one warm engine: the shard executor
+(:mod:`repro.shard.executor`) runs one per shard and pushes each
+subgradient step's multiplier edits into it.
 
 Push batches of typed events (:class:`~repro.graph.updates.CapacityUpdate`,
 :class:`~repro.graph.updates.EdgeInsert`,
@@ -38,10 +40,10 @@ Many independent sessions fan out over the usual worker pools with
 
 from __future__ import annotations
 
-import copy
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analog.solver import AnalogMaxFlowResult, AnalogMaxFlowSolver
 from ..errors import AlgorithmError, InfeasibleFlowError, ReproError, SolveTimeoutError
@@ -58,9 +60,12 @@ from ..resilience.policy import Deadline, deadline_scope
 from .api import SolveRequest, SolveResult
 from .backends import analog_readout
 from .batch import ParallelMap
-from .cache import CompiledCircuitCache, analog_config_signature
 
 __all__ = ["StreamingDelta", "StreamingSession", "push_all"]
+
+#: Minimum per-edge flow change reported in
+#: :attr:`StreamingDelta.changed_edge_flows`.
+DELTA_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -77,29 +82,51 @@ class StreamingDelta:
         Network revision this result corresponds to.
     warm:
         True when the solve reused previous state (incremental repair or
-        warm analog re-solve); False for cold solves and cutovers.
+        warm analog re-solve), or when the batch changed nothing and no
+        solver ran; False for cold solves and cutovers.
     recompiled:
-        True when the analog backend had to recompile the circuit
-        (structural batch or compiled-circuit cache miss).
-    flow_delta:
-        Change of the flow value relative to the previous revision.
-    changed_edge_flows:
-        ``edge_index -> (previous_flow, new_flow)`` for every edge whose
-        flow moved by more than ``delta_tolerance`` — the *delta view* a
-        downstream consumer (e.g. a traffic controller) acts on.
+        True when the analog backend had to recompile its circuit.
+    previous:
+        The result of the revision before this push, which
+        :attr:`flow_delta` and :attr:`changed_edge_flows` compare against.
     """
 
     result: SolveResult
     revision: int
     warm: bool
     recompiled: bool
-    flow_delta: float
-    changed_edge_flows: Dict[int, Tuple[float, float]] = field(default_factory=dict)
+    previous: SolveResult
 
     @property
     def flow_value(self) -> float:
         """Flow value of the new revision (shorthand for ``result.flow_value``)."""
         return self.result.flow_value
+
+    @property
+    def flow_delta(self) -> float:
+        """Change of the flow value relative to the previous revision."""
+        return self.result.flow_value - self.previous.flow_value
+
+    @cached_property
+    def changed_edge_flows(self) -> Dict[int, Tuple[float, float]]:
+        """``edge_index -> (previous_flow, new_flow)`` for every moved edge flow.
+
+        An edge counts when its flow moved by more than
+        :data:`DELTA_TOLERANCE`.  This is the *delta view* a downstream
+        consumer (e.g. a traffic controller) acts on; it is computed when
+        first read, so pushes whose caller never reads it skip the diff.
+        """
+        before = self.previous.edge_flows
+        after = self.result.edge_flows
+        changed: Dict[int, Tuple[float, float]] = {}
+        for index, new in after.items():
+            old = before.get(index, 0.0)
+            if abs(new - old) > DELTA_TOLERANCE:
+                changed[index] = (old, new)
+        for index, old in before.items():
+            if index not in after and abs(old) > DELTA_TOLERANCE:
+                changed[index] = (old, 0.0)
+        return changed
 
 
 class StreamingSession:
@@ -117,23 +144,14 @@ class StreamingSession:
         Dinic engine).
     analog_solver:
         Configured :class:`~repro.analog.solver.AnalogMaxFlowSolver` for the
-        analog backend.  Sessions need per-edge re-programmable clamps, so a
-        solver without ``dedicated_clamp_sources`` is re-instantiated with
-        the flag set (all other settings preserved).
-    cache:
-        :class:`~repro.service.cache.CompiledCircuitCache` shared across
-        sessions; compiled circuits are keyed by ``(topology signature,
-        structural revision, solver config)`` so sessions over the same
-        evolving topology share compilations.  Cached entries are never
-        mutated — each session resolves against a private deep copy, so
-        concurrent :func:`push_all` pushes stay isolated.  ``None`` creates
-        a private cache.
+        analog backend; its ``parameters`` set the drive voltage.  The
+        session always works on a private clone with per-edge
+        re-programmable clamps (all other settings preserved), so its
+        compiled circuit and persistent DC engine are never shared with
+        another session pushing concurrently.
     cold_ratio:
         Cutover heuristic: batches touching more than this fraction of the
         edges are solved cold.
-    delta_tolerance:
-        Minimum per-edge flow change reported in
-        :attr:`StreamingDelta.changed_edge_flows`.
     validate:
         Gate every pushed result through a feasibility check
         (:func:`~repro.resilience.failover.certify_flow_result`).  A warm
@@ -163,10 +181,7 @@ class StreamingSession:
         network: FlowNetwork,
         backend: str = "analog",
         analog_solver: Optional[AnalogMaxFlowSolver] = None,
-        cache: Optional[CompiledCircuitCache] = None,
         cold_ratio: float = 0.25,
-        delta_tolerance: float = 1e-9,
-        options: Optional[Dict[str, Any]] = None,
         validate: bool = False,
     ) -> None:
         if backend != "analog" and backend not in ALGORITHMS:
@@ -174,13 +189,10 @@ class StreamingSession:
             raise AlgorithmError(f"unknown streaming backend {backend!r}; known: {known}")
         self.backend = backend
         self.cold_ratio = cold_ratio
-        self.delta_tolerance = delta_tolerance
-        self.options = dict(options or {})
         self.validate = validate
-        self.cache = cache if cache is not None else CompiledCircuitCache(max_entries=8)
         self._mutable = MutableFlowNetwork(network, copy=True)
         self.warm_solves = 0
-        self.cold_solves = 0
+        self.cold_solves = 1  # the opening solve below
         self.degraded_pushes = 0
         self.recompiles = 0
         self.total_solve_time_s = 0.0
@@ -192,21 +204,11 @@ class StreamingSession:
         self._stale = False  # True after a failed push: _last is out of date
         if backend == "analog":
             solver = analog_solver if analog_solver is not None else AnalogMaxFlowSolver()
-            # Always clone: the session owns a private solver instance, so
-            # its persistent DC engine (cached base factorisation) is never
-            # shared with other sessions pushing concurrently.
             self.analog_solver = solver.with_dedicated_clamps()
             self._last = self._analog_solve(batch=None)
         else:
             self.analog_solver = None
-            self._incremental = IncrementalMaxFlow(
-                self._mutable, algorithm=backend, cold_ratio=cold_ratio
-            )
-            self.cold_solves += 1
-            self.total_solve_time_s += self._incremental.result.wall_time_s
-            self._last = self._as_solve_result(
-                self._incremental.result, warm=False
-            )
+            self._last = self._classical_solve(batch=None)
 
     # ------------------------------------------------------------------
     # Views
@@ -237,10 +239,13 @@ class StreamingSession:
         return self._mutable.snapshot()
 
     def summary(self) -> Dict[str, object]:
-        """Aggregate session statistics (cache behaviour included).
+        """Aggregate session statistics.
 
-        Mirrors :meth:`repro.service.api.BatchReport.summary` so dashboards
-        can consume batch and streaming telemetry uniformly.
+        Every solve — the opening one and each push that re-solved — is
+        counted once, in ``warm_solves`` or ``cold_solves`` by the path
+        that produced its answer, so ``pushes`` is their sum.  Mirrors
+        :meth:`repro.service.api.BatchReport.summary` so dashboards can
+        consume batch and streaming telemetry uniformly.
         """
         pushes = self.warm_solves + self.cold_solves
         return {
@@ -255,18 +260,18 @@ class StreamingSession:
             "flow_value": self.flow_value,
             "solve_time_total_s": self.total_solve_time_s,
             "session_age_s": time.perf_counter() - self._opened_at,
-            "cache": self.cache.stats(),
         }
 
     def telemetry(self) -> Dict[str, object]:
         """The unified ``repro.telemetry/v1`` document for this session.
 
         Same shape as :meth:`repro.service.api.BatchReport.telemetry` —
-        the session ``summary()`` plus compiled-circuit cache statistics,
-        the process metrics snapshot, and the ``slo``/``trace`` sections
-        (see :mod:`repro.obs.telemetry`).
+        the session ``summary()``, the process metrics snapshot, and the
+        ``slo``/``trace`` sections (see :mod:`repro.obs.telemetry`); the
+        ``cache`` section is empty, since a session owns its one compiled
+        circuit.
         """
-        return build_telemetry("streaming", self.summary(), cache=self.cache.stats())
+        return build_telemetry("streaming", self.summary())
 
     # ------------------------------------------------------------------
     # Update ingestion
@@ -286,6 +291,8 @@ class StreamingSession:
             :class:`~repro.graph.updates.EdgeInsert` /
             :class:`~repro.graph.updates.EdgeRemove` events, applied in
             order (see :meth:`repro.graph.updates.MutableFlowNetwork.apply`).
+            A batch that changes nothing returns the last result without
+            running a solver.
         deadline:
             Optional wall-clock budget (seconds or a
             :class:`~repro.resilience.policy.Deadline`) for this push.  On
@@ -301,7 +308,6 @@ class StreamingSession:
         """
         previous = self._last
         batch = self._mutable.apply(events)
-        recompiles_before = self.recompiles
         if batch.num_changed_edges == 0 and not self._stale:
             # Idempotent batch (values already current): nothing to re-solve,
             # and the telemetry must not re-count the previous solve.
@@ -310,8 +316,9 @@ class StreamingSession:
                 revision=batch.revision,
                 warm=True,
                 recompiled=False,
-                flow_delta=0.0,
+                previous=previous,
             )
+        recompiles_before = self.recompiles
         with span(
             "streaming.push", backend=self.backend, revision=batch.revision
         ) as sp, deadline_scope(
@@ -319,20 +326,38 @@ class StreamingSession:
         ):
             try:
                 if self.backend == "analog":
-                    result, warm = self._analog_push(batch)
+                    result = self._analog_push(batch)
                 else:
-                    result, warm = self._classical_push(batch)
+                    result = self._classical_solve(batch)
+                    if self.validate:
+                        certify_flow_result(
+                            self._mutable.network,
+                            result.flow_value,
+                            result.edge_flows,
+                            exact=True,
+                        )
             except ReproError:
                 # The events are already applied to the network; dropping the
                 # warm solver state keeps the session consistent — the next
                 # push (or a retry) rebuilds cold at the current revision.
                 self._invalidate()
                 raise
+            warm = result.cache_hit
+            if warm:
+                self.warm_solves += 1
+            else:
+                self.cold_solves += 1
             sp.set(warm=warm)
             probes.streaming_push(self.backend, warm)
         self._last = result
         self._stale = False
-        return self._delta(previous, result, batch, warm, recompiles_before)
+        return StreamingDelta(
+            result=result,
+            revision=batch.revision,
+            warm=warm,
+            recompiled=self.recompiles > recompiles_before,
+            previous=previous,
+        )
 
     def _invalidate(self) -> None:
         """Discard warm solver state after a failed push (session stays usable).
@@ -345,39 +370,8 @@ class StreamingSession:
         self._incremental = None
         self._stale = True
 
-    def _classical_push(self, batch: UpdateBatch) -> Tuple[SolveResult, bool]:
-        if self._incremental is None:
-            # A previous push died mid-solve: rebuild the engine cold at the
-            # current revision (the mutable network carries every batch).
-            self._incremental = IncrementalMaxFlow(
-                self._mutable, algorithm=self.backend, cold_ratio=self.cold_ratio
-            )
-            self.degraded_pushes += 1
-            self.cold_solves += 1
-            self.total_solve_time_s += self._incremental.result.wall_time_s
-            inc_result = self._incremental.result
-            warm = False
-        else:
-            repair_failures = self._incremental.repair_failures
-            inc_result = self._incremental.apply(batch)
-            if self._incremental.repair_failures > repair_failures:
-                self.degraded_pushes += 1
-            warm = inc_result.algorithm.startswith("incremental")
-            if warm:
-                self.warm_solves += 1
-            else:
-                self.cold_solves += 1
-            self.total_solve_time_s += inc_result.wall_time_s
-        result = self._as_solve_result(inc_result, warm=warm)
-        if self.validate:
-            certify_flow_result(
-                self._mutable.network, result.flow_value, result.edge_flows, exact=True
-            )
-        return result, warm
-
-    def _analog_push(self, batch: UpdateBatch) -> Tuple[SolveResult, bool]:
+    def _analog_push(self, batch: UpdateBatch) -> SolveResult:
         result = self._analog_solve(batch)
-        warm = result.cache_hit
         if self.validate:
             try:
                 certify_flow_result(
@@ -387,7 +381,7 @@ class StreamingSession:
                     exact=False,
                 )
             except InfeasibleFlowError:
-                if not warm:
+                if not result.cache_hit:
                     raise
                 # Corrupted warm answer: discard the warm state, re-solve
                 # cold once and insist the cold answer certifies.
@@ -395,21 +389,54 @@ class StreamingSession:
                 self._analog_previous = None
                 self.degraded_pushes += 1
                 result = self._analog_solve(batch)
-                warm = False
                 certify_flow_result(
                     self._mutable.network,
                     result.flow_value,
                     result.edge_flows,
                     exact=False,
                 )
-        return result, warm
+        return result
 
     # ------------------------------------------------------------------
     # Backend plumbing
     # ------------------------------------------------------------------
 
+    def _classical_solve(self, batch: Optional[UpdateBatch]) -> SolveResult:
+        """Solve the current revision classically (warm when the engine lives).
+
+        ``cache_hit`` on the returned result says whether it was warm.
+        """
+        if self._incremental is None:
+            if batch is not None:
+                # A previous push died mid-solve: rebuild the engine cold
+                # at the current revision (the mutable network carries
+                # every batch).
+                self.degraded_pushes += 1
+            self._incremental = IncrementalMaxFlow(
+                self._mutable, algorithm=self.backend, cold_ratio=self.cold_ratio
+            )
+            inc_result = self._incremental.result
+        else:
+            repair_failures = self._incremental.repair_failures
+            inc_result = self._incremental.apply(batch)
+            if self._incremental.repair_failures > repair_failures:
+                self.degraded_pushes += 1
+        self.total_solve_time_s += inc_result.wall_time_s
+        return SolveResult(
+            request=SolveRequest(network=self._mutable.network, backend=self.backend),
+            flow_value=inc_result.flow_value,
+            # The engine builds a fresh flow dict per apply; no copy needed.
+            edge_flows=inc_result.edge_flows,
+            wall_time_s=inc_result.wall_time_s,
+            cache_hit=inc_result.algorithm.startswith("incremental"),
+            detail=inc_result,
+        )
+
     def _analog_solve(self, batch: Optional[UpdateBatch]) -> SolveResult:
-        """Solve the current revision on the analog backend (warm when possible)."""
+        """Solve the current revision on the analog backend (warm when possible).
+
+        ``cache_hit`` on the returned result says whether it was warm.
+        """
         start = time.perf_counter()
         network = self._mutable.network
         structural = batch is None or batch.structural or self._compiled is None
@@ -421,7 +448,6 @@ class StreamingSession:
                 analog = self.analog_solver.resolve(
                     self._compiled, network=network, previous=self._analog_previous
                 )
-                self.warm_solves += 1
                 warm = True
             except SolveTimeoutError:
                 raise
@@ -433,32 +459,12 @@ class StreamingSession:
                 self.degraded_pushes += 1
                 structural = True
         if structural:
-            vflow_v = self.options.get("vflow_v")
-            key = (
-                self._mutable.topology_signature(),
-                self._mutable.structural_revision,
-                analog_config_signature(self.analog_solver),
-                vflow_v,
-                "streaming",
-            )
-            hit, compiled = self.cache.lookup(key)
-            if not hit:
-                compiled = self.analog_solver.compile(network, vflow_v=vflow_v)
-                compiled.mna()  # memoize the MNA system + stamp template
-                self.cache.store(key, compiled)
-                self.recompiles += 1
-            # resolve() mutates the compiled circuit in place (clamp values,
-            # quantization), so the session must own a private copy: the
-            # cached entry stays pristine for other sessions, which may be
-            # pushing concurrently (push_all).
-            self._compiled = copy.deepcopy(compiled)
-            # The private copy (or a cache hit of an older revision of this
-            # topology) may carry stale clamp values; re-sync them — a pure
-            # right-hand-side update.
+            self._compiled = self.analog_solver.compile(network)
+            self._compiled.mna()  # memoize the MNA system + stamp template
+            self.recompiles += 1
             analog = self.analog_solver.resolve(
                 self._compiled, network=network, previous=None
             )
-            self.cold_solves += 1
         self._analog_previous = analog
         elapsed = time.perf_counter() - start
         self.total_solve_time_s += elapsed
@@ -467,63 +473,15 @@ class StreamingSession:
             analog_recompiled=structural,
             analog_solve_s=elapsed,
         )
-        request = SolveRequest(
-            network=network, backend="analog", options=dict(self.options)
-        )
         # The readout builds a fresh flow dict per decode; no copy needed.
         flow_value, edge_flows = analog_readout(analog)
         return SolveResult(
-            request=request,
+            request=SolveRequest(network=network, backend="analog"),
             flow_value=flow_value,
             edge_flows=edge_flows,
             wall_time_s=elapsed,
             cache_hit=warm,
             detail=analog,
-        )
-
-    def _as_solve_result(self, inc_result, warm: bool) -> SolveResult:
-        request = SolveRequest(
-            network=self._mutable.network,
-            backend=self.backend,
-            options=dict(self.options),
-        )
-        return SolveResult(
-            request=request,
-            flow_value=inc_result.flow_value,
-            # The engine builds a fresh flow dict per apply; no copy needed.
-            edge_flows=inc_result.edge_flows,
-            wall_time_s=inc_result.wall_time_s,
-            cache_hit=warm,
-            detail=inc_result,
-        )
-
-    def _delta(
-        self,
-        previous: SolveResult,
-        current: SolveResult,
-        batch: UpdateBatch,
-        warm: bool,
-        recompiles_before: int,
-    ) -> StreamingDelta:
-        changed: Dict[int, Tuple[float, float]] = {}
-        tolerance = self.delta_tolerance
-        before_flows = previous.edge_flows
-        get_before = before_flows.get
-        for index, after in current.edge_flows.items():
-            before = get_before(index, 0.0)
-            if abs(after - before) > tolerance:
-                changed[index] = (before, after)
-        if len(before_flows) > len(current.edge_flows):  # pragma: no cover
-            for index, before in before_flows.items():
-                if index not in current.edge_flows and abs(before) > tolerance:
-                    changed[index] = (before, 0.0)
-        return StreamingDelta(
-            result=current,
-            revision=batch.revision,
-            warm=warm,
-            recompiled=self.recompiles > recompiles_before,
-            flow_delta=current.flow_value - previous.flow_value,
-            changed_edge_flows=changed,
         )
 
 

@@ -8,9 +8,10 @@ decomposition, generalising the two-way scheme of Section 6.4 / Strandmark
 * :mod:`~repro.shard.partition` — the multi-way overlapping partitioner
   (BFS / geometric vertex orderings, overlap bands between adjacent shard
   pairs, share-divided edge capacities preserving the objective sum);
-* :mod:`~repro.shard.executor` — parallel shard execution with per-shard
-  backend choice (classical algorithms or the analog substrate's warm
-  re-solve path) over the service executor layer;
+* :mod:`~repro.shard.executor` — parallel shard execution over the
+  service executor layer: every shard runs one engine (a classical
+  algorithm or the analog substrate) and re-solves warm through its own
+  :class:`~repro.service.streaming.StreamingSession`;
 * :mod:`~repro.shard.coordinator` — the projected-subgradient dual
   coordinator with chain consistency multipliers, stitched feasible cuts
   and bound-gap convergence.

@@ -25,18 +25,18 @@ iteration:
    one shard — yields feasible cuts, i.e. **upper bounds**; the cheapest is
    kept;
 4. multipliers move along the chain-disagreement subgradient with the
-   classic diminishing step ``initial_step * C / iteration``.
+   classic diminishing step ``INITIAL_STEP * C / iteration``.
 
 The solve stops when every chain agrees (strong duality then certifies the
 stitched cut as optimal for exact backends) or when the bound gap closes to
-``gap_tolerance``.
+``GAP_TOLERANCE``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..graph.network import FlowNetwork
 from ..obs import probes
@@ -47,6 +47,12 @@ from .partition import MultiwayPartition, partition_multiway
 __all__ = ["ShardCoordinator", "ShardOutcome"]
 
 Vertex = Hashable
+
+#: Initial subgradient step, scaled by the largest edge capacity and divided
+#: by the iteration number (the classic diminishing rule).
+INITIAL_STEP = 0.25
+#: Terminate once ``best_feasible - best_dual`` falls to this value.
+GAP_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -104,46 +110,27 @@ class ShardOutcome:
 class ShardCoordinator:
     """Coordinate N overlapping shard subproblems to a global min cut.
 
+    The instance is split by :func:`~repro.shard.partition.partition_multiway`
+    with its default BFS ordering and equal shard sizes.
+
     Parameters
     ----------
     num_shards:
         Number of shards (>= 2).
     max_iterations:
         Subgradient iteration budget.
-    initial_step:
-        Initial subgradient step, scaled by the largest edge capacity and
-        divided by the iteration number (the classic diminishing rule).
-    gap_tolerance:
-        Terminate once ``best_feasible - best_dual`` falls to this value.
-    partition_method:
-        Vertex-ordering heuristic of
-        :func:`~repro.shard.partition.partition_multiway`.
-    fractions:
-        Optional per-shard vertex fractions (see the partitioner).
     """
 
-    def __init__(
-        self,
-        num_shards: int = 2,
-        max_iterations: int = 60,
-        initial_step: float = 0.25,
-        gap_tolerance: float = 1e-9,
-        partition_method: str = "bfs",
-        fractions: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, num_shards: int = 2, max_iterations: int = 60) -> None:
         self.num_shards = num_shards
         self.max_iterations = max_iterations
-        self.initial_step = initial_step
-        self.gap_tolerance = gap_tolerance
-        self.partition_method = partition_method
-        self.fractions = fractions
 
     # ------------------------------------------------------------------
 
     def solve(
         self,
         network: FlowNetwork,
-        backend: Union[str, Sequence[str]] = "dinic",
+        backend: str = "dinic",
         executor: str = "thread",
         max_workers: Optional[int] = None,
         analog_solver=None,
@@ -157,7 +144,7 @@ class ShardCoordinator:
             The instance to solve.
         backend, executor, max_workers, analog_solver, retry:
             Passed through to :class:`~repro.shard.executor.ShardExecutor`
-            (per-shard backend choice, service executor layer, analog
+            (the engine every shard runs, service executor layer, analog
             template, per-shard retry policy).
 
         Returns
@@ -167,12 +154,7 @@ class ShardCoordinator:
             telemetry.
         """
         started = time.perf_counter()
-        partition = partition_multiway(
-            network,
-            self.num_shards,
-            method=self.partition_method,
-            fractions=self.fractions,
-        )
+        partition = partition_multiway(network, self.num_shards)
         overlap = sorted(partition.overlap, key=str)
         members: Dict[Vertex, Tuple[int, ...]] = {
             v: partition.membership[v] for v in overlap
@@ -223,7 +205,7 @@ class ShardCoordinator:
                 if disagreements == 0:
                     converged = True
                     break
-                if best_feasible - best_dual <= self.gap_tolerance:
+                if best_feasible - best_dual <= GAP_TOLERANCE:
                     converged = True
                     break
 
@@ -236,7 +218,7 @@ class ShardCoordinator:
                         there = vertex in solves[member_list[pos + 1]].source_side
                         if here != there:
                             links.append((vertex, pos, 1.0 if here else -1.0))
-                step = self.initial_step * capacity_scale / iteration
+                step = INITIAL_STEP * capacity_scale / iteration
                 for vertex, pos, direction in links:
                     # Ascend the dual: charging the copy that said "source"
                     # and rebating the one that said "sink" pushes the chain

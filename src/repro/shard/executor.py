@@ -1,26 +1,26 @@
-"""Parallel shard execution with per-shard backend choice.
+"""Parallel shard execution: one warm streaming session per shard.
 
-A :class:`ShardExecutor` owns one *solver state* per shard of a
+A :class:`ShardExecutor` owns one state per shard of a
 :class:`~repro.shard.partition.MultiwayPartition` and re-solves all shards
 once per subgradient iteration of the dual coordinator.  The crucial trick
 is how multipliers reach the subproblems: every overlap vertex ``v`` of a
 shard gets two pre-allocated *multiplier terminal edges* — ``v -> t``
 (charged when ``v`` lands on the source side) and ``s -> v`` (charged on
 the sink side) — so a multiplier update is a pure **capacity edit** on a
-fixed sparsity pattern.  That makes every backend's iteration-over-iteration
-path cheap:
+fixed sparsity pattern.
 
-* classical backends (any :data:`repro.flows.registry.ALGORITHMS` name)
-  repair the previous iteration's maximum flow through
-  :class:`~repro.flows.incremental.IncrementalMaxFlow` — the multiplier
-  edits are capacity changes, so the engine resumes instead of
-  re-solving the shard cold;
-* the ``"analog"`` backend compiles each shard **once** (dedicated
-  re-programmable clamp sources, no pruning) and re-solves every iteration
-  through :meth:`~repro.analog.solver.AnalogMaxFlowSolver.resolve` — clamp
-  re-programming is a right-hand-side edit against the cached base LU
-  factorisation, warm-started from the previous iteration's operating
-  point, exactly the streaming subsystem's warm path.
+That is exactly the warm re-solve contract of
+:class:`~repro.service.streaming.StreamingSession`, so every shard runs
+one.  The session opens on the shard's first solve inside the worker pool
+(one cold solve per shard per coordinator run), and each later
+subgradient step is one ``session.push`` of capacity edits: classical
+engines (any :data:`repro.flows.registry.ALGORITHMS` name) repair the
+previous maximum flow incrementally, and ``"analog"`` re-programs the
+clamp sources of the shard's one compiled circuit (no pruning, so the
+edge-to-clamp map stays total) against the cached base factorisation.  A
+step that changes none of a shard's multipliers returns the shard's last
+answer without running its engine.  The shard keeps only what is its own:
+the multiplier edges and the cut extraction from the session's flow.
 
 Shard solves of one iteration fan out over the service executor layer
 (:class:`~repro.service.batch.ParallelMap` thread pools); the pool persists
@@ -32,14 +32,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set
 
 from ..errors import DecompositionError
-from ..flows.incremental import IncrementalMaxFlow
 from ..flows.mincut import min_cut_from_flow
 from ..flows.registry import ALGORITHMS
 from ..graph.network import FlowNetwork
-from ..graph.updates import CapacityUpdate, MutableFlowNetwork
+from ..graph.updates import CapacityUpdate
 from ..obs import probes
 from ..obs.trace import span
 from ..resilience.faults import fault_point
@@ -50,8 +49,8 @@ __all__ = ["ShardSolve", "ShardExecutor"]
 
 Vertex = Hashable
 
-#: Backend names the executor accepts: every classical registry algorithm
-#: plus the analog warm-resolve pipeline.
+#: The substrate engine name; every other accepted name is a classical
+#: registry algorithm.
 ANALOG_BACKEND = "analog"
 
 
@@ -72,7 +71,9 @@ class ShardSolve:
     wall_time_s:
         Wall-clock of this shard's solve.
     warm:
-        True when the analog backend re-solved warm (no recompile).
+        True unless this solve ran cold: the shard's opening solve, a
+        cutover, or a re-solve after a failure.  A shard whose
+        multipliers did not change is warm and runs no solver.
     """
 
     shard: int
@@ -83,7 +84,7 @@ class ShardSolve:
 
 
 class _ShardState:
-    """Private solver state of one shard (augmented network + backend)."""
+    """One shard: augmented network, multiplier edges and its session."""
 
     def __init__(
         self,
@@ -95,6 +96,7 @@ class _ShardState:
     ) -> None:
         self.shard = shard
         self.backend = backend
+        self.analog_solver = analog_solver
         augmented = subproblem.snapshot()
         # Pre-allocate both multiplier terminal edges per overlap vertex so
         # later multiplier updates never change the sparsity pattern —
@@ -108,34 +110,30 @@ class _ShardState:
             self.sink_cost_edge[vertex] = augmented.add_edge(
                 augmented.source, vertex, 0.0
             ).index
-        self.mutable = MutableFlowNetwork(augmented, copy=False)
+        self._unopened = augmented  # the network until the session opens
+        self.session = None  # StreamingSession, opened by the first solve
+        self._events: List[CapacityUpdate] = []
         self.solves = 0
         self.warm_solves = 0
         self.solve_time_s = 0.0
-        self._pending: List[object] = []  # UpdateBatch queue for warm repair
-        # Classical warm state (lazy: the engine's constructor cold-solves).
-        self._incremental: Optional[IncrementalMaxFlow] = None
-        # Analog-only state.
-        self.analog_solver = analog_solver
-        self.compiled = None
-        self.previous = None
 
     @property
     def augmented(self) -> FlowNetwork:
         """The live augmented shard network (subproblem + multiplier edges)."""
-        return self.mutable.network
+        return self._unopened if self.session is None else self.session.network
 
     # ------------------------------------------------------------------
 
     def apply_coefficients(self, coefficients: Dict[Vertex, float]) -> int:
-        """Program the multiplier edges to realise ``w_v * x_v`` costs.
+        """Stage the multiplier edge capacities realising ``w_v * x_v`` costs.
 
         A positive coefficient ``w`` charges ``w`` when ``v`` sits on the
         source side (the ``v -> t`` edge is then cut); a negative one
-        charges ``|w|`` on the sink side (the ``s -> v`` edge).  Returns the
-        number of capacities actually changed.
+        charges ``|w|`` on the sink side (the ``s -> v`` edge).  The next
+        :meth:`solve` applies the staged edits.  Returns the number of
+        capacities that change.
         """
-        network = self.mutable.network
+        network = self.augmented
         events: List[CapacityUpdate] = []
         for vertex, source_index in self.source_cost_edge.items():
             w = coefficients.get(vertex, 0.0)
@@ -146,32 +144,40 @@ class _ShardState:
             sink_index = self.sink_cost_edge[vertex]
             if network.edge(sink_index).capacity != sink_cap:
                 events.append(CapacityUpdate(sink_index, sink_cap))
-        if events:
-            self._pending.append(self.mutable.apply(events))
+        self._events = events
         return len(events)
 
-    def reset(self) -> None:
-        """Drop all warm state so the next solve rebuilds cold.
-
-        Called between retry attempts: a failure can leave the incremental
-        engine / analog operating point half-updated, and a cold rebuild
-        only depends on the (consistent) augmented network.
-        """
-        self._pending.clear()
-        self._incremental = None
-        self.compiled = None
-        self.previous = None
-
     def solve(self) -> ShardSolve:
-        """Solve the current augmented shard network with its backend."""
+        """Apply the staged edits and solve the shard through its session.
+
+        A failed push leaves the session cold, so calling this again after
+        a failure re-solves the edited shard from scratch.
+        """
         fault_point("shard-solve", self.backend)
         start = time.perf_counter()
         with span("shard.solve", shard=str(self.shard), backend=self.backend) as sp:
-            if self.backend == ANALOG_BACKEND:
-                value, side, warm = self._solve_analog()
+            if self.session is None:
+                from ..service.streaming import StreamingSession
+
+                for event in self._events:
+                    self._unopened.set_capacity(event.edge_index, event.capacity)
+                self.session = StreamingSession(
+                    self._unopened, backend=self.backend, analog_solver=self.analog_solver
+                )
+                self._unopened = None  # the session holds its own copy
+                warm = False
             else:
-                value, side, warm = self._solve_classical()
+                warm = self.session.push(self._events).warm
+            self._events = []
             sp.set(warm=warm)
+            network = self.session.network
+            result = self.session.result
+            if self.backend == ANALOG_BACKEND:
+                value = result.flow_value
+                side = _source_side_from_flows(network, result.edge_flows)
+            else:
+                cut = min_cut_from_flow(network, result.detail)
+                value, side = cut.cut_value, set(cut.source_side)
         elapsed = time.perf_counter() - start
         probes.shard_solve(self.backend, warm)
         self.solves += 1
@@ -185,48 +191,6 @@ class _ShardState:
             wall_time_s=elapsed,
             warm=warm,
         )
-
-    # ------------------------------------------------------------------
-
-    def _solve_classical(self) -> Tuple[float, Set[Vertex], bool]:
-        network = self.mutable.network
-        # Multiplier updates were capacity edits, so the engine repairs the
-        # previous maximum flow instead of re-solving cold.
-        warm = self._incremental is not None
-        if self._incremental is None:
-            self._pending.clear()
-            self._incremental = IncrementalMaxFlow(self.mutable, algorithm=self.backend)
-            flow = self._incremental.result
-        else:
-            flow = self._incremental.result
-            for batch in self._pending:
-                flow = self._incremental.apply(batch)
-            self._pending.clear()
-            warm = flow.algorithm.startswith("incremental")
-        cut = min_cut_from_flow(network, flow)
-        return cut.cut_value, set(cut.source_side), warm
-
-    def _solve_analog(self) -> Tuple[float, Set[Vertex], bool]:
-        network = self.mutable.network
-        self._pending.clear()
-        warm = self.compiled is not None
-        if self.compiled is None:
-            self.compiled = self.analog_solver.compile(network)
-            self.compiled.mna()  # memoize the MNA system + stamp template
-            result = self.analog_solver.resolve(
-                self.compiled, network=network, previous=None
-            )
-        else:
-            # Multiplier updates were pure capacity edits: re-program the
-            # clamp sources (an RHS update against the cached base LU) and
-            # warm-start the diode iteration from the previous operating
-            # point.
-            result = self.analog_solver.resolve(
-                self.compiled, network=network, previous=self.previous
-            )
-        self.previous = result
-        side = _source_side_from_flows(network, result.edge_flows)
-        return result.flow_value, side, warm
 
 
 def _source_side_from_flows(
@@ -273,7 +237,7 @@ class ShardExecutor:
     partition:
         The :class:`~repro.shard.partition.MultiwayPartition` to execute.
     backend:
-        Backend name, or one name per shard: any classical algorithm from
+        The engine every shard runs: any classical algorithm from
         :data:`repro.flows.registry.ALGORITHMS`, or ``"analog"`` for the
         substrate pipeline with warm re-solves.
     executor:
@@ -283,20 +247,21 @@ class ShardExecutor:
         Pool width; defaults to ``min(num_shards, service default)``.
     analog_solver:
         Template :class:`~repro.analog.solver.AnalogMaxFlowSolver` for
-        analog shards.  Each shard clones it with dedicated clamp sources
-        and pruning disabled (both required for warm re-solves on a stable
-        edge-to-clamp mapping).
+        analog shards; its ``parameters`` set the drive voltage.  Each
+        shard's session solves on a private clone with dedicated clamp
+        sources and pruning disabled (both required for warm re-solves on
+        a stable edge-to-clamp mapping).
     retry:
         Optional :class:`~repro.resilience.policy.RetryPolicy` for failed
-        shard solves: each retry first drops the shard's warm state so the
-        attempt rebuilds cold from the consistent augmented network.
-        Timeouts are never retried.
+        shard solves.  A failed push leaves the shard's session cold, so a
+        retry re-solves the edited shard from scratch.  Timeouts are never
+        retried.
     """
 
     def __init__(
         self,
         partition: MultiwayPartition,
-        backend: Union[str, Sequence[str]] = "dinic",
+        backend: str = "dinic",
         executor: str = "thread",
         max_workers: Optional[int] = None,
         analog_solver=None,
@@ -304,24 +269,18 @@ class ShardExecutor:
     ) -> None:
         from ..service.batch import ParallelMap, _default_max_workers
 
-        num_shards = partition.num_shards
-        if isinstance(backend, str):
-            backends = [backend] * num_shards
-        else:
-            backends = list(backend)
-            if len(backends) != num_shards:
-                raise DecompositionError(
-                    f"got {len(backends)} backends for {num_shards} shards"
-                )
-        for name in backends:
-            if name != ANALOG_BACKEND and name not in ALGORITHMS:
-                known = ", ".join([ANALOG_BACKEND] + sorted(ALGORITHMS))
-                raise DecompositionError(
-                    f"unknown shard backend {name!r}; known: {known}"
-                )
+        if backend != ANALOG_BACKEND and backend not in ALGORITHMS:
+            known = ", ".join([ANALOG_BACKEND] + sorted(ALGORITHMS))
+            raise DecompositionError(
+                f"unknown shard backend {backend!r}; known: {known}"
+            )
+        analog = None
+        if backend == ANALOG_BACKEND:
+            analog = _shard_analog_solver(analog_solver)
 
+        num_shards = partition.num_shards
         self.partition = partition
-        self.backends = backends
+        self.backend = backend
         self.retry = retry
         if max_workers is None:
             max_workers = min(num_shards, _default_max_workers())
@@ -331,9 +290,6 @@ class ShardExecutor:
 
         self._states: List[_ShardState] = []
         for shard in range(num_shards):
-            analog = None
-            if backends[shard] == ANALOG_BACKEND:
-                analog = _shard_analog_solver(analog_solver)
             overlap_here = sorted(
                 (v for v in partition.overlap if v in partition.sides[shard]),
                 key=str,
@@ -343,7 +299,7 @@ class ShardExecutor:
                     shard=shard,
                     subproblem=partition.subproblems[shard],
                     overlap_vertices=overlap_here,
-                    backend=backends[shard],
+                    backend=backend,
                     analog_solver=analog,
                 )
             )
@@ -399,15 +355,7 @@ class ShardExecutor:
         retry = self.retry
 
         def solve_state(state: _ShardState) -> ShardSolve:
-            if retry is None:
-                return state.solve()
-            # run() owns the attempt budget; each failed attempt drops the
-            # shard's warm state so the next one rebuilds cold (timeouts
-            # propagate immediately, never retried).
-            return retry.run(
-                state.solve,
-                on_retry=lambda attempt, exc: state.reset(),
-            )
+            return state.solve() if retry is None else retry.run(state.solve)
 
         return self._pool.map(
             solve_state, self._states, describe=lambda s: f"shard {s.shard} ({s.backend})"
@@ -425,14 +373,15 @@ class ShardExecutor:
 
 
 def _shard_analog_solver(template):
-    """Clone an analog solver template for one shard's warm re-solve loop.
+    """Clone an analog solver template for the shards' warm re-solve loops.
 
-    The clone forces ``dedicated_clamp_sources=True`` and ``prune=False``
-    (both required for warm re-solves on a stable edge-to-clamp mapping).
-    Adaptive drive is incompatible with the warm :meth:`resolve` path — it
-    would recompile at escalating drives every iteration — so a template
-    requesting it is rejected loudly rather than silently biased: pick a
-    fixed ``vflow_v`` above the instance's max-flow scale instead.
+    The clone forces ``prune=False`` (each session adds dedicated clamp
+    sources to its own copy; both are required for warm re-solves on a
+    stable edge-to-clamp mapping).  Adaptive drive is incompatible with
+    the warm :meth:`resolve` path — it would recompile at escalating
+    drives every iteration — so a template requesting it is rejected
+    loudly rather than silently biased: pick a fixed ``vflow_v`` above the
+    instance's max-flow scale instead.
     """
     from ..analog.solver import AnalogMaxFlowSolver
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro import FlowNetwork, errors, grid_graph
 from repro.analog import AnalogMaxFlowSolver
+from repro.config import SubstrateParameters
 from repro.errors import (
     AlgorithmError,
     CertificateError,
@@ -60,14 +61,15 @@ def analog_session(network, **kwargs):
     """Streaming session on the compiled/resolve analog path.
 
     ``resolve()`` reuses the compiled drive voltage (adaptive drive only
-    applies in ``solve()``), so the session needs an explicit ``vflow_v``
-    big enough for the instance — 6 V saturates a unit-capacity grid.
+    applies in ``solve()``), so the session's unquantized solver sets a
+    drive big enough for the instance — 6 V saturates a unit-capacity grid.
     """
     return StreamingSession(
         network,
         backend="analog",
-        analog_solver=certificate_grade_analog(),
-        options={"vflow_v": 6.0},
+        analog_solver=AnalogMaxFlowSolver(
+            quantize=False, parameters=SubstrateParameters(vflow_v=6.0)
+        ),
         **kwargs,
     )
 
@@ -409,6 +411,23 @@ class TestStreamingMatrix:
         reference = Dinic().solve(session.snapshot()).flow_value
         assert delta.flow_value == pytest.approx(reference, rel=ANALOG_RTOL)
 
+    def test_validated_recovery_counts_the_push_once(self):
+        session = analog_session(
+            grid_graph(3, 4, capacity=1.0, seed=11), validate=True
+        )
+        assert session.summary()["pushes"] == 1
+        with inject_faults(
+            "kind=corrupt,site=analog-readout,relative_error=0.5,times=1"
+        ):
+            delta = session.push([CapacityUpdate(0, 0.5)])
+        # The warm answer failed certification; the cold re-solve that
+        # replaced it is the one solve this push counts.
+        summary = session.summary()
+        assert not delta.warm
+        assert summary["pushes"] == 2
+        assert (summary["warm_solves"], summary["cold_solves"]) == (0, 2)
+        assert summary["degraded_pushes"] == 1
+
     def test_persistent_corruption_raises_typed_never_silent(self):
         session = analog_session(
             grid_graph(3, 4, capacity=1.0, seed=11), validate=True
@@ -472,6 +491,28 @@ class TestShardedMatrix:
             result = service.solve(network, backend="sharded:dinic", shards=2)
         assert not result.degraded
         assert result.flow_value == pytest.approx(reference, abs=EXACT)
+
+    @pytest.mark.parametrize("failover", [False, True])
+    def test_analog_shard_readouts_pass_the_corrupt_hook(self, failover):
+        network = grid_graph(3, 6, capacity=4.0, seed=5, capacity_jitter=0.2)
+        exact = Dinic().solve(network).flow_value
+        service = BatchSolveService(executor="serial", failover=failover)
+        with inject_faults(
+            "kind=corrupt,site=analog-readout,relative_error=0.5,times=0"
+        ):
+            result = service.solve(network, backend="sharded:analog", shards=2)
+        # Inflated shard values lift the dual bound above the stitched cut,
+        # so the bound bracket rejects the sharded answer.
+        if failover:
+            assert result.ok and result.degraded
+            assert result.backend == DEFAULT_EXACT_ALGORITHM
+            assert result.failover_trail[0].startswith(
+                "sharded:analog#1: DecompositionError"
+            )
+            assert result.flow_value == pytest.approx(exact, abs=EXACT)
+        else:
+            assert not result.ok and not result.degraded
+            assert result.error_type == "DecompositionError"
 
     def test_without_failover_fails_typed(self, network):
         service = BatchSolveService(executor="serial")

@@ -199,20 +199,6 @@ class TestRetryPolicy:
                 policy.run(always)
         assert slept == []  # never slept into the expired budget
 
-    def test_on_retry_observes_each_failed_attempt(self):
-        observed = []
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, sleep=lambda s: None)
-        state = {"n": 0}
-
-        def flaky():
-            state["n"] += 1
-            if state["n"] < 3:
-                raise ConvergenceError(f"fail {state['n']}")
-            return "ok"
-
-        policy.run(flaky, on_retry=lambda attempt, exc: observed.append(attempt))
-        assert observed == [1, 2]
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)

@@ -435,23 +435,13 @@ class TestStreamingSession:
         delta = session.push([EdgeRemove(0)])  # tombstone: stays warm
         assert delta.warm and not delta.recompiled
 
-    def test_structural_recompiles_hit_shared_cache(self):
-        g = rmat_graph(20, 70, seed=11)
-        cache = CompiledCircuitCache(max_entries=8)
-        solver = AnalogMaxFlowSolver(quantize=False)
-        first = StreamingSession(g, backend="analog", analog_solver=solver, cache=cache)
-        second = StreamingSession(g, backend="analog", analog_solver=solver, cache=cache)
-        assert cache.stats()["hits"] == 1  # second session reused the compile
-        assert second.recompiles == 0
-
     def test_sessions_never_share_mutable_state(self):
-        # resolve() mutates the compiled circuit in place, so cached entries
-        # must stay pristine and each session must own private copies.
+        # resolve() mutates the compiled circuit in place, so each session
+        # must own its compiled circuit and solver.
         g = rmat_graph(20, 70, seed=11)
-        cache = CompiledCircuitCache(max_entries=8)
         solver = AnalogMaxFlowSolver(quantize=False)
-        a = StreamingSession(g, backend="analog", analog_solver=solver, cache=cache)
-        b = StreamingSession(g, backend="analog", analog_solver=solver, cache=cache)
+        a = StreamingSession(g, backend="analog", analog_solver=solver)
+        b = StreamingSession(g, backend="analog", analog_solver=solver)
         assert a._compiled is not b._compiled
         assert a.analog_solver is not b.analog_solver
         a.push([CapacityUpdate(0, g.edge(0).capacity * 5)])
@@ -499,13 +489,12 @@ class TestStreamingSession:
         assert set(delta.changed_edge_flows) == {0, 1}
         assert delta.changed_edge_flows[1] == (2.0, 0.5)
 
-    def test_summary_surfaces_cache_stats(self):
+    def test_summary_counts_the_opening_solve(self):
         g = rmat_graph(15, 40, seed=2)
         session = StreamingSession(
             g, backend="analog", analog_solver=AnalogMaxFlowSolver(quantize=False)
         )
         summary = session.summary()
-        assert {"hits", "misses", "evictions"} <= set(summary["cache"])
         assert summary["pushes"] == 1 and summary["cold_solves"] == 1
 
     def test_push_all_fans_out(self):

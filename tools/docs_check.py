@@ -7,8 +7,10 @@ Two gates, both hard failures:
    ``docs/*.md`` must point at an existing file or directory, and an
    ``#anchor`` on a markdown target must match a heading in that file.
 2. **Docstring coverage** — every public module, class, function and method
-   in ``repro.service`` must carry a docstring (the service is the
-   documented front door; its API surface may not grow undocumented).
+   in ``repro.service`` and ``repro.shard`` must carry a docstring (the
+   service is the documented front door and the shard layer runs behind
+   its ``"sharded:<engine>"`` backend; neither API surface may grow
+   undocumented).
 
 Exit status 0 when clean, 1 with a findings list otherwise.
 """
@@ -26,7 +28,7 @@ sys.path.insert(0, str(SRC))
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
-DOCSTRING_PACKAGES = ["repro.service"]
+DOCSTRING_PACKAGES = ["repro.service", "repro.shard"]
 
 
 def heading_anchors(markdown: str) -> set:
