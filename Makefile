@@ -7,6 +7,7 @@ export PYTHONPATH := src
 # Modules whose docstring examples are part of the documented API surface.
 DOCTEST_MODULES := src/repro/service \
 	src/repro/flows/incremental.py \
+	src/repro/flows/kernel.py \
 	src/repro/flows/registry.py \
 	src/repro/analog/solver.py \
 	src/repro/circuit/linsolve.py \

@@ -27,6 +27,28 @@ uncapacitated arcs keep their ``INFINITY`` residual because
 ``inf - x == inf`` matches the reference's explicit skip in
 :meth:`ResidualNetwork.push`.
 
+Fused solves
+------------
+Several same-shape networks queued to solve one after another (the
+serving front door's classical lane, see
+:class:`~repro.service.server.AsyncSolveServer`) can share one kernel
+call.  Each member solves inside its own :func:`fusion_scope` over one
+shared :class:`FusedSolves`; the first member to reach
+:meth:`KernelDinic.solve` lowers itself and every later member not yet
+solved, joins them behind a super source and sink (one ``S*→s_k`` and one
+``t_k→T*`` arc per member) and runs :meth:`FlatResidual.max_flow` once.
+The union's max flow restricted to one member's edges is a max flow of
+that member, because the members share no vertex but ``S*`` and ``T*``.
+Later members read their share.  Two rules keep the union exact:
+
+* ``eps`` and ``tol`` are global to one :class:`FlatResidual`, so inside
+  the union every member is scaled by a power of two that brings its
+  largest capacity into ``[0.5, 1)``, and its flows are scaled back
+  exactly (unscaled, a member far smaller than its neighbours falls
+  under their saturation threshold and loses its flow);
+* a network with an uncapacitated edge is solved alone: its finite
+  surrogate source push depends on every capacity in the residual.
+
 Selection
 ---------
 :class:`KernelDinic` registers as ``"kernel"`` in
@@ -38,9 +60,12 @@ back from ``"kernel"`` to ``"dinic"`` runs a different engine.
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +82,7 @@ from .base import (
     validate_max_flow,
 )
 
-__all__ = ["FlatResidual", "KernelDinic"]
+__all__ = ["FlatResidual", "FusedSolves", "KernelDinic", "fusion_scope"]
 
 
 class FlatResidual:
@@ -122,6 +147,22 @@ class FlatResidual:
         tails = np.fromiter((index[e.tail] for e in edges), dtype=np.int64, count=count)
         heads = np.fromiter((index[e.head] for e in edges), dtype=np.int64, count=count)
         caps = np.fromiter((e.capacity for e in edges), dtype=np.float64, count=count)
+        return cls._from_edges(
+            len(vertices), index[network.source], index[network.sink], tails, heads, caps
+        )
+
+    @classmethod
+    def _from_edges(
+        cls,
+        num_vertices: int,
+        source: int,
+        sink: int,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        caps: np.ndarray,
+    ) -> "FlatResidual":
+        """Flat residual of an edge list: edge ``k`` owns arcs ``2k``, ``2k + 1``."""
+        count = tails.shape[0]
         arc_tail = np.empty(2 * count, dtype=np.int64)
         arc_tail[0::2] = tails
         arc_tail[1::2] = heads
@@ -130,14 +171,7 @@ class FlatResidual:
         arc_head[1::2] = tails
         residual = np.zeros(2 * count, dtype=np.float64)
         residual[0::2] = caps
-        return cls(
-            len(vertices),
-            index[network.source],
-            index[network.sink],
-            arc_tail,
-            arc_head,
-            residual,
-        )
+        return cls(num_vertices, source, sink, arc_tail, arc_head, residual)
 
     @classmethod
     def from_residual(cls, residual: ResidualNetwork) -> "FlatResidual":
@@ -460,6 +494,151 @@ def _segmented_fill(
     return np.clip(want, 0.0, avail)
 
 
+#: One kernel answer: per-edge flows, sweep count and operation counters.
+_Share = Tuple[Dict[int, float], int, OperationCounter]
+
+_FUSION: ContextVar[Optional[Tuple["FusedSolves", int]]] = ContextVar(
+    "repro_kernel_fusion", default=None
+)
+
+
+class FusedSolves:
+    """Networks solved one after another, fused into one kernel call.
+
+    See the module notes.  The union runs under the deadline ambient for
+    the member that runs it; a union that raises stores nothing, so only
+    that member fails and the next one to arrive fuses the rest again
+    under its own budget.
+
+    Examples
+    --------
+    >>> from repro import FlowNetwork
+    >>> from repro.flows.kernel import FusedSolves, KernelDinic, fusion_scope
+    >>> small, large = FlowNetwork(), FlowNetwork()
+    >>> _ = small.add_edge("s", "t", 0.5)
+    >>> _ = large.add_edge("s", "a", 4000.0)
+    >>> _ = large.add_edge("a", "t", 3000.0)
+    >>> group = FusedSolves([small, large])
+    >>> with fusion_scope(group, 0):  # solves both networks in one call
+    ...     first = KernelDinic().solve(small)
+    >>> with fusion_scope(group, 1):  # reads its share of that call
+    ...     second = KernelDinic().solve(large, validate=True)
+    >>> first.flow_value, second.flow_value, group.fused
+    (0.5, 3000.0, 1)
+    """
+
+    def __init__(self, networks: Sequence[FlowNetwork]) -> None:
+        self.networks = list(networks)
+        #: Members answered from a union another member ran.
+        self.fused = 0
+        self._shares: Dict[int, _Share] = {}
+
+    def solve(self, member: int) -> _Share:
+        """Member ``member``'s answer: its share, or a union it runs."""
+        share = self._shares.pop(member, None)
+        if share is not None:
+            check_deadline("kernel fused share")
+            self.fused += 1
+            return share
+        flat = FlatResidual.from_network(self.networks[member])
+        members, flats = [member], [flat]
+        if _fusable(flat):
+            for later in range(member + 1, len(self.networks)):
+                if later in self._shares:
+                    continue
+                other = FlatResidual.from_network(self.networks[later])
+                if _fusable(other):
+                    members.append(later)
+                    flats.append(other)
+        if len(members) == 1:
+            return _solve_flat(flat)
+        union, layout = _fuse(flats)
+        sweeps = union.max_flow()
+        annotate_span(
+            kernel_sweeps=sweeps,
+            kernel_pushes=union.counter.pushes,
+            kernel_relabels=union.counter.relabels,
+            kernel_fused=len(members),
+        )
+        reverse = union.residual[1::2]
+        shares = [
+            (dict(enumerate((reverse[first : first + count] * scale).tolist())),
+             sweeps, union.counter)
+            for first, count, scale in layout
+        ]
+        self._shares.update(zip(members[1:], shares[1:]))
+        return shares[0]
+
+
+@contextmanager
+def fusion_scope(group: FusedSolves, member: int) -> Iterator[None]:
+    """Solve as member ``member`` of ``group`` for the ``with`` block.
+
+    A context variable like :func:`~repro.resilience.policy.deadline_scope`,
+    so a caller that hops threads re-enters it in the worker.  Only a
+    :meth:`KernelDinic.solve` of the member's own network object goes
+    through the group.
+    """
+    token = _FUSION.set((group, member))
+    try:
+        yield
+    finally:
+        _FUSION.reset(token)
+
+
+def _fusable(flat: FlatResidual) -> bool:
+    """Whether a lowered network may join a union (see the module notes)."""
+    return flat.source != flat.sink and bool(np.isfinite(flat.residual).all())
+
+
+def _fuse(flats: List[FlatResidual]) -> Tuple[FlatResidual, List[Tuple[int, int, float]]]:
+    """Disjoint union of ``flats`` behind super source 0 and super sink 1.
+
+    Member ``k``'s vertices are shifted past the members before it, and
+    its ``S*→s_k`` and ``t_k→T*`` arcs carry its source out-capacity and
+    sink in-capacity, which bound none of its cuts.  Returns the union
+    and, per member, ``(first edge, edge count, scale)``.
+    """
+    tails, heads, caps, layout = [], [], [], []
+    super_tails, super_heads, super_caps = [], [], []
+    vertex, edge = 2, 0
+    for flat in flats:
+        cap = flat.residual[0::2]
+        top = float(cap.max()) if cap.size else 0.0
+        scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
+        cap = cap / scale
+        tail, head = flat.arc_tail[0::2], flat.arc_head[0::2]
+        tails.append(tail + vertex)
+        heads.append(head + vertex)
+        caps.append(cap)
+        super_tails += [0, flat.sink + vertex]
+        super_heads += [flat.source + vertex, 1]
+        super_caps += [cap[tail == flat.source].sum(), cap[head == flat.sink].sum()]
+        layout.append((edge, cap.shape[0], scale))
+        vertex += flat.num_vertices
+        edge += cap.shape[0]
+    union = FlatResidual._from_edges(
+        vertex,
+        0,
+        1,
+        np.concatenate(tails + [np.asarray(super_tails, dtype=np.int64)]),
+        np.concatenate(heads + [np.asarray(super_heads, dtype=np.int64)]),
+        np.concatenate(caps + [np.asarray(super_caps, dtype=np.float64)]),
+    )
+    return union, layout
+
+
+def _solve_flat(flat: FlatResidual) -> _Share:
+    """Solve one lowered network alone."""
+    sweeps = flat.max_flow()
+    annotate_span(
+        kernel_sweeps=sweeps,
+        kernel_pushes=flat.counter.pushes,
+        kernel_relabels=flat.counter.relabels,
+    )
+    return flat.edge_flows(), sweeps, flat.counter
+
+
 class KernelDinic(FlowAlgorithm):
     """The flat-array kernel, registered as ``"kernel"``.
 
@@ -476,24 +655,25 @@ class KernelDinic(FlowAlgorithm):
     name = "kernel"
 
     def solve(self, network: FlowNetwork, validate: bool = False) -> MaxFlowResult:
-        """Solve on flat arrays end to end (no object residual is built)."""
+        """Solve on flat arrays end to end (no object residual is built).
+
+        Inside a :func:`fusion_scope` whose member is ``network`` itself,
+        the answer comes from that member's :class:`FusedSolves` group.
+        """
         start = time.perf_counter()
-        flat = FlatResidual.from_network(network)
-        phases = flat.max_flow()
-        edge_flows = flat.edge_flows()
+        scoped = _FUSION.get()
+        if scoped is not None and scoped[0].networks[scoped[1]] is network:
+            edge_flows, phases, counter = scoped[0].solve(scoped[1])
+        else:
+            edge_flows, phases, counter = _solve_flat(FlatResidual.from_network(network))
         elapsed = time.perf_counter() - start
         result = MaxFlowResult(
             flow_value=network.flow_value(edge_flows),
             edge_flows=edge_flows,
             algorithm=self.name,
-            operations=flat.counter,
+            operations=counter,
             wall_time_s=elapsed,
             iterations=phases,
-        )
-        annotate_span(
-            kernel_sweeps=phases,
-            kernel_pushes=flat.counter.pushes,
-            kernel_relabels=flat.counter.relabels,
         )
         if validate:
             validate_max_flow(network, result)

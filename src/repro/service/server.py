@@ -4,7 +4,7 @@
 below it (:class:`~repro.service.batch.BatchSolveService` and the backend
 registry) solves whatever it is handed, so under duplicate-heavy,
 bursty, deadline-bound load the server — not the solvers — must decide
-what actually runs.  Three mechanisms, all deterministic under an
+what actually runs.  Four mechanisms, all deterministic under an
 injected clock and injectable ``solve_fn`` so every concurrency property
 is pinned by ``tests/test_server.py`` without sleeps:
 
@@ -34,10 +34,30 @@ is pinned by ``tests/test_server.py`` without sleeps:
   classical default, ``DEFAULT_EXACT_ALGORITHM`` (the ``"kernel"``
   engine).  This is the paper's analog-vs-exact latency
   trade-off made into a routing decision, and what is left of the
-  deadline at dispatch rides into the solver (``deadline_s`` option → one
+  deadline just before the solve rides into the solver (``deadline_s`` option → one
   cooperative :func:`~repro.resilience.policy.deadline_scope` around the
   whole failover chain walk, which aborts between stages once the budget
   is spent).
+
+* **One exact lane.**  Every request routed to a classical engine (an
+  :data:`~repro.flows.registry.ALGORITHMS` name) runs on one lane, one
+  solve at a time: those solves are interpreter-bound, so two of them on
+  two threads only slow each other down.  When the lane frees, the
+  worker that takes it also drains up to three more queued requests, in
+  queue order, routed to the same engine and whose networks have the
+  head's vertex and edge counts and priority.  Each member of that group
+  still runs its own path (service → failover → backend → engine), with
+  its budget re-derived on the server clock just before its own solve,
+  and is answered as soon as that solve returns; a member whose budget is
+  spent by then answers 504 without running.  The group shares one
+  :class:`~repro.flows.kernel.FusedSolves` scope, so on the kernel the
+  first member to solve runs the whole group as one union and the later
+  members read their share (counted in ``stats()["fused"]``).  Members
+  run loosest budget first, so the union is never cut short by a tighter
+  member's deadline.  The lane's next turn waits until the group's
+  callers have their answers, so a caller that submits again on receipt
+  is queued for it.  Analog and ``"sharded:*"`` requests stay off the
+  lane and run concurrently, each as a group of one.
 
 Statuses follow HTTP conventions: 200 served (the result may still be a
 typed ``ok=False`` failure-free report), 500 typed solve failure, 503
@@ -47,14 +67,15 @@ shed by admission control, 504 deadline expired (in queue or in solve).
 from __future__ import annotations
 
 import asyncio
-import heapq
 import inspect
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmError, SolveTimeoutError
-from ..flows.registry import DEFAULT_EXACT_ALGORITHM
+from ..flows.kernel import FusedSolves, fusion_scope
+from ..flows.registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM
 from ..graph.network import FlowNetwork
 from ..obs import probes
 from ..obs.slo import SloPolicy, get_slo_policy
@@ -69,6 +90,12 @@ STATUS_OK = 200
 STATUS_FAILED = 500
 STATUS_SHED = 503
 STATUS_DEADLINE = 504
+
+#: Lanes shared by every request routed to a classical engine.  Eight
+#: serve-large kernel solves took 1.34x as long on two threads as on one.
+LANES = 1
+#: Requests one lane turn takes: the head plus up to three queued mates.
+GROUP_MAX = 4
 
 
 @dataclass
@@ -123,12 +150,14 @@ class _Shared:
     caller can never drop it for the others.
     """
 
-    __slots__ = ("future", "queued_s", "waiters")
+    __slots__ = ("future", "queued_s", "waiters", "answered")
 
     def __init__(self, future: "asyncio.Future") -> None:
         self.future = future
         self.queued_s = 0.0
         self.waiters = 0
+        #: Set once no caller is left waiting on ``future``.
+        self.answered = asyncio.Event()
 
 
 class _Pending:
@@ -136,7 +165,7 @@ class _Pending:
 
     __slots__ = (
         "seq", "priority", "tenant", "request", "key",
-        "enqueued_at", "deadline_at", "deadline_s", "shared", "shed",
+        "enqueued_at", "deadline_at", "deadline_s", "shared", "shed", "lane",
     )
 
     def __init__(self, seq, priority, tenant, request, key,
@@ -151,6 +180,19 @@ class _Pending:
         self.deadline_s = deadline_s
         self.shared = shared
         self.shed = False
+        #: Routed to a classical engine, so it runs on the exact lane.
+        self.lane = request.backend in ALGORITHMS
+
+    def joins(self, head: "_Pending") -> bool:
+        """Whether this entry may run in ``head``'s lane group."""
+        mine, theirs = self.request, head.request
+        return (
+            self.lane
+            and self.priority == head.priority
+            and mine.backend == theirs.backend
+            and mine.network.num_vertices == theirs.network.num_vertices
+            and mine.network.num_edges == theirs.network.num_edges
+        )
 
 
 class AsyncSolveServer:
@@ -163,7 +205,11 @@ class AsyncSolveServer:
         admitted requests (a failover-enabled one by default, so degraded
         answers beat shed requests).  Ignored when ``solve_fn`` is given.
     workers:
-        Number of concurrent worker tasks draining the priority queue.
+        Number of worker tasks draining the priority queue, so the bound
+        on requests running at once.  Requests routed to a classical
+        engine share one lane whatever this is: one worker at a time runs
+        a group of them, and the others run analog and ``"sharded:*"``
+        requests.
     max_pending:
         Global bound on queued (not yet executing) requests.
     per_tenant_queue:
@@ -182,9 +228,10 @@ class AsyncSolveServer:
         Monotonic clock for queueing/latency bookkeeping — injectable so
         the concurrency tests run on a virtual clock.
     solve_fn:
-        Override for the backend call: ``solve_fn(request) -> SolveResult``,
-        sync (dispatched to a thread) or async (awaited on the loop).
-        Tests inject counting/gated fakes here.
+        Override for the service call: ``solve_fn(request) -> SolveResult``,
+        sync (run in a thread inside the lane group's fusion scope, as the
+        service call is) or async (awaited on the loop).  Tests inject
+        counting/gated fakes here.
 
     Examples
     --------
@@ -227,7 +274,12 @@ class AsyncSolveServer:
         self.slo = slo
         self._clock = clock
         self._solve_fn = solve_fn
-        self._heap: List[Tuple[int, int, _Pending]] = []
+        self._solve_async = inspect.iscoroutinefunction(solve_fn) or (
+            inspect.iscoroutinefunction(getattr(solve_fn, "__call__", None))
+        )
+        self._lanes_busy = 0
+        #: Admitted entries not yet taken (shed ones are dropped lazily).
+        self._queue: List[_Pending] = []
         self._inflight: Dict[tuple, _Shared] = {}
         self._tasks: List["asyncio.Task"] = []
         self._work_available: Optional[asyncio.Event] = None
@@ -238,7 +290,7 @@ class AsyncSolveServer:
         self._started = False
         self._stats = {
             "admitted": 0, "coalesced": 0, "shed": 0,
-            "served": 0, "failed": 0, "expired": 0,
+            "served": 0, "failed": 0, "expired": 0, "fused": 0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -264,12 +316,12 @@ class AsyncSolveServer:
         self._work_available.set()
         await asyncio.gather(*self._tasks)
         # Anything still queued after the workers exited (they drain the
-        # heap before returning, so this is belt-and-braces) is shed so no
+        # queue before returning, so this is belt-and-braces) is shed so no
         # caller is ever left awaiting an unresolved future.
-        for _, _, entry in self._heap:
+        for entry in self._queue:
             if not entry.shed:
                 self._shed_entry(entry, "server-closed")
-        self._heap.clear()
+        self._queue.clear()
 
     async def __aenter__(self) -> "AsyncSolveServer":
         self.start()
@@ -296,9 +348,10 @@ class AsyncSolveServer:
         Higher ``priority`` values win queue slots under overflow.  An
         omitted ``backend`` engages the deadline router (see the class
         docstring); an explicit one is honoured as-is.  ``deadline_s``
-        bounds the whole journey: requests still queued past it answer
-        504, and the budget left at dispatch rides into the solver as its
-        ``deadline_s`` option, bounding every failover attempt together.
+        bounds the whole journey: requests still waiting past it answer
+        504, and the budget left just before the request's own solve
+        rides into the solver as its ``deadline_s`` option, bounding every
+        failover attempt together.
         """
         if self._closed:
             raise AlgorithmError("server is closed")
@@ -351,7 +404,7 @@ class AsyncSolveServer:
             deadline_at=(None if deadline_s is None else now + deadline_s),
             deadline_s=deadline_s, shared=shared,
         )
-        heapq.heappush(self._heap, (-priority, entry.seq, entry))
+        self._queue.append(entry)
         self._queued += 1
         self._tenant_counts[tenant] = self._tenant_counts.get(tenant, 0) + 1
         self._export_queue_gauges(tenant)
@@ -373,6 +426,8 @@ class AsyncSolveServer:
             kind, payload = await asyncio.shield(shared.future)
         finally:
             shared.waiters -= 1
+            if not shared.waiters:
+                shared.answered.set()
         wall = self._clock() - start
         if kind == "result":
             result: SolveResult = payload
@@ -426,16 +481,16 @@ class AsyncSolveServer:
         """Decide admit/shed: ``(admitted, victim_to_shed, reason)``."""
         if self._tenant_counts.get(tenant, 0) >= self.per_tenant_queue:
             pool = [
-                e for _, _, e in self._heap
+                e for e in self._queue
                 if not e.shed and e.tenant == tenant
             ]
             reason = "tenant-queue-full"
         elif self._queued >= self.max_pending:
-            pool = [e for _, _, e in self._heap if not e.shed]
+            pool = [e for e in self._queue if not e.shed]
             reason = "queue-full"
         else:
             return True, None, ""
-        if not pool:  # pragma: no cover - counts and heap always agree
+        if not pool:  # pragma: no cover - counts and queue always agree
             return True, None, ""
         # Shed the lowest priority; among equals the newest arrival loses
         # (oldest requests have waited longest and are closest to service).
@@ -449,11 +504,20 @@ class AsyncSolveServer:
         entry.shed = True
         self._queued -= 1
         self._tenant_counts[entry.tenant] -= 1
-        self._inflight.pop(entry.key, None)
         probes.request_shed(entry.tenant, reason)
         self._export_queue_gauges(entry.tenant)
+        self._resolve(entry, ("shed", reason))
+
+    def _resolve(self, entry: _Pending, outcome: Tuple[str, Any]) -> None:
+        """Unregister ``entry``'s solve, then resolve its shared future.
+
+        Unregistering first means a submit racing in after this point
+        starts a fresh solve instead of joining a finished future.
+        """
+        if self._inflight.get(entry.key) is entry.shared:
+            del self._inflight[entry.key]
         if not entry.shared.future.done():
-            entry.shared.future.set_result(("shed", reason))
+            entry.shared.future.set_result(outcome)
 
     def _export_queue_gauges(self, tenant: str) -> None:
         probes.queue_depth(self._queued)
@@ -461,90 +525,145 @@ class AsyncSolveServer:
 
     # -- execution -----------------------------------------------------
 
-    def _pop_live(self) -> Optional[_Pending]:
-        while self._heap:
-            _, _, entry = heapq.heappop(self._heap)
-            if entry.shed:
-                continue  # lazily dropped by admission control
+    def _take(self) -> List[_Pending]:
+        """Dequeue the next group to run; empty when nothing may run now.
+
+        The head is the first live entry in queue order that may start:
+        lane entries wait while every lane is busy, so an analog request
+        queued behind them still starts.  A lane head takes up to
+        ``GROUP_MAX - 1`` later entries that :meth:`_Pending.joins` it.
+        """
+        lane_free = self._lanes_busy < LANES
+        queue = sorted(
+            (e for e in self._queue if not e.shed),
+            key=lambda e: (-e.priority, e.seq),
+        )
+        head = next((e for e in queue if lane_free or not e.lane), None)
+        if head is None:
+            return []
+        group = [head]
+        if head.lane:
+            mates = [e for e in queue if e is not head and e.joins(head)]
+            group += mates[: GROUP_MAX - 1]
+            self._lanes_busy += 1
+        self._queue = [e for e in queue if e not in group]
+        for entry in group:
             self._queued -= 1
             self._tenant_counts[entry.tenant] -= 1
             self._export_queue_gauges(entry.tenant)
-            return entry
-        return None
+        return group
 
     async def _worker_loop(self) -> None:
         while True:
-            entry = self._pop_live()
-            if entry is None:
+            group = self._take()
+            if not group:
                 if self._closed:
-                    return
+                    return  # a lane holder drains what waits for the lane
                 # Single-threaded event loop: no submit can interleave
-                # between the failed pop and this clear, so no lost wakeup.
+                # between the failed take and this clear, so no lost wakeup.
                 self._work_available.clear()
                 await self._work_available.wait()
                 continue
-            await self._run_entry(entry)
+            await self._run_group(group)
 
-    async def _run_entry(self, entry: _Pending) -> None:
-        shared = entry.shared
-        shared.queued_s = self._clock() - entry.enqueued_at
-        if entry.deadline_at is not None and self._clock() >= entry.deadline_at:
-            self._inflight.pop(entry.key, None)
-            if not shared.future.done():
-                shared.future.set_result((
-                    "deadline",
-                    f"deadline of {entry.deadline_s:.4g} s expired after "
-                    f"{shared.queued_s:.4g} s in queue",
-                ))
-            return
+    async def _run_group(self, group: List[_Pending]) -> None:
+        """Run one dequeued group member by member in one fusion scope.
+
+        The loosest budget runs first (no deadline, then the latest), so
+        the member that runs a fused union is the one whose deadline cuts
+        it short last.
+        """
+        taken = self._clock()
+        for entry in group:
+            entry.shared.queued_s = taken - entry.enqueued_at
+        group.sort(key=lambda e: (
+            -math.inf if e.deadline_at is None else -e.deadline_at
+        ))
+        fusion = FusedSolves([entry.request.network for entry in group])
+        try:
+            for member, entry in enumerate(group):
+                await self._run_entry(entry, fusion, member)
+            if group[0].lane:
+                # The lane's next turn waits for this group's callers to
+                # take their answers: one that submits again on receipt
+                # is then queued for it.
+                for entry in group:
+                    await entry.shared.answered.wait()
+        except asyncio.CancelledError:
+            for entry in group:
+                self._resolve(entry, ("shed", "server-closed"))
+            raise
+        finally:
+            self._stats["fused"] += fusion.fused
+            if group[0].lane:
+                self._lanes_busy -= 1
+                self._work_available.set()
+
+    async def _run_entry(
+        self, entry: _Pending, fusion: FusedSolves, member: int
+    ) -> None:
         request = entry.request
         if entry.deadline_at is not None:
-            # The solver gets what is left of the budget at dispatch, on
-            # the server's clock, not a fresh copy of the whole budget.
-            request = replace(request, options={
-                **request.options,
-                "deadline_s": entry.deadline_at - self._clock(),
-            })
+            # The solver gets what is left of the budget just before its
+            # own solve, on the server's clock, not a fresh copy of the
+            # whole budget nor what was left when its group was taken.
+            left = entry.deadline_at - self._clock()
+            if left <= 0.0:
+                waited = self._clock() - entry.enqueued_at
+                self._resolve(entry, (
+                    "deadline",
+                    f"deadline of {entry.deadline_s:.4g} s expired after "
+                    f"{waited:.4g} s waiting",
+                ))
+                return
+            request = replace(
+                request, options={**request.options, "deadline_s": left}
+            )
         try:
-            result = await self._invoke(request)
-        except asyncio.CancelledError:
-            self._inflight.pop(entry.key, None)
-            if not shared.future.done():
-                shared.future.set_result(("shed", "server-closed"))
-            raise
+            result = await self._invoke(request, fusion, member)
         except Exception as exc:  # noqa: BLE001 - front door never raises
             result = SolveResult(
                 request=request, ok=False,
                 error=f"{type(exc).__name__}: {exc}",
                 error_type=type(exc).__name__,
             )
-        # Unregister *before* resolving: a submit racing in after this
-        # point must start a fresh solve, not join a finished future.
-        self._inflight.pop(entry.key, None)
-        if not shared.future.done():
-            shared.future.set_result(("result", result))
+        self._resolve(entry, ("result", result))
 
-    async def _invoke(self, request: SolveRequest) -> SolveResult:
-        if self._solve_fn is not None:
-            outcome = self._solve_fn(request)
-            if inspect.isawaitable(outcome):
-                return await outcome
-            return outcome
+    async def _invoke(
+        self, request: SolveRequest, fusion: FusedSolves, member: int
+    ) -> SolveResult:
+        if self._solve_async:
+            with fusion_scope(fusion, member):
+                return await self._solve_fn(request)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._solve_sync, request)
-
-    def _solve_sync(self, request: SolveRequest) -> SolveResult:
-        # The deadline travels as the plain ``deadline_s`` option: the
-        # batch service re-opens a cooperative deadline_scope in the
-        # executor thread (contextvars do not cross run_in_executor).
-        return self.service.solve(
-            request.network, backend=request.backend, **request.options
+        result = await loop.run_in_executor(
+            None, self._solve_sync, request, fusion, member
         )
+        if inspect.isawaitable(result):  # a sync wrapper of an async fn
+            result = await result
+        return result
+
+    def _solve_sync(
+        self, request: SolveRequest, fusion: FusedSolves, member: int
+    ) -> SolveResult:
+        # Context variables do not cross run_in_executor: the fusion scope
+        # is re-entered here, and the deadline travels as the plain
+        # ``deadline_s`` option, which the batch service re-opens.
+        with fusion_scope(fusion, member):
+            if self._solve_fn is not None:
+                return self._solve_fn(request)
+            return self.service.solve(
+                request.network, backend=request.backend, **request.options
+            )
 
     # -- introspection -------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters plus live queue/inflight depths (one flat dict)."""
+        """Counters plus live queue/inflight depths (one flat dict).
+
+        ``fused`` counts requests answered from a kernel union that another
+        member of their lane group ran.
+        """
         return {
             **self._stats,
             "queue_depth": self._queued,

@@ -220,6 +220,16 @@ def streaming_analog_pair(network: FlowNetwork):
     return warm, cold
 
 
+def scaled_network(network: FlowNetwork, factor: float) -> FlowNetwork:
+    """``network`` with every capacity times ``factor`` (same shape)."""
+    out = FlowNetwork(network.source, network.sink)
+    for vertex in network.vertices():
+        out.add_vertex(vertex)
+    for edge in network.edges():
+        out.add_edge(edge.tail, edge.head, edge.capacity * factor)
+    return out
+
+
 def relative_gap(value: float, reference: float) -> float:
     """Relative disagreement under the conformance scale convention."""
     return abs(value - reference) / max(1.0, abs(reference))

@@ -13,6 +13,11 @@ edges, disconnected s/t, parallel edges, single-edge — drives
   flow has the same value (max-flow = min-cut equality, matched against
   the cut extracted from the reference flow).
 
+Fused solves (:class:`repro.flows.kernel.FusedSolves`) are held to the
+same contract per member: seeded groups drawn from the seven families,
+each member scaled by its own factor, answer what each member answers
+alone.
+
 The dtype-promotion guard pins the latent hazard the object-based path
 never had: flat arrays built from int or mixed int/float capacities must
 promote to float64, not truncate; ``INFINITY`` capacities must survive the
@@ -26,11 +31,13 @@ import random
 import numpy as np
 import pytest
 
+from conformance import scaled_network
 from seeding import derive_seed
 
-from repro.flows.base import INFINITY
+from repro.errors import AlgorithmError
+from repro.flows.base import INFINITY, MaxFlowResult
 from repro.flows.dinic import Dinic
-from repro.flows.kernel import FlatResidual, KernelDinic
+from repro.flows.kernel import FlatResidual, FusedSolves, KernelDinic, fusion_scope
 from repro.flows.mincut import min_cut_from_flow
 from repro.flows.push_relabel import PushRelabel
 from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph
@@ -173,6 +180,113 @@ def test_kernel_matches_references(family, trial):
 def test_kernel_matches_references_heavy(family, trial):
     seed = derive_seed("kernel-fuzz-heavy", family, trial)
     _assert_kernel_conforms(FAMILIES[family](seed, heavy=True))
+
+
+# ----------------------------------------------------------------------
+# Fused solves: one union per group, one exact answer per member
+# ----------------------------------------------------------------------
+
+
+def _uncapacitated(rng: random.Random) -> FlowNetwork:
+    """A capacitated s-t path beside an uncapacitated one.
+
+    The kernel answers the unbounded path with its finite surrogate, which
+    depends on every capacity in the residual it solves, so this member is
+    only ever right when it is solved alone.
+    """
+    network = FlowNetwork()
+    network.add_edge("s", "a", rng.uniform(1.0, 5.0))
+    network.add_edge("a", "t", rng.uniform(1.0, 5.0))
+    network.add_edge("s", "b", INFINITY)
+    network.add_edge("b", "t", INFINITY)
+    return network
+
+
+class TestFusedSolves:
+    """Every member of a fused group gets the answer it gets alone.
+
+    Each group of 2-4 family members spans capacity scales 2^-13 to 2^13
+    (about 10^-4 to 10^4), so a union that shared one saturation threshold
+    across members would lose the small ones; one member carries an
+    uncapacitated edge and must be solved alone.  Factors are powers of
+    two so a member's flow divided by its factor is exactly the flow on
+    its unscaled base, where the cut check's absolute slack threshold
+    means what it means in the fuzz gate above.
+    """
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_fused_members_equal_solo_solves(self, trial):
+        rng = random.Random(derive_seed("kernel-fused", trial))
+        size = rng.randint(2, 4)
+        exponents = [-13, 13] + [rng.randint(-13, 13) for _ in range(size - 2)]
+        members = []  # (base, factor)
+        for exponent in exponents:
+            family = rng.choice(sorted(FAMILIES))
+            members.append((FAMILIES[family](rng.getrandbits(32), False), 2.0**exponent))
+        rng.shuffle(members)
+        unbounded = _uncapacitated(rng)
+        members.insert(rng.randrange(size + 1), (unbounded, 1.0))
+        networks = [scaled_network(base, factor) for base, factor in members]
+
+        group = FusedSolves(networks)
+        for member, ((base, factor), network) in enumerate(zip(members, networks)):
+            with fusion_scope(group, member):
+                fused = KernelDinic().solve(network, validate=True)
+            solo = KernelDinic().solve(network)
+            if base is unbounded:  # no finite cut: the surrogate, solved alone
+                assert fused.edge_flows == solo.edge_flows
+                continue
+            # A solo solve treats arcs under 1e-12 * max(1, top capacity) as
+            # saturated; the union, scaled per member, resolves them.
+            top = max([e.capacity for e in network.edges() if e.capacity < INFINITY] + [0.0])
+            assert fused.flow_value == pytest.approx(
+                solo.flow_value, rel=1e-9, abs=1e-12 * max(1.0, top)
+            ), f"member {member} of {len(networks)} (x{factor:g})"
+            unscaled = MaxFlowResult(
+                flow_value=fused.flow_value / factor,
+                edge_flows={k: f / factor for k, f in fused.edge_flows.items()},
+                algorithm="fused",
+            )
+            cut = min_cut_from_flow(base, unscaled)
+            assert base.sink not in cut.source_side
+            assert cut.cut_value == pytest.approx(
+                unscaled.flow_value, rel=1e-9, abs=1e-12
+            ), f"member {member}: fused flow is not maximum"
+        # One union ran; every other member but the uncapacitated one read it.
+        assert group.fused == len(networks) - 2
+
+    def test_union_failure_fails_only_the_member_that_ran_it(self, monkeypatch):
+        networks = [scaled_network(grid_graph(3, 4, seed=5), f) for f in (1.0, 2.0, 4.0)]
+        group = FusedSolves(networks)
+        original, failing = FlatResidual.max_flow, [True]
+
+        def fails_once(flat):
+            if failing:
+                failing.clear()
+                raise AlgorithmError("union failed")
+            return original(flat)
+
+        monkeypatch.setattr(FlatResidual, "max_flow", fails_once)
+        with fusion_scope(group, 0), pytest.raises(AlgorithmError):
+            KernelDinic().solve(networks[0])
+        answers = []
+        for member in (1, 2):
+            with fusion_scope(group, member):
+                answers.append(KernelDinic().solve(networks[member]).flow_value)
+        solo = KernelDinic().solve(networks[0]).flow_value
+        assert answers == pytest.approx([2.0 * solo, 4.0 * solo], rel=1e-9)
+        assert group.fused == 1  # member 2 read the union member 1 ran
+
+    def test_solves_outside_the_member_network_run_alone(self):
+        first, second = grid_graph(3, 4, seed=6), grid_graph(3, 4, seed=7)
+        group = FusedSolves([first, second])
+        with fusion_scope(group, 0):
+            # Another network object (a reduction, a shard) is not member 0.
+            KernelDinic().solve(scaled_network(first, 3.0))
+        assert group.fused == 0
+        with fusion_scope(group, 1):
+            KernelDinic().solve(second)
+        assert group.fused == 0
 
 
 # ----------------------------------------------------------------------

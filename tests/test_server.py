@@ -4,31 +4,37 @@ Every property the server claims — coalescing collapses identical
 concurrent requests into one backend solve, admission control sheds the
 lowest-priority tenant first, deadline routing flips analog→classical
 when the analog SLO budget exhausts, queued requests past their deadline
-answer 504 — is pinned here with an injected virtual clock, gated fake
-backends, and event-loop yields for synchronization.  No sleeps, no
-real-clock races: the suites are exactly as deterministic as the event
-loop's FIFO scheduling.
+answer 504, classical requests take turns on one lane in groups of
+same-shape requests — is pinned here with an injected virtual clock,
+gated fake backends, and event-loop yields for synchronization.  No
+sleeps, no real-clock races: the suites are exactly as deterministic as
+the event loop's FIFO scheduling.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro import FlowNetwork
 from repro.errors import AlgorithmError
+from repro.flows.kernel import FlatResidual
 from repro.obs import (
     SloObjective,
     SloPolicy,
     clear_traces,
     get_registry,
     probes,
+    recent_traces,
     reset_metrics,
     set_obs_enabled,
     set_slo_policy,
 )
-from repro.service import AsyncSolveServer
+from repro.resilience import policy
+from repro.service import AsyncSolveServer, BatchSolveService
 from repro.service.api import SolveResult
 
 from test_obs_slo import stepped_clock
@@ -63,22 +69,38 @@ def distinct_network(i: int) -> FlowNetwork:
 
 
 class Recorder:
-    """Async fake backend: records calls, optionally blocks on a gate."""
+    """Async fake backend: records calls, optionally blocks on a gate.
 
-    def __init__(self, gated: bool = False):
+    ``gated_tags`` limits the gate to requests carrying one of those tags,
+    and a request tagged in ``failing_tags`` raises instead of answering.
+    """
+
+    def __init__(self, gated: bool = False, gated_tags=None, failing_tags=()):
         self.calls = []
         self.started = asyncio.Event()
         self.gate = asyncio.Event()
+        self.gated_tags = gated_tags
+        self.failing_tags = set(failing_tags)
         if not gated:
             self.gate.set()
 
     async def __call__(self, request) -> SolveResult:
         self.calls.append(request)
         self.started.set()
-        await self.gate.wait()
+        if self.gated_tags is None or request.tag in self.gated_tags:
+            await self.gate.wait()
+        if request.tag in self.failing_tags:
+            raise AlgorithmError(f"{request.tag} failed")
         return SolveResult(
             request=request, flow_value=1.0, edge_flows={0: 1.0}
         )
+
+
+def other_shape_network() -> FlowNetwork:
+    """Same vertex count as :func:`distinct_network`, one more edge."""
+    g = distinct_network(99)
+    g.add_edge("s", "t", 1.0)
+    return g
 
 
 async def spin_until(predicate, rounds: int = 2000) -> None:
@@ -507,3 +529,255 @@ class TestLifecycle:
             response = await server.submit(g, backend="dinic", deadline_s=30.0)
         assert response.status == 200
         assert response.result.flow_value == pytest.approx(5.0)
+
+
+class TestExactLane:
+    """Classical requests share one lane, taking turns in same-shape groups."""
+
+    async def test_lane_holds_exact_requests_but_not_analog(self, obs_server):
+        backend = Recorder(gated=True)
+        clock, _ = stepped_clock()
+        async with AsyncSolveServer(
+            workers=2, solve_fn=backend, coalesce=False, clock=clock,
+        ) as server:
+            first = asyncio.ensure_future(
+                server.submit(distinct_network(0), backend="kernel")
+            )
+            await backend.started.wait()  # gated on the lane
+            second = asyncio.ensure_future(
+                server.submit(distinct_network(1), backend="dinic")
+            )
+            analog = asyncio.ensure_future(
+                server.submit(distinct_network(2), backend="analog")
+            )
+            # The analog request, queued behind the second exact one,
+            # starts on the idle worker; the exact one waits for the lane.
+            await spin_until(lambda: len(backend.calls) == 2)
+            for _ in range(50):
+                await asyncio.sleep(0)
+            assert [r.backend for r in backend.calls] == ["kernel", "analog"]
+            assert server.stats()["queue_depth"] == 1
+            backend.gate.set()
+            responses = await asyncio.gather(first, second, analog)
+        assert [r.backend for r in backend.calls] == ["kernel", "analog", "dinic"]
+        assert all(r.status == 200 for r in responses)
+
+    async def test_groups_take_same_engine_same_shape_in_queue_order(
+        self, obs_server
+    ):
+        backend = Recorder(gated=True)
+        clock, advance = stepped_clock()
+
+        async def ticking(request) -> SolveResult:
+            advance(1.0)  # every solve takes one virtual second
+            return await backend(request)
+
+        async with AsyncSolveServer(
+            workers=1, solve_fn=ticking, coalesce=False, clock=clock,
+        ) as server:
+            head = asyncio.ensure_future(
+                server.submit(distinct_network(0), backend="kernel", tag="head")
+            )
+            await backend.started.wait()
+            plan = [
+                ("k1", distinct_network(1), "kernel"),
+                ("d1", distinct_network(2), "dinic"),
+                ("x", other_shape_network(), "kernel"),
+                ("k2", distinct_network(3), "kernel"),
+                ("k3", distinct_network(4), "kernel"),
+                ("k4", distinct_network(5), "kernel"),
+                ("k5", distinct_network(6), "kernel"),
+            ]
+            queued = {
+                tag: asyncio.ensure_future(
+                    server.submit(network, backend=engine, tag=tag)
+                )
+                for tag, network, engine in plan
+            }
+            await spin_until(lambda: server.stats()["queue_depth"] == len(plan))
+            backend.gate.set()
+            responses = {tag: await task for tag, task in queued.items()}
+            await head
+        # The first four kernel requests of the head's shape ran as one
+        # group (k4 before the earlier d1); the other engine and the other
+        # shape each waited for a turn of their own, and the fifth kernel
+        # request for the next.
+        assert [r.tag for r in backend.calls] == [
+            "head", "k1", "k2", "k3", "k4", "d1", "x", "k5",
+        ]
+        # One group is taken at once: its members queued for no time.
+        assert [responses[t].queued_s for t in ("k1", "k2", "k3", "k4")] == [0.0] * 4
+        assert [responses[t].queued_s for t in ("d1", "x", "k5")] == [4.0, 5.0, 6.0]
+        assert all(r.status == 200 for r in responses.values())
+
+    async def test_member_expiring_behind_a_gated_mate_answers_504(
+        self, obs_server
+    ):
+        backend = Recorder(gated=True, gated_tags={"m1"})
+        clock, advance = stepped_clock()
+        async with AsyncSolveServer(
+            workers=1, solve_fn=backend, coalesce=False, clock=clock,
+        ) as server:
+            tasks = [
+                asyncio.ensure_future(server.submit(
+                    distinct_network(i), backend="kernel", tag=f"m{i}",
+                    deadline_s=1.0 if i == 2 else None,
+                ))
+                for i in (1, 2, 3)
+            ]
+            await backend.started.wait()  # m1 runs, m2 and m3 in its group
+            assert server.stats()["queue_depth"] == 0
+            advance(2.0)  # m2's budget passes while m1 is gated
+            backend.gate.set()
+            first, doomed, last = await asyncio.gather(*tasks)
+        assert [r.tag for r in backend.calls] == ["m1", "m3"]
+        assert (first.status, doomed.status, last.status) == (200, 504, 200)
+        assert doomed.result is None
+        assert "deadline" in doomed.detail and "expired" in doomed.detail
+
+    async def test_member_that_raises_answers_500_beside_its_mates(
+        self, obs_server
+    ):
+        backend = Recorder(failing_tags={"m2"})
+        async with AsyncSolveServer(
+            workers=1, solve_fn=backend, coalesce=False,
+        ) as server:
+            responses = await asyncio.gather(*[
+                server.submit(distinct_network(i), backend="kernel", tag=f"m{i}")
+                for i in (1, 2, 3)
+            ])
+        assert [r.tag for r in backend.calls] == ["m1", "m2", "m3"]
+        assert [r.status for r in responses] == [200, 500, 200]
+        assert responses[1].detail == "AlgorithmError: m2 failed"
+
+    async def test_mates_share_the_head_priority(self, obs_server):
+        backend = Recorder(gated=True, gated_tags={"blocker"})
+        async with AsyncSolveServer(
+            workers=1, solve_fn=backend, coalesce=False,
+        ) as server:
+            blocker = asyncio.ensure_future(server.submit(
+                distinct_network(0), backend="kernel", tag="blocker"
+            ))
+            await backend.started.wait()
+            plan = [
+                ("hi", distinct_network(1), 2),
+                ("hi-x", other_shape_network(), 2),
+                ("lo1", distinct_network(2), 0),
+                ("lo2", distinct_network(3), 0),
+            ]
+            queued = [
+                asyncio.ensure_future(server.submit(
+                    network, backend="kernel", tag=tag, priority=priority
+                ))
+                for tag, network, priority in plan
+            ]
+            await spin_until(lambda: server.stats()["queue_depth"] == len(plan))
+            backend.gate.set()
+            responses = await asyncio.gather(blocker, *queued)
+        # The priority-0 requests of the head's shape do not ride along
+        # ahead of the priority-2 request of another shape.
+        assert [r.tag for r in backend.calls] == [
+            "blocker", "hi", "hi-x", "lo1", "lo2",
+        ]
+        assert all(r.status == 200 for r in responses)
+
+    @pytest.mark.parametrize("budget, status", [(1.5, 504), (2.5, 200)])
+    async def test_the_loosest_budget_runs_the_union(
+        self, obs_server, monkeypatch, budget, status
+    ):
+        # Virtual time for the server and for the solver's deadline, and
+        # one virtual second per network lowered: solved alone the tight
+        # request takes 1 s, a union with its mate 2 s.
+        clock, advance = stepped_clock()
+        monkeypatch.setattr(policy, "time", SimpleNamespace(monotonic=clock))
+        lower = FlatResidual.from_network.__func__
+        lowered = []
+
+        def costly(cls, network):
+            lowered.append(network)
+            advance(1.0)
+            return lower(cls, network)
+
+        monkeypatch.setattr(FlatResidual, "from_network", classmethod(costly))
+        tight, loose = tiny_network(3.0), tiny_network(5.0)
+        async with AsyncSolveServer(
+            workers=1, coalesce=False, clock=clock,
+        ) as server:
+            first, second = await asyncio.gather(
+                server.submit(tight, backend="kernel", deadline_s=budget),
+                server.submit(loose, backend="kernel"),
+            )
+        # The mate without a deadline ran the union, whole, and answered.
+        assert lowered == [loose, tight]
+        assert (second.status, second.result.flow_value) == (200, 5.0)
+        assert first.status == status
+        if status == 200:  # the union fit the tight budget: its share
+            assert first.result.flow_value == 3.0
+            assert server.stats()["fused"] == 1
+        else:  # it did not: spent waiting, answered without running
+            assert first.result is None
+            assert first.detail == (
+                f"deadline of {budget:g} s expired after 2 s waiting"
+            )
+
+    async def test_kernel_group_is_solved_as_one_union(self, obs_server):
+        networks = [tiny_network(capacity) for capacity in (3.0, 0.002, 4000.0)]
+        async with AsyncSolveServer(workers=1, coalesce=False) as server:
+            responses = await asyncio.gather(*[
+                server.submit(network, backend="kernel") for network in networks
+            ])
+        assert [r.result.flow_value for r in responses] == [3.0, 0.002, 4000.0]
+        assert server.stats()["fused"] == 2  # answered from the first's union
+
+        def walk(span):
+            yield span
+            for child in span.children:
+                yield from walk(child)
+
+        fused = [
+            span.attributes["kernel_fused"]
+            for root in recent_traces() for span in walk(root)
+            if "kernel_fused" in span.attributes
+        ]
+        assert fused == [3]  # one span: the member that ran the union
+
+
+class TestSyncSolveFn:
+    async def test_sync_solve_fn_runs_off_the_event_loop(self, obs_server):
+        threads = []
+
+        def sync_fake(request) -> SolveResult:
+            threads.append(threading.current_thread().name)
+            return SolveResult(request=request, flow_value=1.0, edge_flows={0: 1.0})
+
+        async with AsyncSolveServer(workers=1, solve_fn=sync_fake) as server:
+            response = await server.submit(tiny_network(), backend="kernel")
+        assert response.status == 200
+        assert threads and threads[0] != threading.current_thread().name
+
+    async def test_sync_solve_fn_runs_in_the_fusion_scope(self, obs_server):
+        service = BatchSolveService(executor="serial")
+
+        def through_service(request) -> SolveResult:
+            return service.solve(
+                request.network, backend=request.backend, **request.options
+            )
+
+        async with AsyncSolveServer(
+            workers=1, coalesce=False, solve_fn=through_service,
+        ) as server:
+            responses = await asyncio.gather(*[
+                server.submit(tiny_network(capacity), backend="kernel")
+                for capacity in (1.0, 2.0, 3.0)
+            ])
+        assert [r.result.flow_value for r in responses] == [1.0, 2.0, 3.0]
+        assert server.stats()["fused"] == 2  # as through the service itself
+
+    async def test_sync_wrapper_of_an_async_fake_is_awaited(self, obs_server):
+        backend = Recorder()
+        async with AsyncSolveServer(
+            workers=1, solve_fn=lambda request: backend(request),
+        ) as server:
+            response = await server.submit(tiny_network(), backend="kernel")
+        assert response.status == 200
+        assert len(backend.calls) == 1

@@ -5,11 +5,13 @@ Two system-level properties the unit suite cannot pin:
 * **Conformance under traffic.**  A few hundred seeded mixed requests
   pushed through :class:`~repro.service.server.AsyncSolveServer` in
   concurrent waves (tenants, priorities, duplicate-heavy so coalescing
-  engages) must produce *per-request* flow values identical — within the
-  conformance gate's per-backend-family tolerances — to direct
+  engages, and every instance also sent at 1e-3 and 1e3 times its
+  capacities so kernel requests of one shape fuse across scales) must
+  produce *per-request* flow values identical — within the conformance
+  gate's per-backend-family tolerances — to direct
   :class:`~repro.service.batch.BatchSolveService` calls on the same
-  instances.  The front door may reorder, coalesce and route; it may
-  never change an answer.
+  instances, and flows that certify.  The front door may reorder,
+  coalesce, fuse and route; it may never change an answer.
 
 * **Zero dropped futures on cancellation.**  Cancelling individual
   waiters of a coalesced in-flight solve must never cancel the shared
@@ -21,12 +23,14 @@ from __future__ import annotations
 
 import asyncio
 import random
+from dataclasses import replace
 
 import pytest
 
-from conformance import TOLERANCES, build_corpus, relative_gap
+from conformance import TOLERANCES, build_corpus, relative_gap, scaled_network
 from seeding import derive_seed
 
+from repro.resilience.failover import certify_flow_result
 from repro.service import AsyncSolveServer, BatchSolveService
 from repro.service.api import SolveResult
 
@@ -36,6 +40,15 @@ def corpus():
     return build_corpus()
 
 
+def scaled_copy(inst, factor: float):
+    """``inst`` with every capacity times ``factor`` (same shape, new name)."""
+    return replace(
+        inst, name=f"{inst.name}x{factor:g}",
+        network=scaled_network(inst.network, factor),
+        reference_value=inst.reference_value * factor,
+    )
+
+
 class TestSoakConformance:
     def _family(self, backend: str) -> str:
         return "analog" if backend == "analog" else "classical"
@@ -43,14 +56,17 @@ class TestSoakConformance:
     async def test_soak_matches_direct_service_calls(self, corpus):
         rng = random.Random(derive_seed("server-soak"))
         service = BatchSolveService(executor="serial")
-        classical = [inst for inst in corpus]
+        classical = corpus + [
+            scaled_copy(inst, factor) for inst in corpus for factor in (1e-3, 1e3)
+        ]
         analog_ok = [
             inst for inst in corpus
             if inst.analog_ok and inst.network.num_edges <= 12
         ]
 
-        # ~300 requests: duplicate-heavy (9 corpus instances, 2 backends)
-        # so coalescing engages inside every concurrent wave.
+        # ~300 requests: duplicate-heavy (27 instances in 9 shapes, 3
+        # classical backends) so coalescing engages inside every concurrent
+        # wave, and same-shape kernel requests at different scales fuse.
         plan = []
         for _ in range(280):
             if analog_ok and rng.random() < 0.25:
@@ -58,7 +74,7 @@ class TestSoakConformance:
                 backend = "analog"
             else:
                 inst = rng.choice(classical)
-                backend = rng.choice(["dinic", "push-relabel"])
+                backend = rng.choice(["dinic", "push-relabel", "kernel"])
             plan.append((inst, backend, f"tenant-{rng.randrange(4)}",
                          rng.randrange(3)))
 
@@ -86,9 +102,15 @@ class TestSoakConformance:
         stats = server.stats()
         assert stats["shed"] == 0  # bounded queues never overflowed
         assert stats["coalesced"] > 0  # duplicate-heavy waves did coalesce
+        assert stats["fused"] > 0  # same-shape kernel requests did fuse
         for (inst, backend, _, _), response in zip(plan, responses):
             assert response.status == 200, (inst.name, backend,
                                             response.detail)
+            result = response.result
+            certify_flow_result(
+                inst.network, result.flow_value, result.edge_flows,
+                exact=backend != "analog",
+            )
             gap = relative_gap(response.result.flow_value,
                                reference[(inst.name, backend)])
             tolerance = TOLERANCES[self._family(backend)]
