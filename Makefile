@@ -9,6 +9,7 @@ DOCTEST_MODULES := src/repro/service \
 	src/repro/flows/incremental.py \
 	src/repro/flows/kernel.py \
 	src/repro/flows/registry.py \
+	src/repro/graph/network.py \
 	src/repro/analog/solver.py \
 	src/repro/circuit/linsolve.py \
 	src/repro/circuit/nonlinear.py \

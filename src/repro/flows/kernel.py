@@ -139,16 +139,16 @@ class FlatResidual:
 
     @classmethod
     def from_network(cls, network: FlowNetwork) -> "FlatResidual":
-        """Flat residual of ``network`` (forward arcs at capacity)."""
-        vertices = network.vertices()
-        index = {vertex: i for i, vertex in enumerate(vertices)}
-        edges = network.edges()
-        count = len(edges)
-        tails = np.fromiter((index[e.tail] for e in edges), dtype=np.int64, count=count)
-        heads = np.fromiter((index[e.head] for e in edges), dtype=np.int64, count=count)
-        caps = np.fromiter((e.capacity for e in edges), dtype=np.float64, count=count)
+        """Flat residual of ``network`` (forward arcs at capacity).
+
+        Lowered from the network's cached array view
+        (:meth:`~repro.graph.network.FlowNetwork.flat`), with no Python
+        pass over its edges.
+        """
+        view = network.flat()
         return cls._from_edges(
-            len(vertices), index[network.source], index[network.sink], tails, heads, caps
+            network.num_vertices, view.source, view.sink,
+            view.tail, view.head, view.capacity,
         )
 
     @classmethod
@@ -222,8 +222,7 @@ class FlatResidual:
         ``arc == 2k`` invariant); warm residuals with appended arc pairs go
         through :meth:`store_into` and the object-side accounting instead.
         """
-        reverse = self.residual[1::2]
-        return {k: float(reverse[k]) for k in range(reverse.shape[0])}
+        return dict(enumerate(self.residual[1::2].tolist()))
 
     # ------------------------------------------------------------------
     # Two-phase lockstep preflow-push

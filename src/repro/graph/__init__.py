@@ -36,7 +36,6 @@ from .updates import (
     EdgeRemove,
     MutableFlowNetwork,
     UpdateBatch,
-    topology_signature,
 )
 from .transforms import (
     undirected_to_directed,
@@ -81,7 +80,6 @@ __all__ = [
     "EdgeRemove",
     "MutableFlowNetwork",
     "UpdateBatch",
-    "topology_signature",
     "undirected_to_directed",
     "split_antiparallel_edges",
     "merge_parallel_edges",

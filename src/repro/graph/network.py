@@ -6,12 +6,32 @@ the sink ``t`` (Section 2 of the paper).  Vertices are arbitrary hashable
 labels; edges are identified by an integer index so that parallel edges are
 supported (the analog substrate allocates one circuit node per edge, so edge
 identity matters).
+
+Every per-request consumer (cache keys, kernel lowering, flow
+certification) reads the network through one cached array view,
+:meth:`FlowNetwork.flat`, and :meth:`FlowNetwork.freeze` makes a network
+immutable in place so that view, and its digest, can never go stale.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from ..errors import (
     EdgeNotFoundError,
@@ -19,9 +39,11 @@ from ..errors import (
     VertexNotFoundError,
 )
 
-__all__ = ["Edge", "FlowNetwork"]
+__all__ = ["Edge", "FlatView", "FlowNetwork"]
 
 Vertex = Hashable
+
+_FROZEN = "network is frozen; edit a snapshot() instead"
 
 
 @dataclass(frozen=True)
@@ -61,6 +83,34 @@ class Edge:
         return Edge(self.index, self.head, self.tail, self.capacity)
 
 
+class FlatView(NamedTuple):
+    """Array view of a :class:`FlowNetwork` (see :meth:`FlowNetwork.flat`).
+
+    Attributes
+    ----------
+    tail, head:
+        int64 vertex positions (vertex insertion order), one per edge in
+        index order.  Read-only.
+    capacity:
+        float64 edge capacities in index order.  Read-only.
+    source, sink:
+        Vertex positions of the source and the sink.
+    digest:
+        blake2b hex digest of the source/sink labels, the vertex labels in
+        order and the three arrays.  Two networks share it exactly when
+        they have the same source/sink labels, the same vertices in the
+        same insertion order and the same edges (tail, head, capacity) in
+        the same insertion order.
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    capacity: np.ndarray
+    source: int
+    sink: int
+    digest: str
+
+
 class FlowNetwork:
     """Directed graph with edge capacities and a source/sink pair.
 
@@ -85,6 +135,8 @@ class FlowNetwork:
         self._edges: List[Edge] = []
         self._out: Dict[Vertex, List[int]] = {}
         self._in: Dict[Vertex, List[int]] = {}
+        self._flat: Optional[FlatView] = None
+        self._frozen = False
         self.add_vertex(source)
         self.add_vertex(sink)
 
@@ -95,8 +147,11 @@ class FlowNetwork:
     def add_vertex(self, vertex: Vertex) -> Vertex:
         """Add ``vertex`` to the network (no-op if already present)."""
         if vertex not in self._out:
+            if self._frozen:
+                raise InvalidGraphError(_FROZEN)
             self._out[vertex] = []
             self._in[vertex] = []
+            self._flat = None
         return vertex
 
     def add_edge(self, tail: Vertex, head: Vertex, capacity: float) -> Edge:
@@ -105,6 +160,8 @@ class FlowNetwork:
         Self-loops are rejected because they can never carry flow and the
         analog substrate has no widget for them.  Parallel edges are allowed.
         """
+        if self._frozen:
+            raise InvalidGraphError(_FROZEN)
         if tail == head:
             raise InvalidGraphError(f"self-loop on vertex {tail!r} is not allowed")
         if capacity < 0:
@@ -117,6 +174,7 @@ class FlowNetwork:
         self._edges.append(edge)
         self._out[tail].append(edge.index)
         self._in[head].append(edge.index)
+        self._flat = None
         return edge
 
     def add_edges_from(
@@ -134,6 +192,8 @@ class FlowNetwork:
         This is the primitive the streaming update log
         (:class:`~repro.graph.updates.MutableFlowNetwork`) builds on.
         """
+        if self._frozen:
+            raise InvalidGraphError(_FROZEN)
         old = self.edge(index)
         if capacity < 0:
             raise InvalidGraphError(
@@ -141,7 +201,90 @@ class FlowNetwork:
             )
         replacement = Edge(index, old.tail, old.head, float(capacity))
         self._edges[index] = replacement
+        self._flat = None
         return replacement
+
+    # ------------------------------------------------------------------
+    # Array view and freezing
+    # ------------------------------------------------------------------
+
+    def flat(self) -> FlatView:
+        """The network as read-only arrays plus a digest (:class:`FlatView`).
+
+        Built once and cached until a mutator changes the network; a frozen
+        network keeps it for good.  Two threads building the view of one
+        network at once build equal views, and the last store wins.
+
+        Examples
+        --------
+        >>> g = FlowNetwork()
+        >>> _ = g.add_edge("s", "a", 2.0)
+        >>> _ = g.add_edge("a", "t", 1.5)
+        >>> view = g.flat()
+        >>> view.tail.tolist(), view.head.tolist(), view.capacity.tolist()
+        ([0, 2], [2, 1], [2.0, 1.5])
+        >>> g.flat() is view
+        True
+        >>> g.snapshot().flat().digest == view.digest
+        True
+        >>> _ = g.set_capacity(1, 1.0)
+        >>> g.flat().digest == view.digest
+        False
+        """
+        view = self._flat
+        if view is None:
+            view = self._flat = self._build_flat()
+        return view
+
+    def freeze(self) -> "FlowNetwork":
+        """Make the network immutable in place; returns ``self``.
+
+        Builds :meth:`flat` first, so the view and its digest are computed
+        once.  Idempotent.  Afterwards :meth:`add_edge`,
+        :meth:`set_capacity` and :meth:`add_vertex` of a new vertex raise
+        :class:`~repro.errors.InvalidGraphError`; :meth:`snapshot` returns
+        a mutable copy to edit.
+
+        Examples
+        --------
+        >>> g = FlowNetwork()
+        >>> _ = g.add_edge("s", "t", 3.0)
+        >>> g.freeze() is g
+        True
+        >>> g.set_capacity(0, 100.0)
+        Traceback (most recent call last):
+        ...
+        repro.errors.InvalidGraphError: network is frozen; edit a snapshot() instead
+        >>> g.snapshot().set_capacity(0, 100.0).capacity
+        100.0
+        """
+        self.flat()
+        self._frozen = True
+        return self
+
+    def _build_flat(self) -> FlatView:
+        count = len(self._edges)
+        vertices = list(self._out)
+        tail = _edge_ends(self._out, count)
+        head = _edge_ends(self._in, count)
+        capacity = np.fromiter(
+            map(_CAPACITY, self._edges), dtype=np.float64, count=count
+        )
+        digest = hashlib.blake2b(
+            repr((self._source, self._sink, vertices)).encode(), digest_size=32
+        )
+        digest.update(b"\x00")
+        for array in (tail, head, capacity):
+            array.flags.writeable = False
+            digest.update(array)
+        return FlatView(
+            tail,
+            head,
+            capacity,
+            vertices.index(self._source),
+            vertices.index(self._sink),
+            digest.hexdigest(),
+        )
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -270,7 +413,9 @@ class FlowNetwork:
         vertices keep their insertion order and edge indices are preserved,
         so later :meth:`set_capacity` / :meth:`add_edge` calls on either
         network can never alias into the other.  Streaming sessions use this
-        to checkpoint a revision before applying further updates.
+        to checkpoint a revision before applying further updates.  The
+        snapshot of a frozen network is mutable: it is how a frozen
+        network is edited.
         """
         clone = FlowNetwork(self._source, self._sink)
         for vertex in self._out:
@@ -354,22 +499,41 @@ class FlowNetwork:
         capacity_tol, conservation_tol:
             Absolute tolerances for capacity bounds and conservation.
         """
+        view = self.flat()
+        count = len(self._edges)
+        # A missing key is 0.0 and a key that names no edge is ignored.
+        values = np.fromiter(
+            map(flow.get, range(count), repeat(0.0)), dtype=np.float64, count=count
+        )
+        negative = values < -capacity_tol
+        # An INFINITY capacity never compares below a flow.
+        over = values > view.capacity + capacity_tol
         problems: List[str] = []
-        for edge in self._edges:
-            value = flow.get(edge.index, 0.0)
-            if value < -capacity_tol:
+        for index in np.flatnonzero(negative | over).tolist():
+            edge, value = self._edges[index], flow.get(index, 0.0)
+            if negative[index]:
                 problems.append(
-                    f"edge {edge.index} ({edge.tail}->{edge.head}): negative flow {value}"
+                    f"edge {index} ({edge.tail}->{edge.head}): negative flow {value}"
                 )
-            if not edge.is_uncapacitated and value > edge.capacity + capacity_tol:
+            if over[index]:
                 problems.append(
-                    f"edge {edge.index} ({edge.tail}->{edge.head}): flow {value} exceeds "
+                    f"edge {index} ({edge.tail}->{edge.head}): flow {value} exceeds "
                     f"capacity {edge.capacity}"
                 )
-        for vertex in self.internal_vertices():
-            excess = self.excess(flow, vertex)
-            if abs(excess) > conservation_tol:
-                problems.append(f"vertex {vertex!r}: conservation violated by {excess}")
+        size = len(self._out)
+        # Summed in edge order per vertex, like excess(), so bit-identical.
+        excess = np.bincount(view.head, weights=values, minlength=size)
+        excess -= np.bincount(view.tail, weights=values, minlength=size)
+        violated = np.abs(excess) > conservation_tol
+        violated[[view.source, view.sink]] = False
+        if violated.any():
+            vertices = self.vertices()
+            for position in np.flatnonzero(violated).tolist():
+                vertex = vertices[position]
+                problems.append(
+                    f"vertex {vertex!r}: conservation violated by "
+                    f"{self.excess(flow, vertex)}"
+                )
         return problems
 
     def is_feasible_flow(
@@ -401,3 +565,22 @@ class FlowNetwork:
     def _require_vertex(self, vertex: Vertex) -> None:
         if vertex not in self._out:
             raise VertexNotFoundError(f"vertex {vertex!r} is not in the network")
+
+
+_CAPACITY = attrgetter("capacity")
+
+
+def _edge_ends(adjacency: Dict[Vertex, List[int]], count: int) -> np.ndarray:
+    """Per-edge vertex position from a vertex → edge-indices adjacency.
+
+    ``adjacency`` (``_out`` or ``_in``) is keyed in vertex insertion order
+    and lists every edge index exactly once, so the position of its key is
+    that edge's tail (or head).
+    """
+    lists = adjacency.values()
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(adjacency))
+    ends = np.empty(count, dtype=np.int64)
+    ends[np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=count)] = (
+        np.repeat(np.arange(len(adjacency), dtype=np.int64), sizes)
+    )
+    return ends

@@ -20,14 +20,12 @@ Each applied batch bumps a monotonic :attr:`~MutableFlowNetwork.revision`
 counter; batches that change the *sparsity pattern* (edge inserts, or a
 capacity crossing between finite and infinite — which adds/drops a clamp in
 the analog circuit) additionally bump
-:attr:`~MutableFlowNetwork.structural_revision`.  Downstream caches key on
-``(topology_signature(), structural_revision)``: capacity-only churn reuses
-compiled artifacts, structural churn invalidates them.
+:attr:`~MutableFlowNetwork.structural_revision`: capacity-only churn may
+reuse compiled artifacts, structural churn invalidates them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
@@ -42,7 +40,6 @@ __all__ = [
     "UpdateEvent",
     "UpdateBatch",
     "MutableFlowNetwork",
-    "topology_signature",
 ]
 
 Vertex = Hashable
@@ -119,29 +116,6 @@ class UpdateBatch:
         return not self.structural
 
 
-def topology_signature(network: FlowNetwork) -> str:
-    """Deterministic hex digest of a network's *sparsity pattern*.
-
-    Unlike :func:`repro.service.cache.network_signature`, capacities are
-    excluded — except for the finite/infinite distinction, because an
-    uncapacitated edge compiles to a different circuit (no upper clamp).
-    Two revisions of a streaming network share a topology signature exactly
-    when a compiled circuit of one can be re-used for the other by updating
-    clamp-source values alone.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr((network.source, network.sink)).encode())
-    for vertex in network.vertices():
-        digest.update(repr(vertex).encode())
-        digest.update(b"\x00")
-    for edge in network.edges():
-        digest.update(
-            repr((edge.tail, edge.head, edge.is_uncapacitated)).encode()
-        )
-        digest.update(b"\x01")
-    return digest.hexdigest()
-
-
 class MutableFlowNetwork:
     """A flow network plus a typed, revision-counted update log.
 
@@ -203,14 +177,6 @@ class MutableFlowNetwork:
     def snapshot(self) -> FlowNetwork:
         """Deep checkpoint of the current revision (see :meth:`FlowNetwork.snapshot`)."""
         return self._network.snapshot()
-
-    def topology_signature(self) -> str:
-        """Sparsity-pattern signature of the current revision."""
-        return topology_signature(self._network)
-
-    def cache_key(self) -> Tuple[str, int]:
-        """``(topology_signature, structural_revision)`` for downstream caches."""
-        return (self.topology_signature(), self._structural_revision)
 
     # ------------------------------------------------------------------
     # Update application

@@ -19,7 +19,6 @@ report.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Optional, Tuple
@@ -37,6 +36,10 @@ def network_signature(network: FlowNetwork) -> str:
     same edges (tail, head, capacity) in the same insertion order — i.e. when
     the analog compiler would emit an identical circuit for both.
 
+    The signature is the digest of the network's cached array view
+    (:meth:`~repro.graph.network.FlowNetwork.flat`), so a second call on an
+    unchanged network is a cached read.
+
     Parameters
     ----------
     network:
@@ -45,7 +48,7 @@ def network_signature(network: FlowNetwork) -> str:
     Returns
     -------
     str
-        A sha256 hex digest.
+        A blake2b hex digest.
 
     Examples
     --------
@@ -60,15 +63,7 @@ def network_signature(network: FlowNetwork) -> str:
     >>> network_signature(a) == network_signature(b)
     False
     """
-    digest = hashlib.sha256()
-    digest.update(repr((network.source, network.sink)).encode())
-    for vertex in network.vertices():
-        digest.update(repr(vertex).encode())
-        digest.update(b"\x00")
-    for edge in network.edges():
-        digest.update(repr((edge.tail, edge.head, edge.capacity)).encode())
-        digest.update(b"\x01")
-    return digest.hexdigest()
+    return network.flat().digest
 
 
 def analog_config_signature(solver) -> str:

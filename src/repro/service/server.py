@@ -8,10 +8,14 @@ what actually runs.  Four mechanisms, all deterministic under an
 injected clock and injectable ``solve_fn`` so every concurrency property
 is pinned by ``tests/test_server.py`` without sleeps:
 
-* **Request coalescing.**  Concurrent requests with the identical
-  ``(topology signature, backend, options)`` key share one in-flight
-  solve through a future map: the first arrival (the *leader*) occupies
-  a queue slot, later arrivals await the leader's shared future and are
+* **Request coalescing.**  :meth:`~AsyncSolveServer.submit` freezes the
+  caller's network in place, so it cannot change under a shared solve.
+  Concurrent requests with the identical ``(network digest, backend,
+  options)`` key share one in-flight solve through a future map; the
+  digest is that of the network's cached array view
+  (:meth:`~repro.graph.network.FlowNetwork.flat`).  The first arrival
+  (the *leader*) occupies a queue slot, later arrivals await the
+  leader's shared future and are
   counted via ``service.coalesce_hits``.  Production max-flow traffic is
   many instances of few topologies (the same observation behind the
   compiled-circuit cache), so on a duplicate-heavy workload coalescing
@@ -345,9 +349,12 @@ class AsyncSolveServer:
     ) -> ServerResponse:
         """Admit, route and solve one request; never raises on overload.
 
-        Higher ``priority`` values win queue slots under overflow.  An
-        omitted ``backend`` engages the deadline router (see the class
-        docstring); an explicit one is honoured as-is.  ``deadline_s``
+        ``network`` is frozen in place
+        (:meth:`~repro.graph.network.FlowNetwork.freeze`) before it is
+        keyed, so later edits raise; edit a ``snapshot()`` and submit that
+        instead.  Higher ``priority`` values win queue slots under
+        overflow.  An omitted ``backend`` engages the deadline router (see
+        the class docstring); an explicit one is honoured as-is.  ``deadline_s``
         bounds the whole journey: requests still waiting past it answer
         504, and the budget left just before the request's own solve
         rides into the solver as its ``deadline_s`` option, bounding every
@@ -362,6 +369,9 @@ class AsyncSolveServer:
         opts = dict(options)
         if deadline_s is not None:
             opts["deadline_s"] = float(deadline_s)
+        # Frozen before keying: a caller can no longer change a network
+        # under a solve that another caller shares.
+        network.freeze()
         request = SolveRequest(
             network=network, backend=routed, options=opts, tag=tag
         )

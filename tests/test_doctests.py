@@ -19,6 +19,7 @@ import repro.circuit.nonlinear
 import repro.circuit.stamps
 import repro.flows.incremental
 import repro.flows.registry
+import repro.graph.network
 import repro.graph.updates
 import repro.obs.export
 import repro.obs.metrics
@@ -36,6 +37,7 @@ DOCUMENTED_MODULES = [
     repro.circuit.stamps,
     repro.flows.incremental,
     repro.flows.registry,
+    repro.graph.network,
     repro.graph.updates,
     repro.obs.export,
     repro.obs.metrics,

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+from seeding import derive_seed
+
 from repro.errors import EdgeNotFoundError, InvalidGraphError, VertexNotFoundError
-from repro.graph import FlowNetwork, paper_example_graph
+from repro.flows.kernel import KernelDinic
+from repro.graph import FlowNetwork, grid_graph, paper_example_graph, rmat_graph
 
 
 class TestConstruction:
@@ -153,3 +163,251 @@ class TestFlowChecks:
             g.cut_capacity({"n1"})
         with pytest.raises(InvalidGraphError):
             g.cut_capacity({"s", "t"})
+
+
+# ----------------------------------------------------------------------
+# The cached array view, its digest and the in-place freeze
+# ----------------------------------------------------------------------
+
+
+def reference_signature(network: FlowNetwork) -> str:
+    """The sha256-over-``repr`` signature the view's digest replaced."""
+    digest = hashlib.sha256()
+    digest.update(repr((network.source, network.sink)).encode())
+    for vertex in network.vertices():
+        digest.update(repr(vertex).encode())
+        digest.update(b"\x00")
+    for edge in network.edges():
+        digest.update(repr((edge.tail, edge.head, edge.capacity)).encode())
+        digest.update(b"\x01")
+    return digest.hexdigest()
+
+
+def build(source, sink, vertices, triples) -> FlowNetwork:
+    network = FlowNetwork(source, sink)
+    for vertex in vertices:
+        network.add_vertex(vertex)
+    for tail, head, capacity in triples:
+        network.add_edge(tail, head, capacity)
+    return network
+
+
+def one_edit_variants(base: FlowNetwork, rng: random.Random) -> list:
+    """``base`` rebuilt, copied, and changed by one edit each."""
+    s, t = base.source, base.sink
+    vertices = base.vertices()
+    inner = vertices[2:]
+    triples = [(e.tail, e.head, e.capacity) for e in base.edges()]
+    k = rng.randrange(len(triples))
+    tail, head, capacity = triples[k]
+
+    def with_capacity(value):
+        return triples[:k] + [(tail, head, value)] + triples[k + 1:]
+
+    def relabelled(old, new):
+        rename = {old: new}
+        return build(
+            s, t, [rename.get(v, v) for v in vertices],
+            [(rename.get(a, a), rename.get(b, b), c) for a, b, c in triples],
+        )
+
+    label = rng.choice(inner)
+    return [
+        build(s, t, vertices, triples),
+        base.snapshot(),
+        # Integral capacities given as ints are stored as the same floats.
+        build(s, t, vertices, [(a, b, int(c) if c == int(c) else c)
+                               for a, b, c in triples]),
+        build(s, t, vertices, with_capacity(capacity * 2.0 + 1.0)),
+        build(s, t, vertices, with_capacity(0.0)),
+        build(s, t, vertices, with_capacity(-0.0)),
+        build(s, t, vertices, with_capacity(math.inf)),
+        build(s, t, vertices, triples + [triples[k]]),
+        build(s, t, vertices[:2] + inner[1:] + inner[:1], triples),
+        relabelled(label, ("renamed", label)),
+        relabelled(label, repr(label)),
+        build(t, s, vertices, triples),
+    ]
+
+
+class TestFlatView:
+    def test_view_matches_the_edge_list(self):
+        network = rmat_graph(24, 80, seed=derive_seed("flat-view"))
+        network.add_edge(network.source, network.sink, math.inf)
+        view = network.flat()
+        index = network.vertex_index_map()
+        edges = network.edges()
+        assert view.tail.dtype == np.int64 and view.head.dtype == np.int64
+        assert view.capacity.dtype == np.float64
+        assert view.tail.tolist() == [index[e.tail] for e in edges]
+        assert view.head.tolist() == [index[e.head] for e in edges]
+        assert view.capacity.tolist() == [e.capacity for e in edges]
+        assert (view.source, view.sink) == (index[network.source], index[network.sink])
+        for array in (view.tail, view.head, view.capacity):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_digest_equality_matches_the_repr_signature(self):
+        rng = random.Random(derive_seed("digest-equivalence"))
+        bases = [
+            paper_example_graph(),
+            grid_graph(3, 4, seed=rng.getrandbits(32), capacity_jitter=0.5),
+        ] + [
+            rmat_graph(16, 48, seed=rng.getrandbits(32)) for _ in range(4)
+        ]
+        for base in bases:
+            networks = [base] + one_edit_variants(base, rng)
+            digests = [n.flat().digest for n in networks]
+            references = [reference_signature(n) for n in networks]
+            for i in range(len(networks)):
+                for j in range(len(networks)):
+                    same = references[i] == references[j]
+                    assert (digests[i] == digests[j]) == same, (i, j)
+            # The rebuild, the copy and the int-capacity rebuild equal the
+            # base; every edit differs from it.
+            assert references.count(references[0]) == 4
+
+    def test_every_mutator_drops_the_view(self):
+        network = FlowNetwork()
+        network.add_edge("s", "t", 1.0)
+        for mutate in (
+            lambda: network.add_vertex("v"),
+            lambda: network.add_edge("s", "v", 2.0),
+            lambda: network.set_capacity(0, 5.0),
+        ):
+            before = network.flat()
+            mutate()
+            after = network.flat()
+            assert after is not before and after.digest != before.digest
+            assert after.digest == network.snapshot().flat().digest
+        network.add_vertex("v")  # already present: nothing changes
+        assert network.flat() is after
+
+    def test_concurrent_builds_agree(self):
+        network = grid_graph(6, 8, seed=derive_seed("flat-threads"))
+        expected = network.snapshot().flat()
+        views, barrier = [], threading.Barrier(8)
+
+        def build_view():
+            barrier.wait(timeout=10)
+            for _ in range(20):
+                network._flat = None  # force a rebuild on every call
+                views.append(network.flat())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build_view) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(views) == 160
+        for view in views + [network.flat()]:
+            assert view.digest == expected.digest
+            assert np.array_equal(view.capacity, expected.capacity)
+
+
+class TestFreeze:
+    def test_frozen_mutators_raise_and_keep_the_view(self):
+        network = paper_example_graph()
+        digest = paper_example_graph().flat().digest
+        assert network.freeze() is network
+        view = network.flat()
+        for mutate in (
+            lambda: network.add_vertex("new"),
+            lambda: network.add_edge("s", "t", 1.0),
+            lambda: network.add_edges_from([("n1", "new", 1.0)]),
+            lambda: network.set_capacity(0, 9.0),
+        ):
+            with pytest.raises(InvalidGraphError, match="frozen"):
+                mutate()
+            assert network.flat() is view and view.digest == digest
+        assert network.num_edges == 5 and not network.has_vertex("new")
+        assert network.edge(0).capacity == 3.0
+        assert network.add_vertex("n1") == "n1"  # already present
+
+    def test_freeze_is_idempotent_and_snapshots_are_mutable(self):
+        network = paper_example_graph()
+        view = network.freeze().flat()
+        assert network.freeze() is network and network.flat() is view
+        for copy in (network.snapshot(), network.copy()):
+            copy.set_capacity(0, 9.0)
+            copy.add_edge("n1", "new", 1.0)
+            assert copy.flat().digest != view.digest
+        assert network.flat() is view
+
+
+# ----------------------------------------------------------------------
+# check_flow against the per-edge loop it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_check_flow(network, flow, capacity_tol=1e-9, conservation_tol=1e-9):
+    """The per-edge Python loop ``check_flow`` replaced."""
+    problems = []
+    for edge in network.edges():
+        value = flow.get(edge.index, 0.0)
+        if value < -capacity_tol:
+            problems.append(
+                f"edge {edge.index} ({edge.tail}->{edge.head}): negative flow {value}"
+            )
+        if not edge.is_uncapacitated and value > edge.capacity + capacity_tol:
+            problems.append(
+                f"edge {edge.index} ({edge.tail}->{edge.head}): flow {value} exceeds "
+                f"capacity {edge.capacity}"
+            )
+    for vertex in network.internal_vertices():
+        excess = network.excess(flow, vertex)
+        if abs(excess) > conservation_tol:
+            problems.append(f"vertex {vertex!r}: conservation violated by {excess}")
+    return problems
+
+
+def perturbed_flows(network: FlowNetwork, rng: random.Random) -> list:
+    """A max flow plus seeded infeasible variants of it."""
+    feasible = KernelDinic().solve(network).edge_flows
+    m = network.num_edges
+    flows = [feasible, {}]
+    for _ in range(6):
+        flow = dict(feasible)
+        for index in rng.sample(range(m), 3):
+            flow[index] *= rng.choice((1.5, 2.0, -1.0))  # over, or negative
+        for index in rng.sample(range(m), 2):
+            flow[index] = -rng.uniform(0.0, 1e-8)  # negative within a tolerance
+        for index in rng.sample(range(m), 2):
+            flow.pop(index, None)  # a missing key counts as 0.0
+        flow.update({-1: 5.0, m: 7.0, m + 9: -3.0, "x": 1.0})  # ignored keys
+        flows.append(flow)
+    return flows
+
+
+class TestCheckFlowDifferential:
+    def test_matches_the_loop_message_for_message(self):
+        rng = random.Random(derive_seed("check-flow-differential"))
+        networks = []
+        for _ in range(4):
+            network = rmat_graph(20, 70, seed=rng.getrandbits(32))
+            for vertex in rng.sample(network.internal_vertices(), 2):
+                network.add_edge(network.source, vertex, math.inf)
+            networks.append(network)
+        networks.append(grid_graph(4, 5, seed=rng.getrandbits(32)))
+        violations = feasible = 0
+        for network in networks:
+            for flow in perturbed_flows(network, rng):
+                for tols in ((), (1e-6, 1e-6), (0.0, 0.0), (1e-9, 10.0)):
+                    expected = reference_check_flow(network, flow, *tols)
+                    assert network.check_flow(flow, *tols) == expected
+                    violations += bool(expected)
+                    feasible += not expected
+        assert violations and feasible
+
+    def test_integer_flows_keep_their_formatting(self):
+        network = paper_example_graph()
+        flow = {0: 4, 1: 2, 2: -1, 3: 2, 5: 3}
+        expected = reference_check_flow(network, flow)
+        assert network.check_flow(flow) == expected
+        assert "vertex 'n1': conservation violated by 3" in expected

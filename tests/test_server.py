@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import FlowNetwork
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, InvalidGraphError
 from repro.flows.kernel import FlatResidual
 from repro.obs import (
     SloObjective,
@@ -172,6 +172,42 @@ class TestCoalescing:
         assert len(backend.calls) == 2
         assert not first.coalesced and not second.coalesced
         assert server.stats()["inflight"] == 0
+
+
+class TestFrozenSubmissions:
+    async def test_a_submitted_network_cannot_change_under_a_shared_solve(
+        self, obs_server
+    ):
+        # An edit to a submitted network would reach every caller coalesced
+        # onto its solve: here an independent caller would get 100.0.
+        service = BatchSolveService()
+        started, gate = asyncio.Event(), asyncio.Event()
+
+        async def gated_solve(request):
+            started.set()
+            await gate.wait()
+            return service.solve(
+                request.network, backend=request.backend, **request.options
+            )
+
+        async with AsyncSolveServer(workers=1, solve_fn=gated_solve) as server:
+            mine = tiny_network(3.0)
+            first = asyncio.ensure_future(server.submit(mine, backend="kernel"))
+            await started.wait()  # taken by the worker, not yet solved
+            try:
+                with pytest.raises(InvalidGraphError):
+                    mine.set_capacity(0, 100.0)
+                second = asyncio.ensure_future(
+                    server.submit(tiny_network(3.0), backend="kernel")
+                )
+                await spin_until(lambda: server.stats()["waiting"] == 2)
+            finally:
+                gate.set()
+            responses = await asyncio.gather(first, second)
+        assert [r.status for r in responses] == [200, 200]
+        assert [r.coalesced for r in responses] == [False, True]
+        assert [r.result.flow_value for r in responses] == [3.0, 3.0]
+        assert mine.edge(0).capacity == 3.0
 
 
 class TestAdmissionControl:

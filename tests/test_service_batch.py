@@ -48,6 +48,22 @@ def test_network_signature_distinguishes_topology_and_capacity():
     assert network_signature(a) != network_signature(d)
 
 
+def test_mutating_an_unfrozen_network_drops_its_cached_view():
+    # Direct service callers may edit a network between solves: the edit
+    # drops the cached view, so neither the kernel nor the analog cache
+    # key can read the old capacities.
+    service = BatchSolveService()
+    network = tiny_network(bottleneck=2.0)
+    assert service.solve(network, backend="kernel").flow_value == pytest.approx(2.0)
+    first = service.solve(network, backend="analog")
+    assert first.ok and not first.cache_hit
+    assert service.solve(network, backend="analog").cache_hit
+    network.set_capacity(1, 3.0)
+    assert service.solve(network, backend="kernel").flow_value == pytest.approx(3.0)
+    edited = service.solve(network, backend="analog")
+    assert edited.ok and not edited.cache_hit
+
+
 def test_cache_lru_eviction_and_stats():
     cache = CompiledCircuitCache(max_entries=2)
     for key in ("a", "b", "c"):

@@ -30,12 +30,7 @@ from repro.flows.incremental import IncrementalMaxFlow
 from repro.flows.kernel import KernelDinic
 from repro.flows.registry import solve_max_flow
 from repro.graph import FlowNetwork, MutableFlowNetwork, grid_graph, rmat_graph
-from repro.graph.updates import (
-    CapacityUpdate,
-    EdgeInsert,
-    EdgeRemove,
-    topology_signature,
-)
+from repro.graph.updates import CapacityUpdate, EdgeInsert, EdgeRemove
 from repro.resilience.policy import Deadline, deadline_scope
 from repro.service import CompiledCircuitCache, StreamingSession, push_all
 
@@ -128,18 +123,6 @@ class TestMutableFlowNetwork:
         with pytest.raises(EdgeNotFoundError):
             dyn.apply([EdgeRemove(0), CapacityUpdate(0, 1.0)])
         assert dyn.revision == 0 and not dyn.is_removed(0)
-
-    def test_topology_signature_ignores_capacities_not_structure(self):
-        g = FlowNetwork()
-        g.add_edge("s", "a", 2.0)
-        g.add_edge("a", "t", 1.0)
-        dyn = MutableFlowNetwork(g)
-        base = dyn.topology_signature()
-        dyn.apply([CapacityUpdate(0, 99.0)])
-        assert dyn.topology_signature() == base
-        dyn.apply([EdgeInsert("s", "t", 1.0)])
-        assert dyn.topology_signature() != base
-        assert topology_signature(g) == base  # original untouched
 
     def test_infinite_capacity_transition_is_structural(self):
         g = FlowNetwork()
