@@ -14,10 +14,8 @@ DOCTEST_MODULES := src/repro/service \
 	src/repro/circuit/linsolve.py \
 	src/repro/circuit/nonlinear.py \
 	src/repro/circuit/stamps.py \
-	src/repro/obs/export.py \
 	src/repro/obs/metrics.py \
-	src/repro/obs/trace.py \
-	src/repro/obs/windows.py
+	src/repro/obs/trace.py
 
 .PHONY: test test-conformance bench-smoke perfbench-smoke docs-check perf-gate perf-gate-streaming perf-gate-shard perf-gate-problems perf-gate-kernel perf-gate-resilience perf-gate-obs perf-gate-serving perf-gate-all bench-serving bench-check serve-demo ci
 
@@ -128,7 +126,8 @@ serve-demo:
 bench-check:
 	$(PYTHON) tools/bench_watch.py --suite all --run --scale 0.05 --repeats 1
 
-## broken intra-doc links + docstring coverage of repro.service and repro.shard
+## broken intra-doc links + docstring coverage of repro.service, repro.shard
+## and repro.resilience
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

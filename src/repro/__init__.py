@@ -107,23 +107,14 @@ from .problems import (
     solve_problem,
 )
 from .obs import (
-    BackendHealth,
     MetricsRegistry,
-    SloObjective,
-    SloPolicy,
     Span,
-    WindowedAggregator,
     annotate_span,
     current_span,
     get_registry,
-    get_slo_policy,
-    metrics_document,
     obs_enabled,
-    parse_prometheus_text,
-    prometheus_text,
     reset_metrics,
     set_obs_enabled,
-    set_slo_policy,
     span,
     span_scope,
 )
@@ -227,23 +218,14 @@ __all__ = [
     "inject_faults",
     "solve_with_failover",
     # observability
-    "BackendHealth",
     "MetricsRegistry",
-    "SloObjective",
-    "SloPolicy",
     "Span",
-    "WindowedAggregator",
     "annotate_span",
     "current_span",
     "get_registry",
-    "get_slo_policy",
-    "metrics_document",
     "obs_enabled",
-    "parse_prometheus_text",
-    "prometheus_text",
     "reset_metrics",
     "set_obs_enabled",
-    "set_slo_policy",
     "span",
     "span_scope",
 ]

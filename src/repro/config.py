@@ -397,41 +397,6 @@ def env_int(name, default):
         raise ConfigurationError(f"{name}={raw!r} is not an integer") from exc
 
 
-def env_floats(name, default):
-    """Parse environment variable ``name`` as a comma-separated float list.
-
-    Unset (or blank) returns ``default`` unchanged.  Entries are split on
-    commas, stripped, and empty entries dropped; each remaining entry must
-    parse as a float.  Used for numeric sequences such as the histogram
-    bucket boundaries (``REPRO_OBS_BUCKETS`` in :mod:`repro.obs.metrics`).
-
-    >>> env_floats("_UNSET_", (1.0, 2.0))
-    (1.0, 2.0)
-    >>> import os
-    >>> os.environ["_REPRO_DEMO_LIST"] = "0.1, 0.5,2"
-    >>> env_floats("_REPRO_DEMO_LIST", ())
-    (0.1, 0.5, 2.0)
-    >>> del os.environ["_REPRO_DEMO_LIST"]
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    values = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            values.append(float(chunk))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{name}: {chunk!r} is not a number in {raw!r}"
-            ) from exc
-    if not values:
-        return default
-    return tuple(values)
-
-
 def env_plan(name, raw=None):
     """Parse a structured plan variable into a list of key/value dicts.
 

@@ -44,35 +44,22 @@ import json
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..config import env_floats
-
 __all__ = [
-    "BUCKETS_ENV_VAR",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
     "metric_key",
-    "parse_metric_key",
     "reset_metrics",
 ]
-
-#: Environment override for the default latency bucket boundaries: a
-#: comma-separated list of seconds (``REPRO_OBS_BUCKETS=0.001,0.01,0.1``),
-#: parsed once at import through :func:`repro.config.env_floats`.
-BUCKETS_ENV_VAR = "REPRO_OBS_BUCKETS"
 
 #: Fixed latency buckets (seconds), chosen once for the whole project so
 #: histograms from different runs are comparable.  The range spans the
 #: workloads we actually time: sub-millisecond kernel sweeps up to the
-#: tens-of-seconds deadline ceilings of the resilience layer.  Deployments
-#: with different latency regimes override via :data:`BUCKETS_ENV_VAR`.
-DEFAULT_LATENCY_BUCKETS_S: Tuple[float, ...] = env_floats(
-    BUCKETS_ENV_VAR,
-    (
-        0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-        0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-    ),
+#: tens-of-seconds deadline ceilings of the resilience layer.
+DEFAULT_LATENCY_BUCKETS_S: Tuple[float, ...] = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
 
@@ -88,33 +75,6 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
     return f"{name}{{{inner}}}"
 
 
-def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Split a flattened registry key back into ``(name, labels)``.
-
-    The exact inverse of :func:`metric_key` for the label values this
-    project emits (scalars stringified by the f-string flattening) —
-    the exporters in :mod:`repro.obs.export` and the window/SLO layer
-    use it to group one metric family across its label sets.
-
-    >>> parse_metric_key("service.solves{backend=dinic,tag=x}")
-    ('service.solves', {'backend': 'dinic', 'tag': 'x'})
-    >>> parse_metric_key("cache.hits")
-    ('cache.hits', {})
-    """
-    brace = key.find("{")
-    if brace < 0:
-        return key, {}
-    name = key[:brace]
-    inner = key[brace + 1 : key.rindex("}")]
-    labels: Dict[str, str] = {}
-    for pair in inner.split(","):
-        if not pair:
-            continue
-        k, _, v = pair.partition("=")
-        labels[k] = v
-    return name, labels
-
-
 class Histogram:
     """Fixed-bucket histogram: per-bucket counts plus sum and count.
 
@@ -122,10 +82,9 @@ class Histogram:
     is the explicit overflow (``+Inf``) bucket, so ``len(counts) ==
     len(bounds) + 1`` and ``sum(counts) == count`` hold for every
     observation stream — observations above the top boundary land in the
-    overflow slot instead of being dropped, and the Prometheus exporter
-    renders ``le="+Inf"`` straight from the last slot with no special
-    casing.  Bounds are frozen at construction — the export is therefore
-    mergeable across runs without re-binning.
+    overflow slot instead of being dropped.  Bounds are frozen at
+    construction — snapshots are therefore mergeable across runs without
+    re-binning.
     """
 
     __slots__ = ("bounds", "counts", "total", "count")

@@ -13,18 +13,9 @@ Every probe funnels through :func:`emit`, whose first action is reading
 the tracing enable flag — the disabled fast path is one module-attribute
 read and a return, cheap enough for the kernel's per-sweep loop (the
 ``obs`` perf suite gates this at <2 % total service overhead).
-
-Beyond the registry, :func:`emit` fans events out to any sinks attached
-via :func:`add_event_sink` — in practice
-:class:`repro.obs.export.JsonlEventSink`, giving long-lived services a
-bounded on-disk event stream without a second instrumentation pass.
-Sinks only see events while obs is enabled, and sink failures never
-propagate into solver paths.
 """
 
 from __future__ import annotations
-
-from typing import Callable, List
 
 from . import trace
 from .metrics import get_registry
@@ -45,16 +36,13 @@ __all__ = [
     "EVENT_RETRY_ATTEMPT",
     "EVENT_SHARD_ITERATION",
     "EVENT_SHARD_SOLVE",
-    "EVENT_SLO_SKIP",
     "EVENT_SOLVE",
     "EVENT_SOLVE_ERROR",
     "EVENT_STREAMING_PUSH",
     "METRIC_QUEUE_DEPTH",
     "METRIC_REQUEST_SECONDS",
     "METRIC_SOLVE_SECONDS",
-    "add_event_sink",
     "emit",
-    "remove_event_sink",
 ]
 
 # Solver inner loops -------------------------------------------------------
@@ -78,16 +66,13 @@ EVENT_BREAKER_TRANSITION = "resilience.breaker_transitions"
 EVENT_FAILOVER_HOP = "resilience.failover_hops"
 EVENT_FAULT_INJECTED = "resilience.faults_injected"
 
-# SLO routing --------------------------------------------------------------
-EVENT_SLO_SKIP = "slo.backend_skips"
-
 # Serving front door (repro.service.server) --------------------------------
 EVENT_REQUEST = "service.requests"
 EVENT_REQUEST_SHED = "service.request_sheds"
 EVENT_COALESCE_HIT = "service.coalesce_hits"
 
-#: Per-backend solve-latency histogram the SLO latency objectives read.
-#: (A histogram name, not an event — observed via :func:`solve_timed`.)
+#: Per-backend solve-latency histogram (a histogram name, not an event —
+#: observed via :func:`solve_timed`).
 METRIC_SOLVE_SECONDS = "service.solve.seconds"
 
 #: End-to-end request latency histogram of the async front door (admission
@@ -97,31 +82,6 @@ METRIC_REQUEST_SECONDS = "service.request.seconds"
 #: Pending-request gauge of the async front door: the unlabelled key is the
 #: global queue depth, per-tenant keys carry a ``tenant`` label.
 METRIC_QUEUE_DEPTH = "service.queue.depth"
-
-#: Attached event sinks (see :func:`add_event_sink`).  A plain list read
-#: without a lock: attachment happens at service setup, not in hot loops,
-#: and the disabled fast path never touches it.
-_SINKS: List[Callable[..., None]] = []
-
-
-def add_event_sink(sink: Callable[..., None]) -> None:
-    """Mirror every enabled :func:`emit` into ``sink(event, amount, **labels)``.
-
-    Typically a :class:`repro.obs.export.JsonlEventSink` ``emit`` bound
-    method.  Sinks fire only while obs is enabled; exceptions raised by a
-    sink are swallowed so a full disk never fails a solve.
-    """
-    if sink not in _SINKS:
-        _SINKS.append(sink)
-
-
-def remove_event_sink(sink: Callable[..., None]) -> None:
-    """Detach a sink added with :func:`add_event_sink` (missing is fine)."""
-    try:
-        _SINKS.remove(sink)
-    except ValueError:
-        pass
-
 
 def emit(event: str, amount: float = 1.0, **labels: object) -> None:
     """Count ``event`` in the process registry; no-op when obs is off.
@@ -133,12 +93,6 @@ def emit(event: str, amount: float = 1.0, **labels: object) -> None:
     if not trace._ENABLED:
         return
     get_registry().counter(event, amount, **labels)
-    if _SINKS:
-        for sink in _SINKS:
-            try:
-                sink(event, amount, **labels)
-            except Exception:
-                pass
 
 
 # -- solver inner loops (label-free: these sit inside hot loops) -----------
@@ -190,9 +144,8 @@ def solve_error(backend: str, error_type: str) -> None:
 def solve_timed(backend: str, seconds: float) -> None:
     """Record one solve's wall time into the per-backend latency histogram.
 
-    This is the data source for :class:`repro.obs.slo.SloPolicy` latency
-    objectives — the span histogram keys on span name only, so latency
-    SLOs need this backend-labelled series.
+    The span histograms key on span name only, so this backend-labelled
+    series is the one place per-backend solve latency is kept.
     """
     if not trace._ENABLED:
         return
@@ -242,8 +195,8 @@ def request_timed(backend: str, status: int, seconds: float) -> None:
     """Record one front-door request's end-to-end latency (queueing included).
 
     The serving counterpart of :func:`solve_timed`: ``service.request.seconds``
-    is what the serving SLOs and ``BENCH_serving.json`` percentiles read,
-    while ``service.solve.seconds`` keeps measuring backend time alone.
+    measures what a caller waits, queueing included, while
+    ``service.solve.seconds`` keeps measuring backend time alone.
     """
     if not trace._ENABLED:
         return
@@ -283,10 +236,3 @@ def failover_hop(backend: str, outcome: str) -> None:
 def fault_injected(site: str, backend: str, kind: str) -> None:
     """An injected fault actually fired at a hook site."""
     emit(EVENT_FAULT_INJECTED, site=site, backend=backend, kind=kind)
-
-
-# -- SLO routing -----------------------------------------------------------
-
-def slo_skip(backend: str, reason: str) -> None:
-    """The failover chain routed around ``backend`` on an SLO verdict."""
-    emit(EVENT_SLO_SKIP, backend=backend, reason=reason or "exhausted")

@@ -6,7 +6,7 @@
 single document shape describes any solve:
 
 ``{"schema", "service", "enabled", "summary", "cache", "metrics",
-"slo", "trace"}``
+"trace"}``
 
 * ``summary`` is the service's own flat summary, unchanged — existing
   consumers keep their fields;
@@ -16,9 +16,6 @@ single document shape describes any solve:
 * ``metrics`` is the process registry snapshot — probe counters and span
   latency histograms — so the one document also holds the solver-loop
   tallies that used to be private to report objects;
-* ``slo`` is :meth:`repro.obs.slo.SloPolicy.report` for the active
-  process-global policy (``{}`` when none is installed) — per-backend
-  burn rates and verdicts ride along with every report;
 * ``trace`` is the embedded ``repro.trace/v1`` span document, so one
   telemetry dump is enough for ``tools/trace_dump.py`` to render the
   run's span tree.
@@ -42,7 +39,7 @@ TELEMETRY_SCHEMA = "repro.telemetry/v1"
 
 #: The fixed top-level key set every service's ``telemetry()`` shares.
 TELEMETRY_KEYS = (
-    "schema", "service", "enabled", "summary", "cache", "metrics", "slo", "trace"
+    "schema", "service", "enabled", "summary", "cache", "metrics", "trace"
 )
 
 
@@ -57,15 +54,12 @@ def build_telemetry(
     ``cache.<stat>{service=...}`` gauges so they appear in *every*
     registry snapshot, not only in this service's document.
     """
-    from .slo import get_slo_policy  # late import: slo -> windows -> metrics
-
     cache_stats = dict(cache) if cache else {}
     if cache_stats and obs_enabled():
         registry = get_registry()
         for stat, value in cache_stats.items():
             if isinstance(value, (int, float)):
                 registry.gauge(f"cache.{stat}", value, service=service)
-    policy = get_slo_policy()
     return {
         "schema": TELEMETRY_SCHEMA,
         "service": service,
@@ -73,6 +67,5 @@ def build_telemetry(
         "summary": dict(summary),
         "cache": cache_stats,
         "metrics": get_registry().snapshot(),
-        "slo": policy.report() if policy is not None else {},
         "trace": trace_document(),
     }

@@ -1,9 +1,8 @@
 """Declarative degradation chains with validation-gated fallback.
 
 When a backend fails — injected fault, genuine convergence failure, open
-circuit breaker, exhausted SLO error budget — the request does not fail
-with it: it *degrades* along a declared chain of strictly-more-conservative
-backends::
+circuit breaker — the request does not fail with it: it *degrades* along a
+declared chain of strictly-more-conservative backends::
 
     analog           →  kernel  →  dinic
     kernel           →  dinic
@@ -29,12 +28,21 @@ inflated flow violates capacity on every saturated min-cut edge.
 Timeouts are terminal: a :class:`~repro.errors.SolveTimeoutError` aborts
 the whole chain, because the budget that produced it is shared by any
 fallback that would follow.
+
+Backend health has one signal: the per-backend
+:class:`~repro.resilience.policy.CircuitBreaker` a :class:`FailoverPolicy`
+keeps, judged in one place, :meth:`FailoverPolicy.healthy`.  Every failed
+attempt counts against it — an error, a timeout, a result that fails
+certification — and the chain walk skips a stage whose breaker is open,
+except the last, which is always attempted: degraded service beats no
+service.  The server's deadline router reads the same verdict before it
+sends a tight request to ``"analog"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import (
     BackendUnavailableError,
@@ -43,7 +51,6 @@ from ..errors import (
     SolveTimeoutError,
 )
 from ..obs import probes
-from ..obs.slo import SloPolicy, get_slo_policy
 from ..obs.trace import annotate_span
 from .policy import CircuitBreaker, RetryPolicy, active_deadline
 
@@ -140,7 +147,11 @@ def certify_flow_result(network, flow_value, edge_flows, *, exact=True) -> None:
 
 @dataclass
 class FailoverPolicy:
-    """How one service degrades: chains, retries, breakers, validation.
+    """How one service degrades: retries, breakers, validation.
+
+    Chains come from :func:`degradation_chain`.  One policy may be shared
+    by threads: the server's workers and the batch service's thread
+    executor record outcomes on it while the server's router reads it.
 
     Parameters
     ----------
@@ -149,60 +160,42 @@ class FailoverPolicy:
         failures on identical inputs are deterministic unless a fault plan
         with a bounded ``times`` is in play, which is exactly when a second
         attempt helps).
-    chains:
-        Per-backend chain overrides; unlisted backends use
-        :func:`degradation_chain`.
     validate:
         Gate every accepted result through :func:`certify_flow_result`.
         Primary *exact* backends skip the gate (their own invariants and the
         differential fuzz suite cover them); analog results and every
         fallback result are always validated when this is on.
-    breaker_window, breaker_threshold, breaker_cooldown_s:
-        Rolling-window parameters for the per-backend circuit breakers.
-    slo:
-        Optional :class:`~repro.obs.slo.SloPolicy` consulted before each
-        chain stage; a backend whose error budget is exhausted is skipped
-        (unless it is the chain's last resort).  ``None`` falls through to
-        the process-global policy from
-        :func:`~repro.obs.slo.get_slo_policy`, so installing one policy
-        makes every chain walk budget-aware.
     """
 
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_attempts=2, base_delay_s=0.0)
     )
-    chains: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     validate: bool = True
-    breaker_window: int = 8
-    breaker_threshold: int = 4
-    breaker_cooldown_s: float = 30.0
-    slo: Optional["SloPolicy"] = None
     _breakers: Dict[str, CircuitBreaker] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def slo_policy(self) -> Optional["SloPolicy"]:
-        """The SLO policy in force: this policy's own, else process-global."""
-        if self.slo is not None:
-            return self.slo
-        return get_slo_policy()
+    def healthy(self, backend: str) -> bool:
+        """Whether ``backend`` may take traffic: its breaker is not open.
 
-    def chain_for(self, backend: str) -> Tuple[str, ...]:
-        chain = self.chains.get(backend)
-        if chain is not None:
-            return tuple(chain)
-        return degradation_chain(backend)
+        The one place a backend's health is decided.  An open breaker turns
+        half-open once its cooldown has passed, and is then healthy again
+        until the probe's outcome lands.
+        """
+        return self.breaker_for(backend).allow()
 
     def breaker_for(self, backend: str) -> CircuitBreaker:
+        """This policy's breaker for ``backend``, created closed on first use.
+
+        Every breaker has :class:`~repro.resilience.policy.CircuitBreaker`'s
+        defaults: it opens at 4 failures in its last 8 outcomes and lets
+        calls through again 30 s later.  ``setdefault`` makes the insert
+        atomic, so threads racing to create one backend's breaker all get
+        the same one.
+        """
         breaker = self._breakers.get(backend)
         if breaker is None:
-            breaker = CircuitBreaker(
-                window=self.breaker_window,
-                failure_threshold=self.breaker_threshold,
-                cooldown_s=self.breaker_cooldown_s,
-                name=backend,
-            )
-            self._breakers[backend] = breaker
+            breaker = self._breakers.setdefault(backend, CircuitBreaker(name=backend))
         return breaker
 
 
@@ -228,8 +221,8 @@ def solve_with_failover(
     """
     from ..service.api import SolveResult
 
-    chain = policy.chain_for(request.backend)
-    slo = policy.slo_policy()
+    chain = degradation_chain(request.backend)
+    last = len(chain) - 1
     trail: List[str] = []
     for stage, name in enumerate(chain):
         deadline = active_deadline()
@@ -251,21 +244,13 @@ def solve_with_failover(
                 error_type=type(timeout).__name__,
                 failover_trail=trail,
             )
-        if slo is not None and stage < len(chain) - 1:
-            # Budget-aware routing: an exhausted backend is skipped so the
-            # chain degrades pre-emptively — but never the last resort,
-            # because degraded service beats no service.
-            health = slo.health(name)
-            if health.should_skip:
-                trail.append(f"{name}: error budget exhausted ({health.reason})")
-                probes.slo_skip(name, health.verdict)
-                probes.failover_hop(name, "slo-exhausted")
-                continue
-        breaker = policy.breaker_for(name)
-        if not breaker.allow():
+        if stage < last and not policy.healthy(name):
+            # The last resort runs whatever its breaker says: degraded
+            # service beats no service.
             trail.append(f"{name}: circuit breaker open")
             probes.failover_hop(name, "breaker-open")
             continue
+        breaker = policy.breaker_for(name)
         try:
             backend = make_backend(name)
         except ReproError as exc:

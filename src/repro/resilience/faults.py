@@ -145,6 +145,7 @@ class FaultPlan:
         return cls(**kwargs)
 
     def matches(self, site: str, backend: str) -> bool:
+        """Whether this plan targets ``site`` on ``backend`` (``*`` matches any)."""
         return self.site in ("*", site) and self.backend in ("*", backend)
 
     def should_fire(self) -> bool:

@@ -19,8 +19,9 @@ Three small, deterministic primitives that the service layers compose:
 
 * :class:`CircuitBreaker` — a per-backend rolling failure window with the
   classic closed → open → half-open state machine, so a persistently failing
-  backend is skipped (its degradation chain takes over) instead of paying
-  its failure latency on every request.
+  backend is skipped (its degradation chain takes over, and the server's
+  router stops sending it traffic) instead of paying its failure latency on
+  every request.
 
 Deadlines are captured as *absolute* expiries (``time.monotonic``-based), so
 a ``Deadline`` object can be handed to worker threads and re-scoped there;
@@ -243,15 +244,23 @@ class CircuitBreaker:
       last ``window`` calls, and the breaker opens once it holds at least
       ``failure_threshold`` failures.
     * **open** — :meth:`allow` answers ``False`` until ``cooldown_s`` has
-      elapsed, then the breaker moves to *half-open*.
-    * **half-open** — exactly one probe call is let through: success closes
-      the breaker (window cleared), failure re-opens it for another cooldown.
+      elapsed, then the breaker moves to *half-open*.  An outcome recorded
+      while open (a chain's last resort runs whatever its breaker says)
+      lands in the window but neither re-opens the breaker nor restarts its
+      cooldown.
+    * **half-open** — :meth:`allow` lets every call through until an
+      outcome lands: a success closes the breaker (window cleared), a
+      failure re-opens it for another cooldown.
 
     The clock is injectable so tests can step through cooldowns without
-    sleeping.  Instances are not thread-safe by design: each
-    :class:`~repro.resilience.failover.FailoverPolicy` keeps one breaker per
-    backend per thread-confined solve path, and the worst case of a lost
-    update is one extra probe.
+    sleeping.  One breaker is shared by threads: a
+    :class:`~repro.resilience.failover.FailoverPolicy` is shared by the
+    server's workers and the batch service's thread executor, which record
+    outcomes, and by the server's router, which reads :meth:`allow` on the
+    event-loop thread.  There is no lock: opening stores the open time
+    before the state, so no reader sees an open breaker with a stale open
+    time, and the worst case of two racing writers is one extra probe or
+    one lost outcome.
     """
 
     CLOSED = "closed"
@@ -297,21 +306,23 @@ class CircuitBreaker:
         return sum(1 for ok in self._outcomes if not ok)
 
     def allow(self) -> bool:
-        """Whether the next call may proceed (one probe when half-open)."""
+        """Whether the next call may proceed: the breaker is not open."""
         return self.state != self.OPEN
 
     def record_success(self) -> None:
+        """Count one successful call; a half-open breaker closes."""
         if self._state == self.HALF_OPEN:
             self._reset()
             return
         self._push(True)
 
     def record_failure(self) -> None:
+        """Count one failed call; open at the threshold, or re-open a probe."""
         if self._state == self.HALF_OPEN:
             self._trip()
             return
         self._push(False)
-        if self.failure_count >= self.failure_threshold:
+        if self._state == self.CLOSED and self.failure_count >= self.failure_threshold:
             self._trip()
 
     def _push(self, ok: bool) -> None:
@@ -320,8 +331,11 @@ class CircuitBreaker:
             del self._outcomes[0]
 
     def _trip(self) -> None:
-        self._state = self.OPEN
+        # The open time is stored before the state: a reader that sees OPEN
+        # must also see when it opened, or it would take a stale
+        # ``_opened_at`` for an elapsed cooldown and half-open the breaker.
         self._opened_at = self._clock()
+        self._state = self.OPEN
         probes.breaker_transition(self.name, self.OPEN)
 
     def _reset(self) -> None:

@@ -265,9 +265,8 @@ class BatchReport:
 
         Same shape as every other service's ``telemetry()`` — the batch
         ``summary()`` plus the compiled-circuit cache statistics, the
-        process metrics snapshot, the active per-backend SLO report under
-        ``slo``, and the embedded span tree under ``trace`` (see
-        :mod:`repro.obs.telemetry`).
+        process metrics snapshot, and the embedded span tree under
+        ``trace`` (see :mod:`repro.obs.telemetry`).
         """
         from ..obs.telemetry import build_telemetry
 

@@ -75,8 +75,8 @@ class SolveBackend:
 
         Every attempt (success or typed failure) records its wall time
         into the ``service.solve.seconds{backend=}`` histogram via
-        ``probes.solve_timed`` — the per-backend latency series the SLO
-        latency objectives in :mod:`repro.obs.slo` are computed from.
+        ``probes.solve_timed``, the per-backend latency series that the
+        telemetry snapshot carries.
         """
         start = time.perf_counter()
         with span("backend.solve", backend=self.name) as sp:

@@ -143,7 +143,7 @@ class ProblemReport:
         """The unified ``repro.telemetry/v1`` document for this solve.
 
         Same shape as :meth:`repro.service.api.BatchReport.telemetry` —
-        including the ``slo`` and ``trace`` sections; the problems layer
+        including the ``trace`` section; the problems layer
         owns no compiled-circuit cache, so the ``cache`` section is empty
         (see :mod:`repro.obs.telemetry`).
         """

@@ -32,9 +32,10 @@ is pinned by ``tests/test_server.py`` without sleeps:
 * **Deadline-aware backend selection.**  A request without an explicit
   backend routes on its deadline: tight budgets
   (``deadline_s <= analog_deadline_s``) go to the fast approximate
-  analog backend *while its SLO error budget is healthy* (the same
-  :class:`~repro.obs.slo.SloPolicy` verdicts the failover chain
-  consults); exhausted budgets or loose deadlines take the exact
+  analog backend *while its circuit breaker is closed* (the verdict of
+  :meth:`~repro.resilience.failover.FailoverPolicy.healthy` on the
+  service's failover policy, the same one the failover chain walk
+  reads); an open analog breaker or a loose deadline takes the exact
   classical default, ``DEFAULT_EXACT_ALGORITHM`` (the ``"kernel"``
   engine).  This is the paper's analog-vs-exact latency
   trade-off made into a routing decision, and what is left of the
@@ -82,7 +83,6 @@ from ..flows.kernel import FusedSolves, fusion_scope
 from ..flows.registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM
 from ..graph.network import FlowNetwork
 from ..obs import probes
-from ..obs.slo import SloPolicy, get_slo_policy
 from .api import SolveRequest, SolveResult
 from .batch import BatchSolveService
 from .cache import network_signature
@@ -207,7 +207,9 @@ class AsyncSolveServer:
     service:
         The :class:`~repro.service.batch.BatchSolveService` that executes
         admitted requests (a failover-enabled one by default, so degraded
-        answers beat shed requests).  Ignored when ``solve_fn`` is given.
+        answers beat shed requests).  Its failover policy's analog breaker
+        steers the deadline router, even when ``solve_fn`` replaces the
+        service call.
     workers:
         Number of worker tasks draining the priority queue, so the bound
         on requests running at once.  Requests routed to a classical
@@ -224,10 +226,7 @@ class AsyncSolveServer:
         (on by default; the benchmark's control arm turns it off).
     analog_deadline_s:
         Deadline at or under which an auto-routed request prefers the
-        analog backend (while its SLO budget is healthy).
-    slo:
-        :class:`~repro.obs.slo.SloPolicy` consulted by the deadline
-        router; ``None`` falls through to the process-global policy.
+        analog backend (while its circuit breaker is closed).
     clock:
         Monotonic clock for queueing/latency bookkeeping — injectable so
         the concurrency tests run on a virtual clock.
@@ -261,7 +260,6 @@ class AsyncSolveServer:
         per_tenant_queue: int = 16,
         coalesce: bool = True,
         analog_deadline_s: float = 0.25,
-        slo: Optional[SloPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         solve_fn: Optional[Callable[[SolveRequest], Any]] = None,
     ) -> None:
@@ -275,7 +273,6 @@ class AsyncSolveServer:
         self.per_tenant_queue = per_tenant_queue
         self.coalesce = coalesce
         self.analog_deadline_s = float(analog_deadline_s)
-        self.slo = slo
         self._clock = clock
         self._solve_fn = solve_fn
         self._solve_async = inspect.iscoroutinefunction(solve_fn) or (
@@ -476,12 +473,17 @@ class AsyncSolveServer:
     # -- routing and admission -----------------------------------------
 
     def _route(self, backend: Optional[str], deadline_s: Optional[float]) -> str:
-        """Pick a backend: explicit wins, else deadline + SLO health."""
+        """Pick a backend: explicit wins, else deadline + analog's breaker.
+
+        Without a failover policy (a ``solve_fn`` alone, or a service
+        built with ``failover=None``) nothing records analog's health, so
+        a tight deadline always routes analog.
+        """
         if backend is not None:
             return backend
         if deadline_s is not None and deadline_s <= self.analog_deadline_s:
-            policy = self.slo if self.slo is not None else get_slo_policy()
-            if policy is None or not policy.health("analog").should_skip:
+            policy = self.service.failover if self.service is not None else None
+            if policy is None or policy.healthy("analog"):
                 return "analog"
         return DEFAULT_EXACT_ALGORITHM
 

@@ -267,7 +267,7 @@ class StreamingSession:
 
         Same shape as :meth:`repro.service.api.BatchReport.telemetry` —
         the session ``summary()``, the process metrics snapshot, and the
-        ``slo``/``trace`` sections (see :mod:`repro.obs.telemetry`); the
+        ``trace`` section (see :mod:`repro.obs.telemetry`); the
         ``cache`` section is empty, since a session owns its one compiled
         circuit.
         """

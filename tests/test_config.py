@@ -198,23 +198,6 @@ class TestEnvHelpers:
         with pytest.raises(ConfigurationError):
             env_int("_REPRO_TEST_NUM", 0)
 
-    def test_env_floats_parses_comma_list(self, monkeypatch):
-        from repro.config import env_floats
-
-        monkeypatch.delenv("_REPRO_TEST_LIST", raising=False)
-        assert env_floats("_REPRO_TEST_LIST", (1.0, 2.0)) == (1.0, 2.0)
-        monkeypatch.setenv("_REPRO_TEST_LIST", " 0.001, 0.01 ,0.1 ")
-        assert env_floats("_REPRO_TEST_LIST", ()) == (0.001, 0.01, 0.1)
-        monkeypatch.setenv("_REPRO_TEST_LIST", "")
-        assert env_floats("_REPRO_TEST_LIST", (5.0,)) == (5.0,)
-
-    def test_env_floats_rejects_garbage_entry(self, monkeypatch):
-        from repro.config import env_floats
-
-        monkeypatch.setenv("_REPRO_TEST_LIST", "0.1,fast,0.2")
-        with pytest.raises(ConfigurationError):
-            env_floats("_REPRO_TEST_LIST", ())
-
     def test_env_plan_grammar(self):
         from repro.config import env_plan
 

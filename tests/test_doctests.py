@@ -21,9 +21,7 @@ import repro.flows.incremental
 import repro.flows.registry
 import repro.graph.network
 import repro.graph.updates
-import repro.obs.export
 import repro.obs.metrics
-import repro.obs.windows
 import repro.service.api
 import repro.service.backends
 import repro.service.batch
@@ -39,9 +37,7 @@ DOCUMENTED_MODULES = [
     repro.flows.registry,
     repro.graph.network,
     repro.graph.updates,
-    repro.obs.export,
     repro.obs.metrics,
-    repro.obs.windows,
     repro.service.api,
     repro.service.backends,
     repro.service.batch,

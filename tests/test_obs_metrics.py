@@ -127,6 +127,119 @@ class TestProbes:
         assert reg.get_counter(probes.EVENT_CACHE_HIT, backend="dinic") == 1.0
 
 
+#: Every probe with the metric it must write: (call, family, name, labels).
+PROBE_CASES = [
+    pytest.param(probes.kernel_sweep, "counters", probes.EVENT_KERNEL_SWEEP,
+                 {}, id="kernel_sweep"),
+    pytest.param(probes.dinic_phase, "counters", probes.EVENT_DINIC_PHASE,
+                 {}, id="dinic_phase"),
+    pytest.param(probes.dc_iteration, "counters", probes.EVENT_DC_ITERATION,
+                 {}, id="dc_iteration"),
+    pytest.param(probes.shard_iteration, "counters", probes.EVENT_SHARD_ITERATION,
+                 {}, id="shard_iteration"),
+    pytest.param(lambda: probes.incremental_repair("kernel"), "counters",
+                 probes.EVENT_INCREMENTAL_REPAIR, {"algorithm": "kernel"},
+                 id="incremental_repair"),
+    pytest.param(lambda: probes.incremental_cold("kernel"), "counters",
+                 probes.EVENT_INCREMENTAL_COLD, {"algorithm": "kernel"},
+                 id="incremental_cold"),
+    pytest.param(lambda: probes.solve_finished("dinic", cache_hit=False),
+                 "counters", probes.EVENT_SOLVE, {"backend": "dinic"},
+                 id="solve_finished"),
+    pytest.param(lambda: probes.solve_error("dinic", "ConvergenceError"),
+                 "counters", probes.EVENT_SOLVE_ERROR,
+                 {"backend": "dinic", "error_type": "ConvergenceError"},
+                 id="solve_error"),
+    pytest.param(lambda: probes.solve_timed("dinic", 0.003), "histograms",
+                 probes.METRIC_SOLVE_SECONDS, {"backend": "dinic"},
+                 id="solve_timed"),
+    pytest.param(lambda: probes.shard_solve("dinic", warm=True), "counters",
+                 probes.EVENT_SHARD_SOLVE, {"backend": "dinic", "warm": True},
+                 id="shard_solve"),
+    pytest.param(lambda: probes.streaming_push("kernel", warm=False), "counters",
+                 probes.EVENT_STREAMING_PUSH, {"backend": "kernel", "warm": False},
+                 id="streaming_push"),
+    pytest.param(lambda: probes.request_admitted("t1", "kernel"), "counters",
+                 probes.EVENT_REQUEST, {"tenant": "t1", "backend": "kernel"},
+                 id="request_admitted"),
+    pytest.param(lambda: probes.request_shed("t1", "queue-full"), "counters",
+                 probes.EVENT_REQUEST_SHED, {"tenant": "t1", "reason": "queue-full"},
+                 id="request_shed"),
+    pytest.param(lambda: probes.coalesce_hit("kernel"), "counters",
+                 probes.EVENT_COALESCE_HIT, {"backend": "kernel"},
+                 id="coalesce_hit"),
+    pytest.param(lambda: probes.request_timed("kernel", 200, 0.01), "histograms",
+                 probes.METRIC_REQUEST_SECONDS, {"backend": "kernel", "status": 200},
+                 id="request_timed"),
+    pytest.param(lambda: probes.queue_depth(3), "gauges",
+                 probes.METRIC_QUEUE_DEPTH, {}, id="queue_depth"),
+    pytest.param(lambda: probes.queue_depth(3, tenant="t1"), "gauges",
+                 probes.METRIC_QUEUE_DEPTH, {"tenant": "t1"},
+                 id="queue_depth_per_tenant"),
+    pytest.param(lambda: probes.retry_attempt("solve", 1), "counters",
+                 probes.EVENT_RETRY_ATTEMPT, {"target": "solve"},
+                 id="retry_attempt"),
+    pytest.param(lambda: probes.retry_attempt("", 1), "counters",
+                 probes.EVENT_RETRY_ATTEMPT, {"target": "anonymous"},
+                 id="retry_attempt_anonymous"),
+    pytest.param(lambda: probes.breaker_transition("analog", "open"), "counters",
+                 probes.EVENT_BREAKER_TRANSITION,
+                 {"breaker": "analog", "state": "open"},
+                 id="breaker_transition"),
+    pytest.param(lambda: probes.breaker_transition("", "closed"), "counters",
+                 probes.EVENT_BREAKER_TRANSITION,
+                 {"breaker": "anonymous", "state": "closed"},
+                 id="breaker_transition_anonymous"),
+    pytest.param(lambda: probes.failover_hop("kernel", "breaker-open"), "counters",
+                 probes.EVENT_FAILOVER_HOP,
+                 {"backend": "kernel", "outcome": "breaker-open"},
+                 id="failover_hop"),
+    pytest.param(lambda: probes.fault_injected("batch-solve", "kernel", "error"),
+                 "counters", probes.EVENT_FAULT_INJECTED,
+                 {"site": "batch-solve", "backend": "kernel", "kind": "error"},
+                 id="fault_injected"),
+]
+
+
+class TestProbeTable:
+    """Each probe writes exactly one metric under its fixed name and labels,
+    and writes nothing at all while obs is off."""
+
+    @pytest.mark.parametrize("call,family,name,labels", PROBE_CASES)
+    def test_probe_is_inert_when_off_and_writes_its_metric_when_on(
+        self, call, family, name, labels
+    ):
+        previous = set_obs_enabled(False)
+        reset_metrics()
+        try:
+            call()
+            assert get_registry().snapshot() == {
+                "counters": {}, "gauges": {}, "histograms": {}
+            }
+            set_obs_enabled(True)
+            call()
+            snap = get_registry().snapshot()
+        finally:
+            set_obs_enabled(previous)
+            reset_metrics()
+        key = metric_key(name, labels)
+        assert list(snap[family]) == [key]
+        assert sum(len(snap[other]) for other in snap if other != family) == 0
+        value = snap[family][key]
+        if family == "counters":
+            assert value == 1.0
+        elif family == "gauges":
+            assert value == 3.0
+        else:
+            assert value["count"] == 1
+
+    def test_emit_adds_its_amount_under_its_labels(self, obs_on):
+        probes.emit("custom.events", 2.5, site="x")
+        probes.emit("custom.events", site="x")
+        assert get_registry().get_counter("custom.events", site="x") == 3.5
+        assert get_registry().get_counter("custom.events") == 0.0
+
+
 class TestExecutorAggregation:
     """One registry view per batch, identical across executors."""
 
@@ -210,20 +323,26 @@ class TestHistogramOverflowInvariant:
         assert sum(snap["counts"]) == snap["count"] == 4
         assert snap["counts"][-1] == 2  # both > 1.0 land in overflow
 
-    def test_default_buckets_env_override(self):
-        import subprocess
-        import sys
 
-        code = (
-            "from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S; "
-            "print(DEFAULT_LATENCY_BUCKETS_S)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": "src", "REPRO_OBS_BUCKETS": "0.5, 1.5,9"},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "(0.5, 1.5, 9.0)"
+    def test_observation_on_a_bound_lands_in_that_bucket(self):
+        hist = Histogram(bounds=(0.1, 1.0))
+        hist.observe(0.1)
+        hist.observe(1.0)
+        assert hist.snapshot()["counts"] == [1, 1, 0]
+
+    def test_unsorted_bounds_are_rejected(self):
+        with pytest.raises(ValueError):
+            Histogram(bounds=(1.0, 0.1))
+
+    def test_first_observe_fixes_a_keys_buckets(self):
+        reg = MetricsRegistry()
+        reg.observe("queue.wait", 0.5, buckets=(1.0, 2.0))
+        reg.observe("queue.wait", 1.5, buckets=(0.25,))  # ignored: key exists
+        reg.observe("solve", 0.5)
+        hists = reg.snapshot()["histograms"]
+        assert hists["queue.wait"]["buckets"] == [1.0, 2.0]
+        assert hists["queue.wait"]["counts"] == [1, 1, 0]
+        assert hists["solve"]["buckets"] == list(DEFAULT_LATENCY_BUCKETS_S)
 
 
 class TestSolveLatencyHistogram:
@@ -249,18 +368,3 @@ class TestSolveLatencyHistogram:
         assert sum(hist["counts"]) == hist["count"]
         assert hist["sum"] > 0.0
 
-
-class TestExporterRoundTrip:
-    """Prometheus text from a live batch parses back to the exact snapshot."""
-
-    def test_live_snapshot_survives_prometheus_round_trip(self, obs_on):
-        from repro.obs import parse_prometheus_text, prometheus_text
-
-        BatchSolveService(executor="serial").solve_batch([
-            SolveRequest(network=tiny_network(), backend="dinic"),
-            SolveRequest(network=tiny_network(), backend="kernel"),
-        ])
-        snap = get_registry().snapshot()
-        assert snap["counters"], "live run produced no counters"
-        assert snap["histograms"], "live run produced no histograms"
-        assert parse_prometheus_text(prometheus_text(snapshot=snap)) == snap

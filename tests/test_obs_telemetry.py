@@ -6,7 +6,8 @@ the pinned ``repro.telemetry/v1`` top-level key set and survive a JSON
 round trip unchanged, so a single dashboard/exporter understands any
 solving path.  Cache-bearing services (batch, streaming) must also
 mirror their ``CompiledCircuitCache.stats()`` into registry gauges when
-obs is on.
+obs is on, and ``tools/trace_dump.py`` must render a telemetry dump
+through its embedded trace.
 """
 
 from __future__ import annotations
@@ -154,3 +155,86 @@ class TestServiceSchema:
             assert json.loads(json.dumps(doc)) == doc
         # No probes fired: the embedded snapshots are empty.
         assert documents["batch"]["metrics"]["counters"] == {}
+
+
+class TestFailoverSignals:
+    """Breaker and failover signals reach the telemetry document."""
+
+    def test_open_breaker_skip_and_latency_show_in_the_snapshot(self, obs_on):
+        service = BatchSolveService(executor="serial", failover=True)
+        breaker = service.failover.breaker_for("kernel")
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        report = service.solve_batch(
+            [SolveRequest(network=tiny_network(), backend="kernel")]
+        )
+        assert report.results[0].degraded
+        metrics = report.telemetry()["metrics"]
+        counters = metrics["counters"]
+        assert counters[
+            "resilience.failover_hops{backend=kernel,outcome=breaker-open}"
+        ] == 1.0
+        assert counters[
+            "resilience.breaker_transitions{breaker=kernel,state=open}"
+        ] == 1.0
+        assert metrics["histograms"][
+            "service.solve.seconds{backend=dinic}"
+        ]["count"] == 1
+
+
+@pytest.mark.parametrize("module_name", ["repro", "repro.obs", "repro.resilience"])
+def test_every_exported_name_resolves(module_name):
+    import importlib
+
+    module = importlib.import_module(module_name)
+    assert len(module.__all__) == len(set(module.__all__))
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+class TestTraceDumpAcceptsTelemetry:
+    """tools/trace_dump.py unwraps a full telemetry document."""
+
+    @pytest.fixture(scope="class")
+    def trace_dump(self):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "tools" / "trace_dump.py"
+        spec = importlib.util.spec_from_file_location("trace_dump_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+            yield module
+        finally:
+            sys.modules.pop(spec.name, None)
+
+    def _span(self):
+        return {"name": "batch.solve", "duration_s": 0.002,
+                "self_time_s": 0.002, "attributes": {}, "children": []}
+
+    def test_telemetry_document_unwraps_to_embedded_trace(self, trace_dump):
+        document = {
+            "schema": "repro.telemetry/v1",
+            "service": "batch",
+            "trace": {"schema": "repro.trace/v1", "spans": [self._span()]},
+        }
+        assert "batch.solve" in trace_dump.render_document(document)
+
+    def test_plain_trace_document_still_renders(self, trace_dump):
+        document = {"schema": "repro.trace/v1", "spans": [self._span()]}
+        assert "batch.solve" in trace_dump.render_document(document)
+
+    def test_error_names_both_schemas(self, trace_dump):
+        with pytest.raises(ValueError) as excinfo:
+            trace_dump.load_spans({"unrelated": 1})
+        message = str(excinfo.value)
+        assert "repro.trace/v1" in message
+        assert "repro.telemetry/v1" in message
+
+    def test_unknown_wrapper_schema_rejected(self, trace_dump):
+        document = {"schema": "other/v9", "trace": {"spans": []}}
+        with pytest.raises(ValueError):
+            trace_dump.load_spans(document)

@@ -16,6 +16,7 @@ and never hangs: stalls are bounded by tiny deadlines.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -34,7 +35,14 @@ from repro.flows.dinic import Dinic
 from repro.flows.kernel import KernelDinic
 from repro.flows.registry import DEFAULT_EXACT_ALGORITHM
 from repro.graph.updates import CapacityUpdate
-from repro.resilience.failover import certify_flow_result
+from repro.obs import get_registry, probes, reset_metrics, set_obs_enabled
+from repro.resilience import Deadline, deadline_scope
+from repro.resilience.failover import (
+    FailoverPolicy,
+    certify_flow_result,
+    degradation_chain,
+    solve_with_failover,
+)
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -43,6 +51,7 @@ from repro.resilience.faults import (
     inject_faults,
 )
 from repro.service import AsyncSolveServer, BatchSolveService, SolveRequest
+from repro.service.backends import create_backend
 from repro.service.problems import ProblemSolveService
 from repro.service.streaming import StreamingSession
 
@@ -329,6 +338,208 @@ class TestHonestChains:
         assert result.request.backend == "dinic"
         assert result.flow_value == pytest.approx(reference, abs=EXACT)
         assert engine_calls["kernel"] >= 1
+
+
+class TestBreakerVerdict:
+    """One health signal: the chain walk and the router read the breaker."""
+
+    @pytest.fixture()
+    def obs_on(self):
+        previous = set_obs_enabled(True)
+        reset_metrics()
+        yield
+        set_obs_enabled(previous)
+        reset_metrics()
+
+    @staticmethod
+    def open_breaker(policy: FailoverPolicy, backend: str) -> None:
+        breaker = policy.breaker_for(backend)
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        assert not policy.healthy(backend)
+
+    @pytest.mark.parametrize("opened", [("kernel",), ("kernel", "dinic")])
+    def test_open_breaker_is_skipped_but_the_last_resort_runs(
+        self, network, reference, obs_on, opened
+    ):
+        policy = FailoverPolicy()
+        for name in opened:
+            self.open_breaker(policy, name)
+        assert degradation_chain("kernel")[-1] == "dinic"
+        result = solve_with_failover(
+            SolveRequest(network=network, backend="kernel"), policy, create_backend
+        )
+        assert result.ok and result.degraded
+        assert result.request.backend == "dinic"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert result.failover_trail == ["kernel: circuit breaker open"]
+        registry = get_registry()
+        assert registry.get_counter(
+            probes.EVENT_FAILOVER_HOP, backend="kernel", outcome="breaker-open"
+        ) == 1.0
+        assert registry.get_counter(probes.EVENT_SOLVE, backend="kernel") == 0.0
+        assert registry.get_counter(probes.EVENT_SOLVE, backend="dinic") == 1.0
+
+    def test_expired_deadline_aborts_chain_before_any_attempt(self, network, obs_on):
+        deadline = Deadline(5.0)
+        # Rewind the absolute expiry: the budget is already spent, with no
+        # sleeping and no dependence on how fast this test runs.
+        deadline._expires_at = time.monotonic() - 1.0
+        assert deadline.expired()
+        with deadline_scope(deadline):
+            result = solve_with_failover(
+                SolveRequest(network=network, backend="kernel"),
+                FailoverPolicy(),
+                create_backend,
+            )
+        assert not result.ok
+        assert result.error_type == "SolveTimeoutError"
+        assert result.failover_trail == [
+            "kernel: not attempted, deadline expired"
+        ]
+        assert get_registry().get_counter(
+            probes.EVENT_FAILOVER_HOP, backend="kernel",
+            outcome="deadline-expired",
+        ) == 1.0
+
+    @pytest.mark.parametrize(
+        "backend", ["analog", "kernel", "dinic", "push-relabel", "sharded:dinic"]
+    )
+    def test_fully_open_chain_runs_only_the_last_resort(
+        self, network, reference, obs_on, backend
+    ):
+        chain = degradation_chain(backend)
+        policy = FailoverPolicy()
+        for name in chain:
+            self.open_breaker(policy, name)
+        result = solve_with_failover(
+            SolveRequest(network=network, backend=backend), policy, create_backend
+        )
+        assert result.ok and result.degraded
+        assert result.request.backend == chain[-1]
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert result.failover_trail == [
+            f"{name}: circuit breaker open" for name in chain[:-1]
+        ]
+        registry = get_registry()
+        for name in chain[:-1]:
+            assert registry.get_counter(
+                probes.EVENT_FAILOVER_HOP, backend=name, outcome="breaker-open"
+            ) == 1.0, name
+            assert registry.get_counter(probes.EVENT_SOLVE, backend=name) == 0.0
+
+    @pytest.mark.parametrize("kind", RAISING_KINDS)
+    def test_persistent_fault_opens_the_breaker_for_later_requests(
+        self, network, reference, kind
+    ):
+        plan = FaultPlan(kind=kind, backend="kernel", site="batch-solve", times=0)
+        policy = FailoverPolicy()
+        request = SolveRequest(network=network, backend="kernel")
+        threshold = policy.breaker_for("kernel").failure_threshold
+        per_request = policy.retry.max_attempts
+        with inject_faults(plan):
+            early = [
+                solve_with_failover(request, policy, create_backend)
+                for _ in range(threshold // per_request)
+            ]
+            assert not policy.healthy("kernel")
+            fired = plan.fired
+            late = solve_with_failover(request, policy, create_backend)
+        assert fired == threshold
+        for result in early + [late]:
+            assert result.ok and result.degraded
+            assert result.request.backend == "dinic"
+            assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert late.failover_trail == ["kernel: circuit breaker open"]
+        assert plan.fired == fired  # the open breaker spared the kernel
+
+    def test_failed_certifications_open_the_analog_breaker(self, network, reference):
+        service = BatchSolveService(
+            executor="serial", failover=True, analog_solver=certificate_grade_analog()
+        )
+        plan = FaultPlan(
+            kind="corrupt", site="analog-readout", relative_error=0.5, times=0
+        )
+        with inject_faults(plan):
+            for _ in range(2):
+                result = service.solve(network, backend="analog")
+                assert result.ok and result.degraded
+                assert any("Infeasible" in step for step in result.failover_trail)
+            assert not service.failover.healthy("analog")
+            fired = plan.fired
+            result = service.solve(network, backend="analog")
+        assert result.ok and result.degraded
+        assert result.request.backend == "kernel"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert result.failover_trail == ["analog: circuit breaker open"]
+        assert plan.fired == fired
+
+    def test_timeouts_open_the_breaker(self, network, reference):
+        service = BatchSolveService(executor="serial", failover=True)
+        threshold = service.failover.breaker_for("kernel").failure_threshold
+        with inject_faults("kind=stall,site=batch-solve,backend=kernel,stall_s=5.0,times=0"):
+            for _ in range(threshold):
+                result = service.solve(network, backend="kernel", deadline_s=0.05)
+                assert result.error_type == "SolveTimeoutError"
+        assert not service.failover.healthy("kernel")
+        result = service.solve(network, backend="kernel")
+        assert result.ok and result.degraded
+        assert result.request.backend == "dinic"
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert result.failover_trail == ["kernel: circuit breaker open"]
+
+    def test_a_successful_probe_after_the_cooldown_closes_the_breaker(
+        self, network, reference
+    ):
+        policy = FailoverPolicy()
+        self.open_breaker(policy, "kernel")
+        breaker = policy.breaker_for("kernel")
+        breaker.cooldown_s = 0.0  # the cooldown has passed
+        result = solve_with_failover(
+            SolveRequest(network=network, backend="kernel"), policy, create_backend
+        )
+        assert result.ok and not result.degraded
+        assert result.request.backend == "kernel"
+        assert result.failover_trail == []
+        assert result.flow_value == pytest.approx(reference, abs=EXACT)
+        assert breaker.state == breaker.CLOSED
+
+    def test_each_service_walks_its_own_breakers(self, network, reference):
+        tripped = BatchSolveService(executor="serial", failover=True)
+        healthy = BatchSolveService(executor="serial", failover=True)
+        self.open_breaker(tripped.failover, "kernel")
+        skipped = tripped.solve(network, backend="kernel")
+        direct = healthy.solve(network, backend="kernel")
+        assert skipped.degraded and skipped.request.backend == "dinic"
+        assert not direct.degraded and direct.request.backend == "kernel"
+        for result in (skipped, direct):
+            assert result.flow_value == pytest.approx(reference, abs=EXACT)
+
+    async def test_open_analog_breaker_routes_tight_requests_exact(
+        self, network, reference
+    ):
+        plan = FaultPlan(kind="error", backend="analog", site="batch-solve", times=0)
+        service = BatchSolveService(failover=True)
+        async with AsyncSolveServer(
+            service, workers=1, analog_deadline_s=10.0
+        ) as server:
+            with inject_faults(plan):
+                responses = [
+                    await server.submit(network, deadline_s=5.0) for _ in range(4)
+                ]
+        # Two requests, two analog attempts each, open the breaker...
+        for response in responses[:2]:
+            assert response.status == 200 and response.backend == "analog"
+            assert response.result.degraded
+            assert response.result.request.backend == "kernel"
+        assert plan.fired == 2 * service.failover.retry.max_attempts
+        assert not service.failover.healthy("analog")
+        # ...so the router sends the rest to the exact engine directly.
+        for response in responses[2:]:
+            assert response.status == 200 and response.backend == "kernel"
+            assert not response.result.degraded
+            assert response.result.failover_trail == []
+            assert response.result.flow_value == pytest.approx(reference, abs=EXACT)
 
 
 # ---------------------------------------------------------------------------

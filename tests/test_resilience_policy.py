@@ -3,17 +3,27 @@
 Covers the :class:`~repro.resilience.policy.Deadline` budget semantics, the
 ambient :func:`deadline_scope` / :func:`check_deadline` plumbing (including
 nesting and thread hand-off), the deterministic
-:class:`~repro.resilience.policy.RetryPolicy` backoff, and the
-:class:`~repro.resilience.policy.CircuitBreaker` state machine.
+:class:`~repro.resilience.policy.RetryPolicy` backoff, the
+:class:`~repro.resilience.policy.CircuitBreaker` state machine, and the
+one health verdict :class:`~repro.resilience.failover.FailoverPolicy`
+derives from its breakers, with the degradation chains it walks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.errors import ConfigurationError, ConvergenceError, ReproError, SolveTimeoutError
+from repro.flows.registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM
+from repro.obs import get_registry, probes, reset_metrics, set_obs_enabled
+from repro.resilience.failover import (
+    DEGRADATION_CHAINS,
+    FailoverPolicy,
+    degradation_chain,
+)
 from repro.resilience.policy import (
     CircuitBreaker,
     Deadline,
@@ -279,6 +289,36 @@ class TestCircuitBreaker:
         clock.now = 10.0
         assert breaker.allow()
 
+    def test_outcomes_recorded_while_open_keep_the_cooldown(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(window=4, failure_threshold=1, cooldown_s=5.0, clock=clock)
+        breaker.record_failure()
+        clock.now = 4.0
+        # A chain's last resort runs whatever its breaker says.
+        breaker.record_failure()
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.OPEN
+        clock.now = 5.0
+        assert breaker.allow()  # the cooldown still counts from the trip
+
+    def test_a_read_during_the_trip_never_half_opens_the_breaker(self):
+        """The clock reads the state when the trip asks it for the open
+        time, as the server's router may on another thread."""
+        seen = []
+        breaker = None
+
+        def clock():
+            if breaker is not None and not seen:
+                seen.append(None)  # one read, and no re-entry
+                seen[0] = breaker.state
+            return 100.0
+
+        breaker = CircuitBreaker(window=2, failure_threshold=1, cooldown_s=30.0, clock=clock)
+        breaker.record_failure()
+        assert seen == [CircuitBreaker.CLOSED]
+        assert breaker.state == CircuitBreaker.OPEN
+        assert not breaker.allow()
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CircuitBreaker(window=0)
@@ -286,3 +326,153 @@ class TestCircuitBreaker:
             CircuitBreaker(window=2, failure_threshold=3)
         with pytest.raises(ConfigurationError):
             CircuitBreaker(cooldown_s=-1.0)
+
+    def test_default_semantics_are_window_8_threshold_4_cooldown_30s(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(clock=clock)
+        assert (breaker.window, breaker.failure_threshold, breaker.cooldown_s) == (
+            8, 4, 30.0
+        )
+        # Three failures spread over a full window never open it...
+        for ok in (True, False, True, False, True, True, False, True):
+            (breaker.record_success if ok else breaker.record_failure)()
+        assert breaker.state == CircuitBreaker.CLOSED
+        # ...the fourth failure inside the last eight outcomes does.
+        breaker.record_failure()
+        assert breaker.failure_count == 4
+        assert breaker.state == CircuitBreaker.OPEN
+        clock.now = 29.9
+        assert not breaker.allow()
+        clock.now = 30.0
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+
+    def test_failures_aged_out_of_the_window_never_trip(self):
+        breaker = CircuitBreaker(window=4, failure_threshold=3)
+        for _ in range(10):
+            breaker.record_failure()
+            breaker.record_failure()
+            breaker.record_success()
+            breaker.record_success()
+            breaker.record_success()
+            breaker.record_success()
+        assert breaker.failure_count == 0
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_half_open_lets_every_call_through_until_an_outcome_lands(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(window=2, failure_threshold=1, cooldown_s=5.0, clock=clock)
+        breaker.record_failure()
+        clock.now = 5.0
+        assert all(breaker.allow() for _ in range(3))
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        breaker.record_failure()
+        assert not breaker.allow()
+
+    def test_every_transition_is_probed(self):
+        previous = set_obs_enabled(True)
+        reset_metrics()
+        try:
+            clock = FakeClock()
+            breaker = CircuitBreaker(
+                window=2, failure_threshold=1, cooldown_s=5.0, clock=clock,
+                name="analog",
+            )
+            breaker.record_failure()
+            clock.now = 5.0
+            assert breaker.state == CircuitBreaker.HALF_OPEN
+            breaker.record_success()
+            registry = get_registry()
+            for state in ("open", "half-open", "closed"):
+                assert registry.get_counter(
+                    probes.EVENT_BREAKER_TRANSITION, breaker="analog", state=state
+                ) == 1.0, state
+        finally:
+            set_obs_enabled(previous)
+            reset_metrics()
+
+
+def trip(breaker: CircuitBreaker) -> None:
+    for _ in range(breaker.failure_threshold):
+        breaker.record_failure()
+
+
+class TestFailoverPolicy:
+    """The one health verdict: :meth:`FailoverPolicy.healthy` reads the breaker."""
+
+    def test_only_retry_and_validate_are_settable(self):
+        settable = {f.name for f in dataclasses.fields(FailoverPolicy) if f.init}
+        assert settable == {"retry", "validate"}
+        policy = FailoverPolicy()
+        assert policy.validate is True
+        assert policy.retry.max_attempts == 2
+        assert policy.retry.base_delay_s == 0.0
+
+    def test_breaker_for_creates_one_closed_breaker_per_backend(self):
+        policy = FailoverPolicy()
+        kernel = policy.breaker_for("kernel")
+        assert policy.breaker_for("kernel") is kernel
+        assert policy.breaker_for("dinic") is not kernel
+        assert kernel.name == "kernel"
+        assert kernel.state == CircuitBreaker.CLOSED
+        assert (kernel.window, kernel.failure_threshold, kernel.cooldown_s) == (
+            8, 4, 30.0
+        )
+
+    def test_threads_racing_to_create_a_breaker_get_the_same_one(self):
+        policy = FailoverPolicy()
+        workers = 8
+        barrier = threading.Barrier(workers)
+        seen = [None] * workers
+
+        def grab(i):
+            barrier.wait()
+            seen[i] = policy.breaker_for("analog")
+
+        threads = [threading.Thread(target=grab, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(breaker is seen[0] for breaker in seen)
+
+    def test_policies_do_not_share_breakers(self):
+        first, second = FailoverPolicy(), FailoverPolicy()
+        trip(first.breaker_for("analog"))
+        assert not first.healthy("analog")
+        assert second.healthy("analog")
+
+    def test_healthy_follows_the_breaker_through_a_cooldown(self):
+        policy = FailoverPolicy()
+        assert policy.healthy("analog")  # a backend never seen is healthy
+        breaker = policy.breaker_for("analog")
+        trip(breaker)
+        assert not policy.healthy("analog")
+        assert policy.healthy("kernel")  # one backend's breaker only
+        breaker.cooldown_s = 0.0
+        assert policy.healthy("analog")  # half-open: the probe may run
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+        breaker.record_success()
+        assert breaker.state == CircuitBreaker.CLOSED
+        assert policy.healthy("analog")
+
+
+class TestDegradationChains:
+    """Every chain starts at its backend and ends on an exact engine."""
+
+    @pytest.mark.parametrize("backend", sorted(DEGRADATION_CHAINS))
+    def test_builtin_chain_hops_to_different_exact_engines(self, backend):
+        chain = degradation_chain(backend)
+        assert chain == DEGRADATION_CHAINS[backend]
+        assert chain[0] == backend
+        assert len(set(chain)) == len(chain)
+        assert all(name in ALGORITHMS for name in chain[1:])
+
+    @pytest.mark.parametrize("backend", ["sharded:kernel", "sharded:dinic", "sharded:analog"])
+    def test_sharded_backends_degrade_to_unsharded_exact_solves(self, backend):
+        assert degradation_chain(backend) == (
+            backend, DEFAULT_EXACT_ALGORITHM, "dinic"
+        )
+
+    @pytest.mark.parametrize("backend", ["edmonds-karp", "ford-fulkerson", "lp-reference"])
+    def test_other_backends_degrade_to_reference_dinic(self, backend):
+        assert degradation_chain(backend) == (backend, "dinic")

@@ -3,7 +3,7 @@
 Every property the server claims — coalescing collapses identical
 concurrent requests into one backend solve, admission control sheds the
 lowest-priority tenant first, deadline routing flips analog→classical
-when the analog SLO budget exhausts, queued requests past their deadline
+when the analog circuit breaker opens, queued requests past their deadline
 answer 504, classical requests take turns on one lane in groups of
 same-shape requests — is pinned here with an injected virtual clock,
 gated fake backends, and event-loop yields for synchronization.  No
@@ -23,35 +23,33 @@ from repro import FlowNetwork
 from repro.errors import AlgorithmError, InvalidGraphError
 from repro.flows.kernel import FlatResidual
 from repro.obs import (
-    SloObjective,
-    SloPolicy,
     clear_traces,
     get_registry,
     probes,
     recent_traces,
     reset_metrics,
     set_obs_enabled,
-    set_slo_policy,
 )
 from repro.resilience import policy
 from repro.service import AsyncSolveServer, BatchSolveService
 from repro.service.api import SolveResult
 
-from test_obs_slo import stepped_clock
-
 
 @pytest.fixture
 def obs_server():
-    """Obs on, clean registry/traces, no leaked process-global SLO policy."""
+    """Obs on, clean registry and traces."""
     previous = set_obs_enabled(True)
     clear_traces()
     reset_metrics()
-    saved = set_slo_policy(None)
     yield
-    set_slo_policy(saved)
     set_obs_enabled(previous)
     clear_traces()
     reset_metrics()
+
+
+def stepped_clock(start: float = 0.0):
+    state = {"now": start}
+    return (lambda: state["now"]), (lambda dt: state.__setitem__("now", state["now"] + dt))
 
 
 def tiny_network(capacity: float = 3.0) -> FlowNetwork:
@@ -342,28 +340,33 @@ class TestAdmissionControl:
         assert get_registry().get_gauge(probes.METRIC_QUEUE_DEPTH) == 0
 
 
-class TestDeadlineRouting:
-    def _exhausted_analog_policy(self, clock, advance) -> SloPolicy:
-        policy = SloPolicy(
-            objective=SloObjective(availability=0.95),
-            clock=clock, min_requests=5,
-        )
-        policy.observe()
-        get_registry().counter(
-            "service.solve_errors", 20, backend="analog", error_type="e"
-        )
-        advance(60.0)
-        assert policy.health("analog").should_skip
-        return policy
+def open_analog_breaker(service: BatchSolveService) -> BatchSolveService:
+    """Open analog's breaker in ``service``'s failover policy."""
+    breaker = service.failover.breaker_for("analog")
+    for _ in range(breaker.failure_threshold):
+        breaker.record_failure()
+    assert not service.failover.healthy("analog")
+    return service
 
-    async def test_tight_deadline_routes_analog_when_budget_healthy(
-        self, obs_server
+
+class TestDeadlineRouting:
+    @pytest.mark.parametrize(
+        "make_service",
+        [
+            lambda: None,
+            lambda: BatchSolveService(failover=None),
+            lambda: BatchSolveService(failover=True),
+        ],
+        ids=["solve-fn-only", "no-failover", "failover"],
+    )
+    async def test_tight_deadline_routes_analog_while_breaker_closed(
+        self, obs_server, make_service
     ):
         backend = Recorder()
         clock, _ = stepped_clock()
-        policy = SloPolicy(clock=clock)  # no traffic: analog is healthy
+        service = make_service()
         async with AsyncSolveServer(
-            workers=1, solve_fn=backend, slo=policy, clock=clock,
+            service, workers=1, solve_fn=backend, clock=clock,
             analog_deadline_s=0.25,
         ) as server:
             tight = await server.submit(tiny_network(), deadline_s=0.1)
@@ -374,37 +377,90 @@ class TestDeadlineRouting:
         assert bare.backend == "kernel"
         assert [r.backend for r in backend.calls] == ["analog", "kernel", "kernel"]
 
-    async def test_exhausted_analog_budget_flips_tight_deadlines_classical(
+    async def test_open_analog_breaker_flips_tight_deadlines_classical(
         self, obs_server
     ):
         backend = Recorder()
-        clock, advance = stepped_clock()
-        policy = self._exhausted_analog_policy(clock, advance)
+        clock, _ = stepped_clock()
         async with AsyncSolveServer(
-            workers=1, solve_fn=backend, slo=policy, clock=clock,
+            open_analog_breaker(BatchSolveService(failover=True)),
+            workers=1, solve_fn=backend,
+            clock=clock,
         ) as server:
             tight = await server.submit(tiny_network(), deadline_s=0.1)
         assert tight.backend == "kernel"
         assert backend.calls[0].backend == "kernel"
 
-    async def test_router_falls_through_to_process_global_policy(
+    async def test_tight_deadlines_return_to_analog_once_the_cooldown_passes(
         self, obs_server
     ):
         backend = Recorder()
-        clock, advance = stepped_clock()
-        set_slo_policy(self._exhausted_analog_policy(clock, advance))
+        clock, _ = stepped_clock()
+        service = open_analog_breaker(BatchSolveService(failover=True))
         async with AsyncSolveServer(
+            service, workers=1, solve_fn=backend, clock=clock,
+        ) as server:
+            before = await server.submit(distinct_network(0), deadline_s=0.1)
+            service.failover.breaker_for("analog").cooldown_s = 0.0
+            after = await server.submit(distinct_network(1), deadline_s=0.1)
+        assert before.backend == "kernel"
+        assert after.backend == "analog"  # the half-open probe
+        assert [r.backend for r in backend.calls] == ["kernel", "analog"]
+
+    async def test_only_the_analog_breaker_steers_the_router(self, obs_server):
+        backend = Recorder()
+        clock, _ = stepped_clock()
+        service = BatchSolveService(failover=True)
+        for name in ("kernel", "dinic"):
+            breaker = service.failover.breaker_for(name)
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+        async with AsyncSolveServer(
+            service, workers=1, solve_fn=backend, clock=clock,
+        ) as server:
+            tight = await server.submit(distinct_network(0), deadline_s=0.1)
+            loose = await server.submit(distinct_network(1), deadline_s=10.0)
+        assert tight.backend == "analog"
+        assert loose.backend == "kernel"
+
+    async def test_open_analog_breaker_leaves_other_requests_alone(
+        self, obs_server
+    ):
+        backend = Recorder()
+        clock, _ = stepped_clock()
+        async with AsyncSolveServer(
+            open_analog_breaker(BatchSolveService(failover=True)),
             workers=1, solve_fn=backend, clock=clock,
         ) as server:
-            tight = await server.submit(tiny_network(), deadline_s=0.1)
-        assert tight.backend == "kernel"
+            loose = await server.submit(distinct_network(0), deadline_s=10.0)
+            bare = await server.submit(distinct_network(1))
+            named = await server.submit(distinct_network(2), backend="dinic")
+        assert [loose.backend, bare.backend, named.backend] == [
+            "kernel", "kernel", "dinic"
+        ]
+        assert all(r.status == 200 for r in (loose, bare, named))
+
+    async def test_each_server_reads_its_own_services_breaker(self, obs_server):
+        clock, _ = stepped_clock()
+        tight = {}
+        for label, service in (
+            ("tripped", open_analog_breaker(BatchSolveService(failover=True))),
+            ("healthy", BatchSolveService(failover=True)),
+        ):
+            async with AsyncSolveServer(
+                service, workers=1, solve_fn=Recorder(), clock=clock,
+            ) as server:
+                tight[label] = await server.submit(tiny_network(), deadline_s=0.1)
+        assert tight["tripped"].backend == "kernel"
+        assert tight["healthy"].backend == "analog"
 
     async def test_explicit_backend_bypasses_router(self, obs_server):
         backend = Recorder()
-        clock, advance = stepped_clock()
-        policy = self._exhausted_analog_policy(clock, advance)
+        clock, _ = stepped_clock()
         async with AsyncSolveServer(
-            workers=1, solve_fn=backend, slo=policy, clock=clock,
+            open_analog_breaker(BatchSolveService(failover=True)),
+            workers=1, solve_fn=backend,
+            clock=clock,
         ) as server:
             forced = await server.submit(
                 tiny_network(), backend="analog", deadline_s=0.1
@@ -442,18 +498,14 @@ class TestDeadlineRouting:
     async def test_seeded_e2e_routing_scenario_on_injected_clock(
         self, obs_server, rng
     ):
-        """End-to-end: mixed seeded traffic, budget exhausts mid-stream."""
+        """End-to-end: mixed seeded traffic, analog's breaker opens mid-stream."""
         backend = Recorder()
-        clock, advance = stepped_clock()
-        policy = SloPolicy(
-            objective=SloObjective(availability=0.95),
-            clock=clock, min_requests=5,
-        )
-        policy.observe()
+        clock, _ = stepped_clock()
+        service = BatchSolveService(failover=True)
         async with AsyncSolveServer(
-            workers=2, solve_fn=backend, slo=policy, clock=clock,
+            service, workers=2, solve_fn=backend, clock=clock,
         ) as server:
-            # Phase 1 — healthy budget: every tight deadline routes analog.
+            # Phase 1 — closed breaker: every tight deadline routes analog.
             phase1 = [
                 await server.submit(
                     distinct_network(i), tenant=f"t{rng.randrange(3)}",
@@ -462,11 +514,8 @@ class TestDeadlineRouting:
                 for i in range(10)
             ]
             assert [r.backend for r in phase1] == ["analog"] * 10
-            # Mid-stream incident: analog's error budget burns out.
-            get_registry().counter(
-                "service.solve_errors", 30, backend="analog", error_type="e"
-            )
-            advance(60.0)
+            # Mid-stream incident: analog's breaker opens.
+            open_analog_breaker(service)
             # Phase 2 — same seeded traffic shape now routes classical.
             phase2 = [
                 await server.submit(

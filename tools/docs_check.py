@@ -7,10 +7,11 @@ Two gates, both hard failures:
    ``docs/*.md`` must point at an existing file or directory, and an
    ``#anchor`` on a markdown target must match a heading in that file.
 2. **Docstring coverage** — every public module, class, function and method
-   in ``repro.service`` and ``repro.shard`` must carry a docstring (the
-   service is the documented front door and the shard layer runs behind
-   its ``"sharded:<engine>"`` backend; neither API surface may grow
-   undocumented).
+   in ``repro.service``, ``repro.shard`` and ``repro.resilience`` must carry
+   a docstring (the service is the documented front door, the shard layer
+   runs behind its ``"sharded:<engine>"`` backend, and the resilience layer
+   holds the backend-health verdict the server's router reads; none of
+   these API surfaces may grow undocumented).
 
 Exit status 0 when clean, 1 with a findings list otherwise.
 """
@@ -28,7 +29,7 @@ sys.path.insert(0, str(SRC))
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 DOC_FILES = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
-DOCSTRING_PACKAGES = ["repro.service", "repro.shard"]
+DOCSTRING_PACKAGES = ["repro.service", "repro.shard", "repro.resilience"]
 
 
 def heading_anchors(markdown: str) -> set:
