@@ -24,11 +24,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest --doctest-modules $(DOCTEST_MODULES) -q
 
-## the cross-backend conformance gate + reduction property suites, with the
-## heavy randomized cases enabled (REPRO_TEST_SEED replays a red run)
+## the cross-backend conformance gate, the flat-array kernel's differential
+## fuzz gate + reduction property suites, with the heavy randomized cases
+## enabled (REPRO_TEST_SEED replays a red run)
 test-conformance:
 	$(PYTHON) -m pytest \
 		tests/test_backend_conformance.py \
+		tests/test_kernel_differential.py \
 		tests/test_problems_properties.py \
 		tests/test_problems_service.py \
 		--runslow -q

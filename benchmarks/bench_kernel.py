@@ -15,9 +15,9 @@ Thresholds:
   - ``grid`` must clear ``REPRO_KERNEL_MIN_SPEEDUP`` (default 10x) from
     ``REPRO_KERNEL_EDGE_FLOOR`` edges (default 10000).  Deep vision grids
     are where interpreter overhead dominates the reference: the
-    default-scale 96x96 instance measures ~25x, leaving honest headroom
+    default-scale 96x96 instance measures ~65x, leaving honest headroom
     over the floor for CI wall-clock noise (the 64x64 size measures
-    9-15x run to run — too close to gate at 10x).
+    ~27x).
   - ``rmat`` must clear ``REPRO_KERNEL_MIN_SPEEDUP_RMAT`` (default 1.5x)
     from ``REPRO_KERNEL_EDGE_FLOOR_RMAT`` edges (default 4000).
     Hub-dominated instances solve in few phases, so the reference has

@@ -29,7 +29,7 @@ Class bases are sized so the *default* benchmark scale (0.25) lands on
 the headline instances — the 96x96 grid (27.5k edges) and the 1024-vertex
 R-MAT — rather than shrunken smoke variants.  The per-class floors live
 in ``benchmarks/bench_kernel.py`` and are deliberately *below* the typical
-measured speedups (the 96x96 grid runs ~25x, 64x64 ~9-15x, on an unloaded
+measured speedups (the 96x96 grid runs ~65x, 64x64 ~27x, on an unloaded
 machine; the speedup grows with depth x size) because shared CI machines
 add +-50% wall-clock noise to these solves.
 """

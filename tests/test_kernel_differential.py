@@ -18,6 +18,11 @@ same contract per member: seeded groups drawn from the seven families,
 each member scaled by its own factor, answer what each member answers
 alone.
 
+The kernel's exact relabels run one compiled reverse BFS; the
+frontier-at-a-time loop it replaced stays here as the reference, and at
+every relabel of cold, fused and warm solves the two must return the same
+labels and advance the operation counters alike.
+
 The dtype-promotion guard pins the latent hazard the object-based path
 never had: flat arrays built from int or mixed int/float capacities must
 promote to float64, not truncate; ``INFINITY`` capacities must survive the
@@ -27,6 +32,7 @@ round trip as ``inf``.  Heavy sizes run behind ``--runslow``.
 from __future__ import annotations
 
 import random
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -37,10 +43,18 @@ from seeding import derive_seed
 from repro.errors import AlgorithmError
 from repro.flows.base import INFINITY, MaxFlowResult
 from repro.flows.dinic import Dinic
-from repro.flows.kernel import FlatResidual, FusedSolves, KernelDinic, fusion_scope
+from repro.flows.incremental import IncrementalMaxFlow
+from repro.flows.kernel import (
+    FlatResidual,
+    FusedSolves,
+    KernelDinic,
+    _expand,
+    fusion_scope,
+)
 from repro.flows.mincut import min_cut_from_flow
 from repro.flows.push_relabel import PushRelabel
 from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph
+from repro.graph.updates import EdgeInsert, MutableFlowNetwork
 
 # ----------------------------------------------------------------------
 # Instance families (each: seed, heavy -> FlowNetwork)
@@ -287,6 +301,170 @@ class TestFusedSolves:
         with fusion_scope(group, 1):
             KernelDinic().solve(second)
         assert group.fused == 0
+
+
+# ----------------------------------------------------------------------
+# Exact relabels: the compiled reverse BFS against the frontier loop
+# ----------------------------------------------------------------------
+
+
+def _frontier_bfs(flat: FlatResidual, root: int) -> np.ndarray:
+    """Reference reverse BFS: one vectorised step per BFS level.
+
+    The frontier loop the compiled ``FlatResidual._reverse_bfs`` replaced.
+    For each frontier vertex the partner of every out-arc is the arc
+    pointing at it, so predecessors are read with one gather.  Unreached
+    vertices get ``4 * num_vertices``.
+    """
+    num_vertices = flat.num_vertices
+    indptr = flat.indptr
+    counter = flat.counter
+    big = 4 * num_vertices
+    dist = np.full(num_vertices, big, dtype=np.int64)
+    dist[root] = 0
+    frontier = np.array([root], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        counter.queue_operations += int(frontier.size)
+        starts = indptr[frontier]
+        cnt = indptr[frontier + 1] - starts
+        pos, _ = _expand(starts, cnt)
+        if pos.size == 0:
+            break
+        arcs = flat.arcs_by_tail[pos]
+        heads = flat.arc_head[arcs]
+        counter.arc_scans += int(pos.size)
+        preds = heads[(flat.residual[arcs ^ 1] > flat.eps) & (dist[heads] == big)]
+        if preds.size == 0:
+            break
+        dist[preds] = depth
+        frontier = np.unique(preds)
+    return dist
+
+
+@pytest.fixture
+def checked_bfs(monkeypatch):
+    """Check every exact relabel against :func:`_frontier_bfs`.
+
+    Each call runs the reference first, on the same residual, then the
+    compiled BFS from the same counters; the two must return the same
+    int64 array and advance ``queue_operations`` and ``arc_scans`` alike.
+    Returns the list the ``(flat, root)`` of every checked call goes to.
+    """
+    compiled = FlatResidual._reverse_bfs
+    calls = []
+
+    def both(flat, root):
+        counter = flat.counter
+        before = (counter.queue_operations, counter.arc_scans)
+        expected = _frontier_bfs(flat, root)
+        wanted = (counter.queue_operations, counter.arc_scans)
+        counter.queue_operations, counter.arc_scans = before
+        dist = compiled(flat, root)
+        assert dist.dtype == np.int64
+        np.testing.assert_array_equal(dist, expected)
+        assert (counter.queue_operations, counter.arc_scans) == wanted
+        calls.append((flat, root))
+        return dist
+
+    monkeypatch.setattr(FlatResidual, "_reverse_bfs", both)
+    return calls
+
+
+def _fused_group(seed: int) -> List[FlowNetwork]:
+    """Two to four family members, each scaled by its own power of two."""
+    rng = random.Random(seed)
+    networks = []
+    for _ in range(rng.randint(2, 4)):
+        base = FAMILIES[rng.choice(sorted(FAMILIES))](rng.getrandbits(32), False)
+        networks.append(scaled_network(base, 2.0 ** rng.randint(-13, 13)))
+    return networks
+
+
+def _solve_group(networks: List[FlowNetwork]) -> List[MaxFlowResult]:
+    group = FusedSolves(networks)
+    results = []
+    for member, network in enumerate(networks):
+        with fusion_scope(group, member):
+            results.append(KernelDinic().solve(network))
+    assert group.fused == len(networks) - 1  # one union answered them all
+    return results
+
+
+def _warm_stream(seed: int) -> Tuple[IncrementalMaxFlow, MaxFlowResult]:
+    """A kernel stream repaired after an edge insert, through a warm export.
+
+    The insert appends an arc pair to a residual that already carries the
+    cold solve's flow, so the repair lowers it with ``from_residual``.
+    """
+    rng = random.Random(seed)
+    network = grid_graph(rng.randint(4, 7), rng.randint(5, 9), seed=seed)
+    stream = IncrementalMaxFlow(MutableFlowNetwork(network), algorithm="kernel")
+    inner = [v for v in network.vertices() if v not in ("s", "t")]
+    result = stream.push([EdgeInsert("s", rng.choice(inner), rng.uniform(2.0, 6.0))])
+    assert stream.warm_solves == 1
+    return stream, result
+
+
+class TestCompiledRelabels:
+    """The compiled reverse BFS is the frontier loop, call for call.
+
+    Every exact relabel of a solve is checked against the reference on the
+    same residual (:func:`checked_bfs`), and whole solves with the
+    reference patched in give the same flows and all six counters.
+    """
+
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_relabel_matches(self, checked_bfs, family, trial):
+        network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
+        KernelDinic().solve(network)
+        assert checked_bfs
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("trial", range(2))
+    @pytest.mark.parametrize("family", HEAVY_FAMILIES)
+    def test_every_relabel_matches_heavy(self, checked_bfs, family, trial):
+        seed = derive_seed("kernel-fuzz-heavy", family, trial)
+        KernelDinic().solve(FAMILIES[family](seed, heavy=True))
+        assert checked_bfs
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_every_relabel_of_a_fused_union_matches(self, checked_bfs, trial):
+        networks = _fused_group(derive_seed("kernel-bfs-fused", trial))
+        _solve_group(networks)
+        vertices = sum(network.num_vertices for network in networks) + 2
+        assert {flat.num_vertices for flat, _ in checked_bfs} == {vertices}
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_every_relabel_of_a_warm_export_matches(self, checked_bfs, trial):
+        stream, _ = _warm_stream(derive_seed("kernel-bfs-warm", trial))
+        arcs = 2 * stream.network.num_edges  # the inserted edge's pair included
+        warm = [flat for flat, _ in checked_bfs if flat.arc_tail.size == arcs]
+        assert warm, "the repair after the insert ran no exact relabel"
+        assert all(flat.residual[1::2].any() for flat in warm)  # carries flow
+
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_whole_solves_match(self, monkeypatch, family, trial):
+        network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
+        compiled = KernelDinic().solve(network)
+        monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
+        reference = KernelDinic().solve(network)
+        assert compiled.edge_flows == reference.edge_flows
+        assert compiled.operations == reference.operations
+        assert compiled.iterations == reference.iterations
+
+    def test_whole_fused_and_warm_solves_match(self, monkeypatch):
+        def answers():
+            fused = _solve_group(_fused_group(derive_seed("kernel-bfs-fused", 0)))
+            _, warm = _warm_stream(derive_seed("kernel-bfs-warm", 0))
+            return [(r.edge_flows, r.operations, r.iterations) for r in fused + [warm]]
+
+        compiled = answers()
+        monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
+        assert answers() == compiled
 
 
 # ----------------------------------------------------------------------
