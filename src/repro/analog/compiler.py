@@ -28,6 +28,7 @@ from ..config import NonIdealityModel, SubstrateParameters
 from ..errors import CircuitError
 from ..graph.analysis import reachable_from, reaches
 from ..graph.network import FlowNetwork
+from ..circuit.dc import WarmOperatingPoint
 from ..circuit.netlist import Circuit
 from .quantization import QuantizationResult, VoltageQuantizer
 from .widgets import WidgetBuilder, WidgetStyle
@@ -68,6 +69,13 @@ class CompiledMaxFlowCircuit:
         Circuit composition statistics (used by the power model and tests).
     style:
         Negative-resistor realisation style used.
+    warm_dc:
+        The circuit's one warm DC state
+        (:class:`~repro.circuit.dc.WarmOperatingPoint`): its base LU
+        factorisation and last converged diode pattern, under a lock.
+        Every solve of the compiled circuit settles through it, so a
+        repeat solve starts where the last one settled.  Left out of
+        equality and repr; a deep copy gets a new, cold one.
     """
 
     circuit: Circuit
@@ -100,6 +108,9 @@ class CompiledMaxFlowCircuit:
     #: Lazily-built MNA system (with its compiled stamp template); use
     #: :meth:`mna` instead of touching this field.
     _mna: Optional["MNASystem"] = field(default=None, repr=False, compare=False)
+    warm_dc: WarmOperatingPoint = field(
+        default_factory=WarmOperatingPoint, init=False, repr=False, compare=False
+    )
 
     def mna(self) -> "MNASystem":
         """Memoized :class:`~repro.circuit.mna.MNASystem` of this circuit.

@@ -162,10 +162,6 @@ class AnalogMaxFlowSolver:
         self.quantizer_mode = quantizer_mode
         self.seed = seed
         self.dedicated_clamp_sources = dedicated_clamp_sources
-        # Persistent DC engine for the streaming re-solve path: keeping one
-        # DCOperatingPoint instance alive keeps its per-template linear
-        # engine (and cached base LU factorisation) warm across resolves.
-        self._streaming_dc: Optional[DCOperatingPoint] = None
 
     # ------------------------------------------------------------------
 
@@ -213,9 +209,8 @@ class AnalogMaxFlowSolver:
         """A fresh solver with this configuration and per-edge clamp sources.
 
         The warm :meth:`resolve` loops (streaming sessions, analog shards)
-        need re-programmable clamps and a solver of their own, so that the
-        persistent DC engine is never shared.  ``prune`` overrides this
-        solver's setting (analog shards need a stable, unpruned edge set).
+        need re-programmable clamps.  ``prune`` overrides this solver's
+        setting (analog shards need a stable, unpruned edge set).
         """
         return AnalogMaxFlowSolver(
             parameters=self.parameters,
@@ -329,10 +324,14 @@ class AnalogMaxFlowSolver:
     def solve_compiled(self, compiled: CompiledMaxFlowCircuit) -> AnalogMaxFlowResult:
         """Solve an already-compiled circuit (DC) and decode the flow.
 
-        The compile step dominates the cost of small DC solves, so callers
-        that see the same topology repeatedly — most prominently the batch
-        service's compiled-circuit cache — compile once with :meth:`compile`
-        and hand the result here for each solve.
+        Callers that see the same network repeatedly (most prominently the
+        batch service's compiled-circuit cache) compile once with
+        :meth:`compile` and hand the result here for each solve.  The
+        circuit keeps its warm DC state
+        (:attr:`~repro.analog.compiler.CompiledMaxFlowCircuit.warm_dc`), so
+        a repeat solve starts at the circuit's own operating point: one
+        iteration and one triangular solve against the kept factorisation,
+        with the same answer as the first solve.
 
         Parameters
         ----------
@@ -355,30 +354,12 @@ class AnalogMaxFlowSolver:
         >>> compiled = solver.compile(g, vflow_v=6.0)
         >>> round(solver.solve_compiled(compiled).vflow_v, 1)
         6.0
+        >>> solver.solve_compiled(compiled).dc_iterations
+        1
         """
         start = time.perf_counter()
-        solution = DCOperatingPoint().solve(compiled.circuit, mna=compiled.mna())
-        if not solution.converged:
-            # The source-stepping fallback temporarily rewrites the drive
-            # source's waveform on the circuit.  ``compiled`` may be shared
-            # (the batch service's cache hands one instance to many worker
-            # threads), so step on a private copy and return that copy.
-            compiled = copy.deepcopy(compiled)
-            solution = self._source_stepped_dc(compiled, compiled.vflow_v)
-        decoded = FlowReadout(compiled).from_dc(solution)
-        result = AnalogMaxFlowResult(
-            flow_value=decoded["flow_value"],
-            flow_value_from_current=decoded["flow_value_from_current"],
-            edge_flows=decoded["edge_flows"],
-            edge_voltages=decoded["edge_voltages"],
-            method="dc",
-            vflow_v=compiled.vflow_v,
-            dc_iterations=solution.iterations,
-            compiled=compiled,
-            dc_solution=solution,
-        )
-        result.solver_wall_time_s = time.perf_counter() - start
-        return result
+        compiled, solution = self._settle(compiled)
+        return self._result(compiled, solution, start)
 
     # ------------------------------------------------------------------
     # Streaming warm re-solve
@@ -400,8 +381,10 @@ class AnalogMaxFlowSolver:
         (:meth:`~repro.circuit.stamps.CompiledMNA.apply_capacity_updates`),
         warm-starts the diode-state iteration from the previous operating
         point, and lets the handful of induced diode flips flow through the
-        cached base factorisation as rank-``k`` Sherman–Morrison–Woodbury
-        corrections.
+        factorisation the circuit keeps
+        (:attr:`~repro.analog.compiler.CompiledMaxFlowCircuit.warm_dc`) as
+        rank-``k`` Sherman–Morrison–Woodbury corrections.  It settles
+        through the same warm state as :meth:`solve_compiled`.
 
         Parameters
         ----------
@@ -420,7 +403,8 @@ class AnalogMaxFlowSolver:
         previous:
             The previous :class:`AnalogMaxFlowResult` of this circuit; its
             final diode states seed the iteration.  ``None`` starts from the
-            default (all-off) pattern.
+            circuit's last converged pattern (the all-off default on a
+            fresh circuit).
 
         Returns
         -------
@@ -443,13 +427,30 @@ class AnalogMaxFlowSolver:
             solution = previous.dc_solution if hasattr(previous, "dc_solution") else previous
             if solution is not None:
                 warm_states = solution.diode_states
-        if self._streaming_dc is None:
-            self._streaming_dc = DCOperatingPoint()
-        solution = self._streaming_dc.solve(
-            compiled.circuit, initial_states=warm_states, mna=compiled.mna()
+        compiled, solution = self._settle(compiled, warm_states)
+        return self._result(compiled, solution, start)
+
+    def _settle(self, compiled: CompiledMaxFlowCircuit, initial_states=None):
+        """DC-solve ``compiled`` through its warm state: ``(compiled, solution)``.
+
+        A solve that does not converge falls back to source stepping on a
+        deep copy of the circuit, which is returned in its place: the
+        stepping temporarily rewrites the drive source's waveform, and
+        ``compiled`` may be shared (the batch service's cache hands one
+        instance to many worker threads).
+        """
+        solution = compiled.warm_dc.solve(
+            compiled.circuit, initial_states=initial_states, mna=compiled.mna()
         )
         if not solution.converged:
+            compiled = copy.deepcopy(compiled)
             solution = self._source_stepped_dc(compiled, compiled.vflow_v)
+        return compiled, solution
+
+    @staticmethod
+    def _result(
+        compiled: CompiledMaxFlowCircuit, solution, start: float
+    ) -> AnalogMaxFlowResult:
         decoded = FlowReadout(compiled).from_dc(solution)
         result = AnalogMaxFlowResult(
             flow_value=decoded["flow_value"],

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import ConvergenceError, SimulationError
 from .problem import LinearProgram
@@ -154,6 +153,8 @@ class AnalogLPSolver:
                 raise SimulationError("x0 has the wrong shape")
 
         times = np.linspace(0.0, self.t_final, num_samples)
+        from scipy.integrate import solve_ivp
+
         outcome = solve_ivp(
             self._rhs(problem),
             (0.0, self.t_final),

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import AlgorithmError, ConfigurationError
 
@@ -145,6 +144,8 @@ class LinearProgram:
             )
             for lo, hi in zip(self.lower_bounds, self.upper_bounds)
         ]
+        from scipy.optimize import linprog
+
         outcome = linprog(
             c=self.objective,
             A_ub=self.inequality_matrix,

@@ -37,6 +37,7 @@ add +-50% wall-clock noise to these solves.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from typing import Dict, Tuple
 
@@ -82,14 +83,12 @@ def _timed(func):
     return result, time.perf_counter() - start
 
 
-def _repeat(func, repeats: int, reducer):
-    """Re-run a timed thunk, keeping the first result and reduced timing."""
-    result, first = func()
-    samples = [first]
-    for _ in range(repeats - 1):
-        _, again = func()
-        samples.append(again)
-    return result, float(reducer(samples))
+def _quartiles(samples):
+    """``(q1, q3)`` of the timing samples; one sample is its own quartiles."""
+    if len(samples) < 2:
+        return samples[0], samples[0]
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q1, q3
 
 
 def measure_kernel_class(
@@ -99,6 +98,10 @@ def measure_kernel_class(
     reducer=min,
 ) -> Dict[str, object]:
     """Measure reference Dinic vs the flat-array kernel on one class.
+
+    The two engines' repeats are interleaved, and which runs first
+    alternates, so host drift during the measurement lands on both sides
+    of the speedup ratio alike.
 
     Parameters
     ----------
@@ -115,17 +118,23 @@ def measure_kernel_class(
     Returns
     -------
     dict
-        Instance metadata, both wall clocks (seconds), the speedup, the
-        kernel's sweep count, and the relative flow-value disagreement.
+        Instance metadata, both reduced wall clocks and both engines'
+        timing quartiles (seconds), the speedup, the kernel's sweep count,
+        and the relative flow-value disagreement.
     """
     name, network = kernel_workload(regime, scale)
-
-    reference, dinic_s = _repeat(
-        lambda: _timed(lambda: Dinic().solve(network)), repeats, reducer
-    )
-    kernel, kernel_s = _repeat(
-        lambda: _timed(lambda: KernelDinic().solve(network)), repeats, reducer
-    )
+    engines = {"dinic": Dinic, "kernel": KernelDinic}
+    results: Dict[str, object] = {}
+    samples: Dict[str, list] = {engine: [] for engine in engines}
+    for round_index in range(repeats):
+        order = list(engines) if round_index % 2 == 0 else list(engines)[::-1]
+        for engine in order:
+            result, seconds = _timed(lambda: engines[engine]().solve(network))
+            results.setdefault(engine, result)
+            samples[engine].append(seconds)
+    reference, kernel = results["dinic"], results["kernel"]
+    dinic_s = float(reducer(samples["dinic"]))
+    kernel_s = float(reducer(samples["kernel"]))
     value_diff = abs(kernel.flow_value - reference.flow_value) / max(
         1.0, abs(reference.flow_value)
     )
@@ -136,6 +145,8 @@ def measure_kernel_class(
         "flow_value": reference.flow_value,
         "dinic_s": dinic_s,
         "kernel_s": kernel_s,
+        "dinic_quartiles_s": _quartiles(samples["dinic"]),
+        "kernel_quartiles_s": _quartiles(samples["kernel"]),
         "speedup": dinic_s / max(kernel_s, 1e-12),
         "kernel_sweeps": kernel.iterations,
         "value_diff": value_diff,

@@ -21,10 +21,16 @@ fallback) before returning, so the reported operating point matches a
 direct solve.  ``assembly="legacy"`` restores the original
 assemble-and-factorise-per-iteration behaviour (used by the equivalence
 tests and the assembly benchmark).
+
+:class:`WarmOperatingPoint` stays with one circuit: it keeps the base
+factorisation and the last converged diode pattern between solves, so a
+repeat solve of an unchanged circuit is one iteration and one triangular
+solve.  Each compiled analog circuit holds one.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -39,8 +45,9 @@ from .linsolve import LinearSystemSolver
 from .mna import MNASystem
 from .netlist import Circuit
 from .nonlinear import desired_conduction_states
+from .stamps import CompiledMNA
 
-__all__ = ["DCOperatingPoint", "DCSolution"]
+__all__ = ["DCOperatingPoint", "DCSolution", "WarmOperatingPoint"]
 
 
 @dataclass
@@ -105,9 +112,9 @@ class _CompiledLinearEngine:
     """
 
     def __init__(
-        self, system: MNASystem, solver: LinearSystemSolver, crossover: int
+        self, template: CompiledMNA, solver: LinearSystemSolver, crossover: int
     ) -> None:
-        self.template = system.compiled()
+        self.template = template
         self.solver = solver
         self.crossover = crossover
         self.base_factorization = None
@@ -261,7 +268,7 @@ class DCOperatingPoint:
         key = id(template)
         engine = self._engines.get(key)
         if engine is None or engine.template is not template or engine.crossover != crossover:
-            engine = _CompiledLinearEngine(system, self.linear_solver, crossover)
+            engine = _CompiledLinearEngine(template, self.linear_solver, crossover)
             self._engines[key] = engine
         else:
             engine.revalidate()
@@ -350,10 +357,7 @@ class DCOperatingPoint:
                 best_violation = 0.0
                 best_states = state_arr.copy()
                 if via_smw:
-                    # The accepted iterate came from a low-rank update;
-                    # refine it so the returned operating point carries no
-                    # SMW round-off.
-                    solution = engine.polish(state_arr, solution)
+                    solution = self._accept_low_rank(engine, state_arr, solution)
                 best_solution = solution
                 break
             pattern = np.packbits(state_arr).tobytes()
@@ -420,6 +424,18 @@ class DCOperatingPoint:
 
     # ------------------------------------------------------------------
 
+    def _accept_low_rank(
+        self,
+        engine: _CompiledLinearEngine,
+        state_arr: np.ndarray,
+        solution: np.ndarray,
+    ) -> np.ndarray:
+        """The operating point returned for an iterate accepted from an SMW update.
+
+        Refines it so the returned operating point carries no SMW round-off.
+        """
+        return engine.polish(state_arr, solution)
+
     @staticmethod
     def _weighted_violation(
         system: MNASystem,
@@ -463,3 +479,63 @@ class DCOperatingPoint:
         )
         deviation = np.abs(drops - system.diode_thresholds)
         return wants_on, deviation
+
+
+class WarmOperatingPoint(DCOperatingPoint):
+    """A DC solver that stays with one circuit and resumes where it settled.
+
+    The analog layer keeps one per compiled circuit
+    (:attr:`~repro.analog.compiler.CompiledMaxFlowCircuit.warm_dc`), the
+    simulated counterpart of a substrate that is programmed once and then
+    settles.  Its linear engine keeps the base LU factorisation between
+    solves, and :attr:`states` holds the diode pattern of the last converged
+    solve, the starting guess of the next one that names none.  A solve
+    from the pattern of an unchanged circuit is one iteration and one
+    triangular solve.  The pattern is only a guess: every solve is accepted
+    by the same complementarity check as a cold one.
+
+    Until the circuit has a converged pattern, an iterate accepted from a
+    low-rank update is solved directly instead of polished.  That rebases
+    the engine on the answer, so later solves from it reproduce the answer
+    bit for bit.  After that, accepted iterates are polished as usual, so a
+    warm re-solve after a capacity edit still refactorises nothing.
+
+    :attr:`lock` serialises the solves of one circuit (the batch service's
+    cache hands one circuit to many threads).  A non-converged solve leaves
+    :attr:`states` as it was.  A deep copy is a new, cold state: SuperLU
+    handles and locks cannot be copied.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock = threading.Lock()
+        self.states: Optional[np.ndarray] = None
+
+    def __deepcopy__(self, memo) -> "WarmOperatingPoint":
+        return type(self)()
+
+    def solve(
+        self,
+        circuit: Circuit,
+        initial_states=None,
+        mna: Optional[MNASystem] = None,
+    ) -> DCSolution:
+        """Solve from ``initial_states``, or from :attr:`states` when ``None``."""
+        with self.lock:
+            solution = super().solve(
+                circuit,
+                initial_states=self.states if initial_states is None else initial_states,
+                mna=mna,
+            )
+            if solution.converged:
+                self.states = np.fromiter(
+                    solution.diode_states.values(),
+                    dtype=bool,
+                    count=len(solution.diode_states),
+                )
+            return solution
+
+    def _accept_low_rank(self, engine, state_arr, solution):
+        if self.states is None:
+            return engine.solve_exact(state_arr)
+        return super()._accept_low_rank(engine, state_arr, solution)

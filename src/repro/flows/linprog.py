@@ -21,7 +21,6 @@ import time
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import AlgorithmError
 from ..graph.network import FlowNetwork
@@ -80,6 +79,8 @@ class LinearProgrammingSolver:
             (0.0, edge.capacity if not edge.is_uncapacitated else cap_bound)
             for edge in edges
         ]
+
+        from scipy.optimize import linprog
 
         outcome = linprog(
             c=objective,

@@ -163,11 +163,16 @@ class AnalogBackend(SolveBackend):
     The cache is consulted only for plain DC solves: transient solves and
     adaptive-drive solves recompile at varying drive voltages, so they go
     through :meth:`AnalogMaxFlowSolver.solve` untouched.  Cache keys combine
-    the network topology hash with the solver configuration and drive
+    the network's full digest with the solver configuration and drive
     voltage, so two differently-configured backends never share entries.
-    Each cached circuit carries its pre-built MNA system and compiled stamp
-    template (:meth:`CompiledMaxFlowCircuit.mna`), so a cache hit pays only
-    the linear solves of the DC iteration.
+    Only connected networks are stored, so the source-sink connectivity
+    check runs on misses only.  Each cached circuit carries its pre-built
+    MNA system and compiled stamp template
+    (:meth:`CompiledMaxFlowCircuit.mna`) and its warm DC state
+    (:attr:`CompiledMaxFlowCircuit.warm_dc`): the LU factorisation and
+    diode pattern its first solve settled at.  A hit settles from that
+    pattern in one iteration, one triangular solve, with no factorisation.
+    Each cached circuit holds about 0.3 MB more for it.
 
     Examples
     --------
@@ -195,13 +200,7 @@ class AnalogBackend(SolveBackend):
     def _solve(self, request: SolveRequest):
         method = request.options.get("method", "dc")
         vflow_v = request.options.get("vflow_v")
-        cacheable = (
-            self.cache is not None
-            and method == "dc"
-            and not self.solver.adaptive_drive
-            and is_source_sink_connected(request.network)
-        )
-        if cacheable:
+        if self.cache is not None and method == "dc" and not self.solver.adaptive_drive:
             drive = float(vflow_v) if vflow_v is not None else self.solver.parameters.vflow_v
             key = (
                 network_signature(request.network),
@@ -209,15 +208,19 @@ class AnalogBackend(SolveBackend):
                 drive,
             )
             hit, compiled = self.cache.lookup(key)
-            if not hit:
-                compiled = self.solver.compile(request.network, vflow_v=drive)
-                # Pre-build the MNA system and its compiled stamp template so
-                # they are memoized alongside the circuit: cache hits skip
-                # compile, index assignment AND stamp-template construction.
-                compiled.mna()
-                self.cache.store(key, compiled)
-            result = self.solver.solve_compiled(compiled)
-            return (*analog_readout(result), result, hit)
+            # The key holds the full network digest and only connected
+            # networks are stored, so only a miss needs the connectivity BFS.
+            if hit or is_source_sink_connected(request.network):
+                if not hit:
+                    compiled = self.solver.compile(request.network, vflow_v=drive)
+                    # Pre-build the MNA system and its compiled stamp template
+                    # so they are memoized alongside the circuit: cache hits
+                    # skip compile, index assignment AND stamp-template
+                    # construction.
+                    compiled.mna()
+                    self.cache.store(key, compiled)
+                result = self.solver.solve_compiled(compiled)
+                return (*analog_readout(result), result, hit)
         result = self.solver.solve(
             request.network,
             method=method,

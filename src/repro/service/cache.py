@@ -9,8 +9,12 @@ keyed by a deterministic hash of the network topology *and* the compiler
 configuration that produced them.  Each cached entry also carries the
 circuit's pre-built MNA system and compiled stamp template
 (:meth:`~repro.analog.compiler.CompiledMaxFlowCircuit.mna`), so a hit skips
-compilation, MNA index assignment and stamp-template construction alike —
-the solve cost of a hit collapses to the linear algebra itself.
+compilation, MNA index assignment and stamp-template construction alike,
+and its warm DC state
+(:attr:`~repro.analog.compiler.CompiledMaxFlowCircuit.warm_dc`): the LU
+factorisation and diode pattern its first solve settled at.  A hit starts
+at that pattern, so its solve collapses to one warm triangular solve
+against the kept factorisation.
 
 The cache is a thread-safe LRU: entries are evicted least-recently-used once
 ``max_entries`` is reached, and hit/miss/eviction counters feed the batch

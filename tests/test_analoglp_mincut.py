@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +124,37 @@ class TestAnalogMinCut:
         for index in result.cut_edges:
             edge = network.edge(index)
             assert edge.tail in side and edge.head not in side
+
+
+class TestScipySolversLoadOnFirstUse:
+    def test_import_repro_loads_neither_and_both_still_solve(self):
+        # A fresh interpreter: this process has long since loaded both.
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro
+            from repro.analoglp import AnalogLPSolver, LinearProgram
+            from repro.flows.registry import get_algorithm
+
+            print("scipy.optimize" in sys.modules, "scipy.integrate" in sys.modules)
+            g = repro.FlowNetwork()
+            g.add_edge("s", "a", 2.0)
+            g.add_edge("a", "t", 1.0)
+            print(get_algorithm("lp-reference").solve(g).flow_value)
+            problem = LinearProgram(
+                objective=[1.0, 1.0], equality_matrix=[[1.0, 1.0]],
+                equality_rhs=[2.0], lower_bounds=0.0, upper_bounds=5.0,
+            )
+            print(AnalogLPSolver(gain=500.0).solve(problem).x.sum())
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        ).stdout.split()
+        assert out[:2] == ["False", "False"]
+        assert float(out[2]) == pytest.approx(1.0, rel=1e-9)
+        assert float(out[3]) == pytest.approx(2.0, abs=0.02)

@@ -179,6 +179,48 @@ class TestObsSuiteSmoke:
         assert "wrote" in summary and "obs cost" in summary
 
 
+class TestKernelSuiteSmoke:
+    def test_repeats_interleave_and_quartiles_are_recorded(
+        self, perf_gate, tmp_path, capsys, monkeypatch
+    ):
+        from repro.bench import kernel as bench_kernel
+
+        calls = []
+
+        class LoggedDinic(bench_kernel.Dinic):
+            def solve(self, *args, **kwargs):
+                calls.append("dinic")
+                return super().solve(*args, **kwargs)
+
+        class LoggedKernel(bench_kernel.KernelDinic):
+            def solve(self, *args, **kwargs):
+                calls.append("kernel")
+                return super().solve(*args, **kwargs)
+
+        monkeypatch.setattr(bench_kernel, "Dinic", LoggedDinic)
+        monkeypatch.setattr(bench_kernel, "KernelDinic", LoggedKernel)
+        output = tmp_path / "BENCH_kernel.json"
+        status = perf_gate.main([
+            "--suite", "kernel", "--scale", "0.01", "--repeats", "4",
+            "--output", str(output),
+        ])
+        assert status == 0
+        record = json.loads(output.read_text())
+        assert set(record["classes"]) == {"grid", "rmat", "bipartite"}
+        # Three classes, four rounds each, both engines once per round,
+        # and the first engine of a round alternates.
+        rounds = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+        assert len(rounds) == 12
+        assert rounds[::2] == [["dinic", "kernel"]] * 6
+        assert rounds[1::2] == [["kernel", "dinic"]] * 6
+        for row in record["classes"].values():
+            for engine in ("dinic", "kernel"):
+                q1, q3 = row[f"{engine}_q1_ms"], row[f"{engine}_q3_ms"]
+                assert 0.0 < q1 <= row[f"{engine}_ms"] <= q3
+            assert row["value_diff"] <= 1e-9
+        assert "IQR" in capsys.readouterr().out
+
+
 class TestHistoryAppend:
     """Every run appends itself to the record's bounded history list."""
 

@@ -46,10 +46,12 @@ status.
 ``--suite kernel`` writes ``BENCH_kernel.json`` with, per conformance-
 corpus instance class (grid / rmat / bipartite), the median reference
 Dinic and flat-array :class:`KernelDinic` wall clocks on the identical
-network, the speedup, the kernel's discharge-sweep count and the relative
-flow-value disagreement.  The default scale (0.25) is the headline size —
-the 64x64 vision grid where the kernel's >=10x floor is enforced by
-``benchmarks/bench_kernel.py``.
+network with each engine's quartiles (``*_q1_ms``/``*_q3_ms``, the noise
+band), the speedup, the kernel's discharge-sweep count and the relative
+flow-value disagreement.  The two engines' repeats are interleaved, so
+host drift does not land in the ratio.  The default scale (0.25) is the
+headline size — the 96x96 vision grid; the kernel's >=10x floor is
+enforced by ``benchmarks/bench_kernel.py``.
 
 ``--suite resilience`` writes ``BENCH_resilience.json`` with the fault-free
 overhead of the resilient solve path (deadline scope + failover wrapper +
@@ -281,6 +283,10 @@ def _as_kernel_record(metrics: dict) -> dict:
         "num_edges": metrics["num_edges"],
         "dinic_ms": round(metrics["dinic_s"] * 1e3, 3),
         "kernel_ms": round(metrics["kernel_s"] * 1e3, 3),
+        "dinic_q1_ms": round(metrics["dinic_quartiles_s"][0] * 1e3, 3),
+        "dinic_q3_ms": round(metrics["dinic_quartiles_s"][1] * 1e3, 3),
+        "kernel_q1_ms": round(metrics["kernel_quartiles_s"][0] * 1e3, 3),
+        "kernel_q3_ms": round(metrics["kernel_quartiles_s"][1] * 1e3, 3),
         "speedup": round(metrics["speedup"], 2),
         "kernel_sweeps": metrics["kernel_sweeps"],
         "value_diff": float(f"{metrics['value_diff']:.3e}"),
@@ -541,7 +547,10 @@ def _print_suite_summary(suite: str, report: dict) -> None:
         elif suite == "kernel":
             print(
                 f"  {regime} ({row['workload']}, {row['num_edges']} edges): "
-                f"kernel {row['kernel_ms']} ms vs dinic {row['dinic_ms']} ms "
+                f"kernel {row['kernel_ms']} ms "
+                f"(IQR {row['kernel_q1_ms']}-{row['kernel_q3_ms']}) "
+                f"vs dinic {row['dinic_ms']} ms "
+                f"(IQR {row['dinic_q1_ms']}-{row['dinic_q3_ms']}) "
                 f"({row['speedup']}x, {row['kernel_sweeps']} sweeps, "
                 f"value diff {row['value_diff']:.1e})"
             )
