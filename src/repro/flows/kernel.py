@@ -4,55 +4,77 @@ The object-based solvers in this package spend nearly all of their time in
 the Python interpreter: one attribute lookup and one list index per arc
 scan.  This module re-implements max-flow on a *flat* residual
 representation — contiguous NumPy arrays built once per solve — so the hot
-loops become whole-array operations:
+loops are whole-array operations or compiled code:
 
 * ``arc_tail`` / ``arc_head`` (int64) and ``residual`` (float64) store the
   arc-pair layout of :class:`~repro.flows.base.ResidualNetwork` unchanged:
   edge ``k`` owns forward arc ``2k`` and reverse arc ``2k + 1``, and the
   partner of ``arc`` is ``arc ^ 1``;
 * ``indptr`` / ``arcs_by_tail`` form a CSR adjacency (arcs grouped by tail
-  vertex) used to gather the arcs of all active vertices in one go;
-* the solve is a *two-phase lockstep preflow-push* (the structure GPU
-  max-flow kernels use): exact distance labels come from one compiled
-  reverse BFS over the same CSR (:func:`scipy.sparse.csgraph.dijkstra`
-  with unit weights), and every sweep discharges **all** active vertices
-  at once with a segmented prefix-sum fill, then relabels every vertex
-  whose own excess was left over.  Phase 1 drives excess towards the sink
-  (with a gap heuristic and periodic exact relabels); phase 2 re-labels
-  by distance-to-source and returns the stranded excess.  Interpreter
-  cost scales with the number of sweeps and relabels, not the number of
-  arcs or the depth of the graph.
+  vertex), built on first use by the lockstep core.
 
-The kernel produces the same flow values as the reference implementations
-to 1e-9 relative (see ``tests/test_kernel_differential.py``);
-uncapacitated arcs keep their ``INFINITY`` residual because
-``inf - x == inf`` matches the reference's explicit skip in
-:meth:`ResidualNetwork.push`.
+Two cores
+---------
+:meth:`FlatResidual.max_flow` runs one of two cores on the same residual:
 
-Fused solves
-------------
-Several same-shape networks queued to solve one after another (the
-serving front door's classical lane, see
-:class:`~repro.service.server.AsyncSolveServer`) can share one kernel
-call.  Each member solves inside its own :func:`fusion_scope` over one
-shared :class:`FusedSolves`; the first member to reach
-:meth:`KernelDinic.solve` lowers itself and every later member not yet
-solved, joins them behind a super source and sink (one ``S*→s_k`` and one
-``t_k→T*`` arc per member) and runs :meth:`FlatResidual.max_flow` once.
-The union's max flow restricted to one member's edges is a max flow of
-that member, because the members share no vertex but ``S*`` and ``T*``.
-Later members read their share.  Two rules keep the union exact:
+* the **compiled core** (:meth:`FlatResidual.compiled_max_flow`) lowers the
+  residual once per solve to one CSR matrix with an entry per ``(tail,
+  head)`` pair, its arcs' residuals summed, and runs
+  :func:`scipy.sparse.csgraph.maximum_flow` (a compiled Dinic, which takes
+  integer capacities only) in *rounds*.  Each round scales every pair by a
+  power of two so its largest entry is below ``2**30`` (so ``c(i, j) +
+  c(j, i)`` stays below ``2**31``, scipy's int32 range), floors it, solves,
+  and adds the flow back, split over the pair's arcs in order; a pair
+  within four ulp of saturation gives each arc exactly its residual, so a
+  saturated cut stays saturated to the bit.  A breadth-first search over
+  the round's integer residual then reads a cut, whose real residual
+  capacity ``G`` bounds the flow still missing; the next round clamps
+  every pair to ``2G``, so a clamped pair is never saturated and the next
+  cut runs through exactly saturated pairs only.  Rounds stop once ``G`` is at most ``1e-13`` of the
+  value and no arc of the cut keeps more than ``1e-12``, the residual a
+  cut check (:func:`~repro.flows.mincut.min_cut_from_flow`) still counts
+  as saturated.  Integral capacities below ``2**30`` floor exactly, so
+  they take one exact round; real capacities usually take two, and large
+  ones three, the last flooring exactly;
+* the **lockstep core** (:meth:`FlatResidual.lockstep_max_flow`), a
+  *two-phase lockstep preflow-push* (the structure GPU max-flow kernels
+  use): exact distance labels come from one compiled reverse BFS over the
+  CSR adjacency (:func:`scipy.sparse.csgraph.dijkstra` with unit
+  weights), and every sweep discharges **all** active vertices at once
+  with a segmented prefix-sum fill, then relabels every vertex whose own
+  excess was left over.  Phase 1 drives excess towards the sink (with a
+  gap heuristic and periodic exact relabels); phase 2 re-labels by
+  distance-to-source and returns the stranded excess.  Interpreter cost
+  scales with the number of sweeps and relabels, not the number of arcs
+  or the depth of the graph.
 
-* ``eps`` and ``tol`` are global to one :class:`FlatResidual`, so inside
-  the union every member is scaled by a power of two that brings its
-  largest capacity into ``[0.5, 1)``, and its flows are scaled back
-  exactly (unscaled, a member far smaller than its neighbours falls
-  under their saturation threshold and loses its flow);
-* a network with an uncapacitated edge is solved alone: its finite
-  surrogate source push depends on every capacity in the residual.
+Both cores augment whatever residual they are handed, so warm starts
+(:meth:`KernelDinic.augment_residual`) run on either.  Both produce the
+reference flow values to 1e-9 relative (see
+``tests/test_kernel_differential.py``); uncapacitated arcs keep their
+``INFINITY`` residual in the lockstep core because ``inf - x == inf``
+matches the reference's explicit skip in :meth:`ResidualNetwork.push`.
+
+A deadline is checked before each compiled round and each lockstep sweep.
+A compiled round cannot be interrupted, so a solve may overrun its budget
+by one round: about 10–20 ms on the 6,324-edge serving grids and about
+55 ms on a 12k-edge grid.
 
 Selection
 ---------
+:func:`pick_core` chooses per solve, with no option to override it: a
+residual with an uncapacitated arc takes the lockstep core (the compiled
+one has no finite surrogate for it).  Every other residual takes the
+compiled core unless it is real-valued, has more than 14,000 edges, and
+is both deep and wide: its s-t depth is above 8 hops and below an eighth
+of its vertex count, as in a square grid.  There Dinic's phase count
+grows with the side of the grid and the lockstep sweeps win; shallow
+networks (bipartite, R-MAT) and thin ones (an 8x1000 grid) stay
+compiled, and so do integral ones, where one exact round beat the
+lockstep core on every measured class.  ``tools/perf_gate.py --suite
+kernel`` records both cores and the pick per class and on a crossover
+sweep.
+
 :class:`KernelDinic` registers as ``"kernel"`` in
 :mod:`repro.flows.registry`, whose ``DEFAULT_EXACT_ALGORITHM`` names it as
 the engine of every cold exact solve that names no algorithm.  ``"dinic"``
@@ -64,14 +86,13 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
+from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
 
 from ..errors import AlgorithmError
 from ..obs import probes
@@ -86,7 +107,31 @@ from .base import (
     validate_max_flow,
 )
 
-__all__ = ["FlatResidual", "FusedSolves", "KernelDinic", "fusion_scope"]
+__all__ = ["FlatResidual", "KernelDinic", "pick_core"]
+
+#: Scaled pair capacities of a compiled round stay below ``2**_PAIR_BITS``.
+_PAIR_BITS = 30
+#: A compiled solve stops once its certified gap is at most this share of
+#: the flow value it found and no arc of its cut has more residual than
+#: ``_GAP_ATOL``, the residual above which
+#: :func:`~repro.flows.mincut.min_cut_from_flow` crosses an arc: the cut
+#: then reads as saturated at any capacity scale.
+_GAP_RTOL = 1e-13
+_GAP_ATOL = 1e-12
+#: Rounds after which a compiled solve that still has a gap is an error;
+#: the gap shrinks by about ``2**30 / cut arcs`` per round, so real inputs
+#: stop after two or three.
+_MAX_ROUNDS = 64
+#: Real-valued residuals with more edges than this may run the lockstep
+#: core.  Measured medians on capacity-jittered square grids: 64x64
+#: (12,224 edges) ran 90 ms compiled against 107 ms lockstep, 72x72
+#: (15,480 edges) 175 ms against 130 ms.
+_COMPILED_EDGES = 14_000
+#: ... and do when their s-t depth (in hops) is above this and below
+#: ``vertices / _SHALLOW``: a shallow network (bipartite, R-MAT) needs few
+#: Dinic phases, and a thin one (at most this many vertices per level,
+#: like an 8x1000 grid) few augmenting-path lengths, so both stay compiled.
+_SHALLOW = 8
 
 
 class FlatResidual:
@@ -118,14 +163,12 @@ class FlatResidual:
         # float64 unconditionally: int or mixed int/float capacity inputs
         # must not truncate (the dtype-promotion guard of the fuzz suite).
         self.residual = np.asarray(residual, dtype=np.float64)
-        if arcs_by_tail is None:
-            arcs_by_tail = np.argsort(arc_tail, kind="stable").astype(np.int64)
-            indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-            counts = np.bincount(arc_tail, minlength=self.num_vertices)
-            np.cumsum(counts, out=indptr[1:])
-        self.arcs_by_tail = arcs_by_tail
-        self.indptr = indptr
-        finite = self.residual[np.isfinite(self.residual)]
+        if arcs_by_tail is not None:
+            self.arcs_by_tail = arcs_by_tail
+            self.indptr = indptr
+        #: Whether every residual is finite (no uncapacitated arc).
+        self.finite = bool(np.isfinite(self.residual).all())
+        finite = self.residual if self.finite else self.residual[np.isfinite(self.residual)]
         scale = float(finite.max()) if finite.size else 1.0
         #: Finite surrogate for an unbounded source excess; also the fill
         #: limit that keeps INFINITY capacities out of the prefix sums.
@@ -136,8 +179,28 @@ class FlatResidual:
         #: the segmented prefix sums; a few ULP of ``flow_cap``).
         self.tol = 64.0 * np.finfo(np.float64).eps * max(1.0, self.flow_cap)
         self.counter = OperationCounter()
+        #: The core the last :meth:`max_flow` ran (see :func:`pick_core`).
+        self.core: Optional[str] = None
         #: The reversed graph of :meth:`_reverse_bfs`, built on first use.
         self._reversed = None
+
+    @cached_property
+    def arcs_by_tail(self) -> np.ndarray:
+        """Arc ids grouped by tail vertex, in arc order within a group."""
+        return np.argsort(self.arc_tail, kind="stable").astype(np.int64)
+
+    @cached_property
+    def _pairs(self) -> "_Pairs":
+        """The compiled core's pair matrix layout (arcs never change)."""
+        return _Pairs(self)
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """Start of each vertex's segment of :attr:`arcs_by_tail`."""
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        counts = np.bincount(self.arc_tail, minlength=self.num_vertices)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr
 
     # ------------------------------------------------------------------
     # Construction / adapter boundary
@@ -231,7 +294,77 @@ class FlatResidual:
         return dict(enumerate(self.residual[1::2].tolist()))
 
     # ------------------------------------------------------------------
-    # Two-phase lockstep preflow-push
+    # Solve: one of two cores
+    # ------------------------------------------------------------------
+
+    def max_flow(self) -> int:
+        """Drive the residual to a maximum flow; returns its round count.
+
+        Runs the core :func:`pick_core` chooses and records it in
+        :attr:`core`.  The count is the ``iterations`` figure reported by
+        :class:`KernelDinic`: compiled rounds, or lockstep discharge sweeps.
+        """
+        self.core = pick_core(self)
+        if self.source == self.sink:
+            return 0
+        if self.core == "compiled":
+            return self.compiled_max_flow()
+        return self.lockstep_max_flow()
+
+    # ------------------------------------------------------------------
+    # Compiled core: scaled integer rounds of scipy's Dinic
+    # ------------------------------------------------------------------
+
+    def compiled_max_flow(self) -> int:
+        """Augment to a maximum flow in scaled integer rounds; returns the rounds.
+
+        See the module notes.  Each round fires
+        :func:`~repro.obs.probes.kernel_sweep` and checks the ambient
+        deadline first, so an expired budget raises before round 1 and a
+        solve overruns its budget by at most the one round it is in.
+        Needs every residual finite (:func:`pick_core`).
+        """
+        pairs = self._pairs
+        residual = self.residual
+        counter = self.counter
+        gap = math.inf
+        value = 0.0
+        rounds = 0
+        while rounds < _MAX_ROUNDS:
+            check_deadline("kernel compiled round")
+            probes.kernel_sweep()
+            rounds += 1
+            avail = residual[pairs.arcs]
+            total = pairs.sum(avail)
+            # Twice the gap: this round's flow is at most the gap, so a
+            # clamped pair is never saturated and never lands in its cut.
+            capped = np.minimum(total, 2.0 * gap)
+            top = float(capped.max(initial=0.0))
+            if top <= 0.0:
+                return rounds
+            scale = math.ldexp(1.0, _PAIR_BITS - math.frexp(top)[1])
+            # Non-negative, so the cast floors; below 2**30 by the scale.
+            units = (capped * scale).astype(np.int32)
+            solved = maximum_flow(pairs.matrix(units), self.source, self.sink)
+            flow = solved.flow.data
+            added = solved.flow_value / scale
+            push = pairs.split(np.maximum(flow, 0) / scale, avail, total)
+            residual[pairs.arcs] -= push
+            residual[pairs.arcs ^ 1] += push
+            counter.pushes += int(np.count_nonzero(push))
+            value += added
+            side = pairs.reachable(units > flow, self.source)
+            left = residual[side[self.arc_tail] & ~side[self.arc_head]]
+            gap = float(left.sum())
+            if gap <= _GAP_RTOL * value and left.max(initial=0.0) <= _GAP_ATOL:
+                return rounds
+        raise AlgorithmError(
+            f"compiled kernel left a gap of {gap!r} after {rounds} rounds "
+            f"({self.num_vertices} vertices)"
+        )
+
+    # ------------------------------------------------------------------
+    # Lockstep core: two-phase lockstep preflow-push
     # ------------------------------------------------------------------
 
     #: Phase-1 sweeps between exact distance relabels.  One relabel costs
@@ -243,16 +376,16 @@ class FlatResidual:
     #: the return cascade on exact distance-to-source labels.
     RELABEL_EVERY_RETURN = 8
 
-    def max_flow(self) -> int:
+    def lockstep_max_flow(self) -> int:
         """Drive the residual to a maximum flow; returns the sweep count.
 
         Two-phase preflow-push in lockstep sweeps.  Phase 1 saturates the
         source arcs and discharges all active vertices below height ``V``
         simultaneously each sweep until the sink inflow is maximal; phase 2
         re-labels everything by distance to the source and returns the
-        stranded excess.  The count of sweeps is the ``iterations`` figure
-        reported by :class:`KernelDinic` (the vectorised analogue of the
-        reference solvers' phase counts).
+        stranded excess.  When the first exact relabel finds the sink
+        unreachable the residual already carries a maximum flow, and it is
+        returned untouched after no sweep.
         """
         if self.source == self.sink:
             return 0
@@ -267,12 +400,15 @@ class FlatResidual:
         interior = np.ones(num_vertices, dtype=bool)
         interior[[source, sink]] = False
 
-        def relabel_towards_sink() -> None:
+        def relabel_towards_sink() -> bool:
+            """Exact labels; whether the source still reaches the sink."""
             dist = self._reverse_bfs(sink)
+            reaches = bool(dist[source] <= num_vertices)
             np.minimum(dist, num_vertices + 1, out=dist)
             dist[source] = num_vertices
             np.maximum(height, dist, out=height)
             self.counter.global_relabels += 1
+            return reaches
 
         def relabel_towards_source() -> None:
             dist = self._reverse_bfs(source)
@@ -285,8 +421,11 @@ class FlatResidual:
 
         # Initial exact labels, then saturate every usable source arc
         # (INFINITY arcs push the finite flow_cap surrogate, like the
-        # reference push-relabel's total-capacity stand-in).
-        relabel_towards_sink()
+        # reference push-relabel's total-capacity stand-in).  Flooding a
+        # component that cannot reach the sink and draining it back would
+        # only leave round-off behind.
+        if not relabel_towards_sink():
+            return 0
         source_arcs = self.arcs_by_tail[indptr[source] : indptr[source + 1]]
         source_arcs = source_arcs[residual[source_arcs] > eps]
         amount = np.minimum(residual[source_arcs], limit)
@@ -492,149 +631,109 @@ def _segmented_fill(
     return np.clip(want, 0.0, avail)
 
 
-#: One kernel answer: per-edge flows, sweep count and operation counters.
-_Share = Tuple[Dict[int, float], int, OperationCounter]
+def pick_core(flat: FlatResidual) -> str:
+    """The core :meth:`FlatResidual.max_flow` runs: ``"compiled"`` or ``"lockstep"``.
 
-_FUSION: ContextVar[Optional[Tuple["FusedSolves", int]]] = ContextVar(
-    "repro_kernel_fusion", default=None
-)
+    See the module notes.  A residual with an uncapacitated arc runs the
+    lockstep core.  A finite one runs the compiled core when it is
+    integral with a total below ``2**30`` (one exact round), when it has
+    at most 14,000 edges, or when its s-t depth (hops over arcs with
+    residual, from one compiled search) is at most 8 or at least a
+    vertex count over 8; large networks that are both deep and wide, like
+    square grids, run the lockstep core.
+    """
+    if not flat.finite:
+        return "lockstep"
+    residual = flat.residual
+    if flat.flow_cap <= 2.0**_PAIR_BITS and bool(
+        (residual == np.floor(residual)).all()
+    ):
+        return "compiled"
+    if residual.size // 2 <= _COMPILED_EDGES:
+        return "compiled"
+    pairs = flat._pairs
+    usable = pairs.matrix(np.where(pairs.sum(residual[pairs.arcs]) > 0.0, 1.0, np.inf))
+    depth = dijkstra(usable, indices=flat.source, limit=flat.num_vertices)[flat.sink]
+    deep_and_wide = _SHALLOW < depth < flat.num_vertices / _SHALLOW
+    return "lockstep" if deep_and_wide else "compiled"
 
 
-class FusedSolves:
-    """Networks solved one after another, fused into one kernel call.
+class _Pairs:
+    """A flat residual lowered to one matrix entry per ``(tail, head)`` pair.
 
-    See the module notes.  The union runs under the deadline ambient for
-    the member that runs it; a union that raises stores nothing, so only
-    that member fails and the next one to arrive fuses the rest again
-    under its own budget.
-
-    Examples
-    --------
-    >>> from repro import FlowNetwork
-    >>> from repro.flows.kernel import FusedSolves, KernelDinic, fusion_scope
-    >>> small, large = FlowNetwork(), FlowNetwork()
-    >>> _ = small.add_edge("s", "t", 0.5)
-    >>> _ = large.add_edge("s", "a", 4000.0)
-    >>> _ = large.add_edge("a", "t", 3000.0)
-    >>> group = FusedSolves([small, large])
-    >>> with fusion_scope(group, 0):  # solves both networks in one call
-    ...     first = KernelDinic().solve(small)
-    >>> with fusion_scope(group, 1):  # reads its share of that call
-    ...     second = KernelDinic().solve(large, validate=True)
-    >>> first.flow_value, second.flow_value, group.fused
-    (0.5, 3000.0, 1)
+    Built once per compiled solve.  The arcs are sorted by pair, self-loops
+    dropped (they carry no s-t flow), and ``first`` is each pair's first
+    arc.  Every arc's partner lies in the opposite pair, so the matrix
+    holds ``(j, i)`` whenever it holds ``(i, j)``: the layout scipy's solver
+    builds internally, whose flow matrix therefore comes back entry for
+    entry in this order.
     """
 
-    def __init__(self, networks: Sequence[FlowNetwork]) -> None:
-        self.networks = list(networks)
-        #: Members answered from a union another member ran.
-        self.fused = 0
-        self._shares: Dict[int, _Share] = {}
+    def __init__(self, flat: FlatResidual) -> None:
+        size = flat.num_vertices
+        tail, head = flat.arc_tail, flat.arc_head
+        arcs = np.flatnonzero(tail != head)
+        key = tail[arcs] * size + head[arcs]
+        order = np.argsort(key)
+        self.arcs = arcs[order]
+        key = key[order]
+        starts = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+        self.first = np.flatnonzero(starts)
+        key = key[self.first]
+        rows = key // size
+        self.cols = (key - rows * size).astype(np.int32)
+        self.indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=size), out=self.indptr[1:])
+        self.shape = (size, size)
+        self.count = np.diff(np.append(self.first, self.arcs.size))
+        #: Whether every pair has one arc (no parallel arcs).
+        self.single = self.first.size == self.arcs.size
 
-    def solve(self, member: int) -> _Share:
-        """Member ``member``'s answer: its share, or a union it runs."""
-        share = self._shares.pop(member, None)
-        if share is not None:
-            check_deadline("kernel fused share")
-            self.fused += 1
-            return share
-        flat = FlatResidual.from_network(self.networks[member])
-        members, flats = [member], [flat]
-        if _fusable(flat):
-            for later in range(member + 1, len(self.networks)):
-                if later in self._shares:
-                    continue
-                other = FlatResidual.from_network(self.networks[later])
-                if _fusable(other):
-                    members.append(later)
-                    flats.append(other)
-        if len(members) == 1:
-            return _solve_flat(flat)
-        union, layout = _fuse(flats)
-        sweeps = union.max_flow()
-        annotate_span(
-            kernel_sweeps=sweeps,
-            kernel_pushes=union.counter.pushes,
-            kernel_relabels=union.counter.relabels,
-            kernel_fused=len(members),
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-pair sums of per-arc ``values`` (given in pair order)."""
+        return values if self.single else np.add.reduceat(values, self.first)
+
+    def matrix(self, data: np.ndarray) -> csr_array:
+        """The pair matrix with one ``data`` entry per pair."""
+        return csr_array((data, self.cols, self.indptr), shape=self.shape)
+
+    def split(self, moved: np.ndarray, avail: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """Per-arc pushes carrying ``moved`` per pair, greedily in arc order.
+
+        ``avail`` are the arcs' residuals and ``total`` their pair sums.  A
+        pair moved to within four ulp of ``total`` gives each arc exactly
+        its residual: its sum rounds, so a greedy fill would leave about an
+        ulp on the last arc, past the 1e-12 slack a cut check allows on
+        large capacities.
+        """
+        push = np.zeros_like(avail)
+        pairs = np.flatnonzero(moved > 0.0)
+        moved, total = moved[pairs], total[pairs]
+        # A full pair's arcs each take their whole residual.
+        left = np.where(moved >= total - 4.0 * np.spacing(total), np.inf, moved)
+        if self.single:
+            push[pairs] = np.minimum(left, avail[pairs])
+            return push
+        first, count = self.first[pairs], self.count[pairs]
+        for rank in range(int(count.max(initial=0))):
+            live = np.flatnonzero(count > rank)
+            positions = first[live] + rank
+            take = np.minimum(left[live], avail[positions])
+            push[positions] = take
+            left[live] -= take
+        return push
+
+    def reachable(self, usable: np.ndarray, source: int) -> np.ndarray:
+        """Vertices ``source`` reaches over the pairs where ``usable`` holds."""
+        graph = csr_array(
+            (usable.view(np.int8), self.cols.copy(), self.indptr.copy()),
+            shape=self.shape,
         )
-        reverse = union.residual[1::2]
-        shares = [
-            (dict(enumerate((reverse[first : first + count] * scale).tolist())),
-             sweeps, union.counter)
-            for first, count, scale in layout
-        ]
-        self._shares.update(zip(members[1:], shares[1:]))
-        return shares[0]
-
-
-@contextmanager
-def fusion_scope(group: FusedSolves, member: int) -> Iterator[None]:
-    """Solve as member ``member`` of ``group`` for the ``with`` block.
-
-    A context variable like :func:`~repro.resilience.policy.deadline_scope`,
-    so a caller that hops threads re-enters it in the worker.  Only a
-    :meth:`KernelDinic.solve` of the member's own network object goes
-    through the group.
-    """
-    token = _FUSION.set((group, member))
-    try:
-        yield
-    finally:
-        _FUSION.reset(token)
-
-
-def _fusable(flat: FlatResidual) -> bool:
-    """Whether a lowered network may join a union (see the module notes)."""
-    return flat.source != flat.sink and bool(np.isfinite(flat.residual).all())
-
-
-def _fuse(flats: List[FlatResidual]) -> Tuple[FlatResidual, List[Tuple[int, int, float]]]:
-    """Disjoint union of ``flats`` behind super source 0 and super sink 1.
-
-    Member ``k``'s vertices are shifted past the members before it, and
-    its ``S*→s_k`` and ``t_k→T*`` arcs carry its source out-capacity and
-    sink in-capacity, which bound none of its cuts.  Returns the union
-    and, per member, ``(first edge, edge count, scale)``.
-    """
-    tails, heads, caps, layout = [], [], [], []
-    super_tails, super_heads, super_caps = [], [], []
-    vertex, edge = 2, 0
-    for flat in flats:
-        cap = flat.residual[0::2]
-        top = float(cap.max()) if cap.size else 0.0
-        scale = math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
-        cap = cap / scale
-        tail, head = flat.arc_tail[0::2], flat.arc_head[0::2]
-        tails.append(tail + vertex)
-        heads.append(head + vertex)
-        caps.append(cap)
-        super_tails += [0, flat.sink + vertex]
-        super_heads += [flat.source + vertex, 1]
-        super_caps += [cap[tail == flat.source].sum(), cap[head == flat.sink].sum()]
-        layout.append((edge, cap.shape[0], scale))
-        vertex += flat.num_vertices
-        edge += cap.shape[0]
-    union = FlatResidual._from_edges(
-        vertex,
-        0,
-        1,
-        np.concatenate(tails + [np.asarray(super_tails, dtype=np.int64)]),
-        np.concatenate(heads + [np.asarray(super_heads, dtype=np.int64)]),
-        np.concatenate(caps + [np.asarray(super_caps, dtype=np.float64)]),
-    )
-    return union, layout
-
-
-def _solve_flat(flat: FlatResidual) -> _Share:
-    """Solve one lowered network alone."""
-    sweeps = flat.max_flow()
-    annotate_span(
-        kernel_sweeps=sweeps,
-        kernel_pushes=flat.counter.pushes,
-        kernel_relabels=flat.counter.relabels,
-    )
-    return flat.edge_flows(), sweeps, flat.counter
+        graph.eliminate_zeros()  # in place, hence the copied indices
+        side = np.zeros(self.shape[0], dtype=bool)
+        side[breadth_first_order(graph, source, return_predecessors=False)] = True
+        return side
 
 
 class KernelDinic(FlowAlgorithm):
@@ -642,12 +741,27 @@ class KernelDinic(FlowAlgorithm):
 
     Behaviourally a drop-in for :class:`~repro.flows.dinic.Dinic`: the same
     arc-pair residual semantics, the same warm-start contract via
-    :meth:`augment_residual`, the same exact flow values.  The engine,
-    however, is the two-phase lockstep preflow of :class:`FlatResidual` —
-    Dinic-style exact BFS distance labels drive a vectorised discharge
-    instead of blocking-flow DFS, because a per-sweep whole-array discharge
-    is what NumPy executes fast.  ``iterations`` therefore counts discharge
-    sweeps, not Dinic phases.
+    :meth:`augment_residual`, the same exact flow values.  The engine is
+    :meth:`FlatResidual.max_flow`: scipy's compiled Dinic in scaled integer
+    rounds, or the two-phase lockstep preflow for uncapacitated and for
+    deep, large real-valued networks (:func:`pick_core`).  ``iterations``
+    therefore counts compiled rounds or discharge sweeps, not Dinic phases.
+
+    Examples
+    --------
+    >>> from repro import FlowNetwork
+    >>> from repro.flows.base import INFINITY
+    >>> g = FlowNetwork()
+    >>> _ = g.add_edge("s", "a", 0.1)
+    >>> _ = g.add_edge("a", "t", 0.3)
+    >>> _ = g.add_edge("s", "t", 2)
+    >>> result = KernelDinic().solve(g)  # real capacities: two rounds
+    >>> result.flow_value, result.iterations
+    (2.1, 2)
+    >>> _ = g.add_edge("s", "t", INFINITY)
+    >>> flat = FlatResidual.from_network(g)
+    >>> pick_core(flat)  # no finite surrogate in the compiled core
+    'lockstep'
     """
 
     name = "kernel"
@@ -655,15 +769,21 @@ class KernelDinic(FlowAlgorithm):
     def solve(self, network: FlowNetwork, validate: bool = False) -> MaxFlowResult:
         """Solve on flat arrays end to end (no object residual is built).
 
-        Inside a :func:`fusion_scope` whose member is ``network`` itself,
-        the answer comes from that member's :class:`FusedSolves` group.
+        The ambient span gets ``kernel_core``, ``kernel_rounds`` (compiled)
+        or ``kernel_sweeps`` (lockstep), ``kernel_pushes`` and
+        ``kernel_relabels``.
         """
         start = time.perf_counter()
-        scoped = _FUSION.get()
-        if scoped is not None and scoped[0].networks[scoped[1]] is network:
-            edge_flows, phases, counter = scoped[0].solve(scoped[1])
-        else:
-            edge_flows, phases, counter = _solve_flat(FlatResidual.from_network(network))
+        flat = FlatResidual.from_network(network)
+        steps = flat.max_flow()
+        counter = flat.counter
+        annotate_span(
+            kernel_core=flat.core,
+            kernel_pushes=counter.pushes,
+            kernel_relabels=counter.relabels,
+            **{"kernel_rounds" if flat.core == "compiled" else "kernel_sweeps": steps},
+        )
+        edge_flows = flat.edge_flows()
         elapsed = time.perf_counter() - start
         result = MaxFlowResult(
             flow_value=network.flow_value(edge_flows),
@@ -671,7 +791,7 @@ class KernelDinic(FlowAlgorithm):
             algorithm=self.name,
             operations=counter,
             wall_time_s=elapsed,
-            iterations=phases,
+            iterations=steps,
         )
         if validate:
             validate_max_flow(network, result)
@@ -687,8 +807,8 @@ class KernelDinic(FlowAlgorithm):
         Exports the residual (including any flow it already carries and any
         arc pairs appended by the incremental solver), augments on the flat
         arrays, and stores the final capacities back — the same resume
-        semantics as :meth:`Dinic.augment_residual`.  Returns the number of
-        phases run.
+        semantics as :meth:`Dinic.augment_residual`.  Returns the rounds or
+        sweeps run.
         """
         flat = FlatResidual.from_residual(residual)
         phases = flat.max_flow()

@@ -46,23 +46,17 @@ is pinned by ``tests/test_server.py`` without sleeps:
 
 * **One exact lane.**  Every request routed to a classical engine (an
   :data:`~repro.flows.registry.ALGORITHMS` name) runs on one lane, one
-  solve at a time: those solves are interpreter-bound, so two of them on
-  two threads only slow each other down.  When the lane frees, the
-  worker that takes it also drains up to three more queued requests, in
-  queue order, routed to the same engine and whose networks have the
-  head's vertex and edge counts and priority.  Each member of that group
-  still runs its own path (service → failover → backend → engine), with
-  its budget re-derived on the server clock just before its own solve,
-  and is answered as soon as that solve returns; a member whose budget is
-  spent by then answers 504 without running.  The group shares one
-  :class:`~repro.flows.kernel.FusedSolves` scope, so on the kernel the
-  first member to solve runs the whole group as one union and the later
-  members read their share (counted in ``stats()["fused"]``).  Members
-  run loosest budget first, so the union is never cut short by a tighter
-  member's deadline.  The lane's next turn waits until the group's
-  callers have their answers, so a caller that submits again on receipt
-  is queued for it.  Analog and ``"sharded:*"`` requests stay off the
-  lane and run concurrently, each as a group of one.
+  solve at a time: the kernel's compiled core holds the interpreter lock
+  for a whole round, and its lockstep core and the other engines are
+  interpreter-bound, so two exact solves on two threads only slow each
+  other down.  When the lane frees, the worker that takes it runs the
+  first queued lane request, in queue order, through its own path
+  (service → failover → backend → engine), with its budget re-derived on
+  the server clock just before the solve; a request whose budget is spent
+  by then answers 504 without running.  The lane's next turn waits until
+  the request's callers have their answer, so a caller that submits again
+  on receipt is queued for it.  Analog and ``"sharded:*"`` requests stay
+  off the lane and run concurrently.
 
 Statuses follow HTTP conventions: 200 served (the result may still be a
 typed ``ok=False`` failure-free report), 500 typed solve failure, 503
@@ -73,13 +67,11 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmError, SolveTimeoutError
-from ..flows.kernel import FusedSolves, fusion_scope
 from ..flows.registry import ALGORITHMS, DEFAULT_EXACT_ALGORITHM
 from ..graph.network import FlowNetwork
 from ..obs import probes
@@ -98,8 +90,6 @@ STATUS_DEADLINE = 504
 #: Lanes shared by every request routed to a classical engine.  Eight
 #: serve-large kernel solves took 1.34x as long on two threads as on one.
 LANES = 1
-#: Requests one lane turn takes: the head plus up to three queued mates.
-GROUP_MAX = 4
 
 
 @dataclass
@@ -187,17 +177,6 @@ class _Pending:
         #: Routed to a classical engine, so it runs on the exact lane.
         self.lane = request.backend in ALGORITHMS
 
-    def joins(self, head: "_Pending") -> bool:
-        """Whether this entry may run in ``head``'s lane group."""
-        mine, theirs = self.request, head.request
-        return (
-            self.lane
-            and self.priority == head.priority
-            and mine.backend == theirs.backend
-            and mine.network.num_vertices == theirs.network.num_vertices
-            and mine.network.num_edges == theirs.network.num_edges
-        )
-
 
 class AsyncSolveServer:
     """Asyncio front door over the batch solving service.
@@ -214,7 +193,7 @@ class AsyncSolveServer:
         Number of worker tasks draining the priority queue, so the bound
         on requests running at once.  Requests routed to a classical
         engine share one lane whatever this is: one worker at a time runs
-        a group of them, and the others run analog and ``"sharded:*"``
+        one of them, and the others run analog and ``"sharded:*"``
         requests.
     max_pending:
         Global bound on queued (not yet executing) requests.
@@ -232,9 +211,8 @@ class AsyncSolveServer:
         the concurrency tests run on a virtual clock.
     solve_fn:
         Override for the service call: ``solve_fn(request) -> SolveResult``,
-        sync (run in a thread inside the lane group's fusion scope, as the
-        service call is) or async (awaited on the loop).  Tests inject
-        counting/gated fakes here.
+        sync (run in a thread, as the service call is) or async (awaited
+        on the loop).  Tests inject counting/gated fakes here.
 
     Examples
     --------
@@ -291,7 +269,7 @@ class AsyncSolveServer:
         self._started = False
         self._stats = {
             "admitted": 0, "coalesced": 0, "shed": 0,
-            "served": 0, "failed": 0, "expired": 0, "fused": 0,
+            "served": 0, "failed": 0, "expired": 0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -537,38 +515,34 @@ class AsyncSolveServer:
 
     # -- execution -----------------------------------------------------
 
-    def _take(self) -> List[_Pending]:
-        """Dequeue the next group to run; empty when nothing may run now.
+    def _take(self) -> Optional[_Pending]:
+        """Dequeue the next entry to run; ``None`` when nothing may run now.
 
-        The head is the first live entry in queue order that may start:
-        lane entries wait while every lane is busy, so an analog request
-        queued behind them still starts.  A lane head takes up to
-        ``GROUP_MAX - 1`` later entries that :meth:`_Pending.joins` it.
+        The first live entry in queue order that may start: lane entries
+        wait while every lane is busy, so an analog request queued behind
+        them still starts.
         """
         lane_free = self._lanes_busy < LANES
         queue = sorted(
             (e for e in self._queue if not e.shed),
             key=lambda e: (-e.priority, e.seq),
         )
-        head = next((e for e in queue if lane_free or not e.lane), None)
-        if head is None:
-            return []
-        group = [head]
-        if head.lane:
-            mates = [e for e in queue if e is not head and e.joins(head)]
-            group += mates[: GROUP_MAX - 1]
+        entry = next((e for e in queue if lane_free or not e.lane), None)
+        if entry is None:
+            return None
+        if entry.lane:
             self._lanes_busy += 1
-        self._queue = [e for e in queue if e not in group]
-        for entry in group:
-            self._queued -= 1
-            self._tenant_counts[entry.tenant] -= 1
-            self._export_queue_gauges(entry.tenant)
-        return group
+        queue.remove(entry)
+        self._queue = queue
+        self._queued -= 1
+        self._tenant_counts[entry.tenant] -= 1
+        self._export_queue_gauges(entry.tenant)
+        return entry
 
     async def _worker_loop(self) -> None:
         while True:
-            group = self._take()
-            if not group:
+            entry = self._take()
+            if entry is None:
                 if self._closed:
                     return  # a lane holder drains what waits for the lane
                 # Single-threaded event loop: no submit can interleave
@@ -576,49 +550,32 @@ class AsyncSolveServer:
                 self._work_available.clear()
                 await self._work_available.wait()
                 continue
-            await self._run_group(group)
+            await self._run(entry)
 
-    async def _run_group(self, group: List[_Pending]) -> None:
-        """Run one dequeued group member by member in one fusion scope.
-
-        The loosest budget runs first (no deadline, then the latest), so
-        the member that runs a fused union is the one whose deadline cuts
-        it short last.
-        """
-        taken = self._clock()
-        for entry in group:
-            entry.shared.queued_s = taken - entry.enqueued_at
-        group.sort(key=lambda e: (
-            -math.inf if e.deadline_at is None else -e.deadline_at
-        ))
-        fusion = FusedSolves([entry.request.network for entry in group])
+    async def _run(self, entry: _Pending) -> None:
+        """Run one dequeued entry; a lane entry holds the lane until answered."""
+        entry.shared.queued_s = self._clock() - entry.enqueued_at
         try:
-            for member, entry in enumerate(group):
-                await self._run_entry(entry, fusion, member)
-            if group[0].lane:
-                # The lane's next turn waits for this group's callers to
-                # take their answers: one that submits again on receipt
-                # is then queued for it.
-                for entry in group:
-                    await entry.shared.answered.wait()
+            await self._run_entry(entry)
+            if entry.lane:
+                # The lane's next turn waits for this entry's callers to
+                # take their answer: one that submits again on receipt is
+                # then queued for it.
+                await entry.shared.answered.wait()
         except asyncio.CancelledError:
-            for entry in group:
-                self._resolve(entry, ("shed", "server-closed"))
+            self._resolve(entry, ("shed", "server-closed"))
             raise
         finally:
-            self._stats["fused"] += fusion.fused
-            if group[0].lane:
+            if entry.lane:
                 self._lanes_busy -= 1
                 self._work_available.set()
 
-    async def _run_entry(
-        self, entry: _Pending, fusion: FusedSolves, member: int
-    ) -> None:
+    async def _run_entry(self, entry: _Pending) -> None:
         request = entry.request
         if entry.deadline_at is not None:
             # The solver gets what is left of the budget just before its
             # own solve, on the server's clock, not a fresh copy of the
-            # whole budget nor what was left when its group was taken.
+            # whole budget nor what was left when it was queued.
             left = entry.deadline_at - self._clock()
             if left <= 0.0:
                 waited = self._clock() - entry.enqueued_at
@@ -632,7 +589,7 @@ class AsyncSolveServer:
                 request, options={**request.options, "deadline_s": left}
             )
         try:
-            result = await self._invoke(request, fusion, member)
+            result = await self._invoke(request)
         except Exception as exc:  # noqa: BLE001 - front door never raises
             result = SolveResult(
                 request=request, ok=False,
@@ -641,41 +598,28 @@ class AsyncSolveServer:
             )
         self._resolve(entry, ("result", result))
 
-    async def _invoke(
-        self, request: SolveRequest, fusion: FusedSolves, member: int
-    ) -> SolveResult:
+    async def _invoke(self, request: SolveRequest) -> SolveResult:
         if self._solve_async:
-            with fusion_scope(fusion, member):
-                return await self._solve_fn(request)
+            return await self._solve_fn(request)
         loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(
-            None, self._solve_sync, request, fusion, member
-        )
+        result = await loop.run_in_executor(None, self._solve_sync, request)
         if inspect.isawaitable(result):  # a sync wrapper of an async fn
             result = await result
         return result
 
-    def _solve_sync(
-        self, request: SolveRequest, fusion: FusedSolves, member: int
-    ) -> SolveResult:
-        # Context variables do not cross run_in_executor: the fusion scope
-        # is re-entered here, and the deadline travels as the plain
-        # ``deadline_s`` option, which the batch service re-opens.
-        with fusion_scope(fusion, member):
-            if self._solve_fn is not None:
-                return self._solve_fn(request)
-            return self.service.solve(
-                request.network, backend=request.backend, **request.options
-            )
+    def _solve_sync(self, request: SolveRequest) -> SolveResult:
+        # The deadline travels as the plain ``deadline_s`` option, which
+        # the batch service re-opens in this thread.
+        if self._solve_fn is not None:
+            return self._solve_fn(request)
+        return self.service.solve(
+            request.network, backend=request.backend, **request.options
+        )
 
     # -- introspection -------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters plus live queue/inflight depths (one flat dict).
-
-        ``fused`` counts requests answered from a kernel union that another
-        member of their lane group ran.
-        """
+        """Counters plus live queue/inflight depths (one flat dict)."""
         return {
             **self._stats,
             "queue_depth": self._queued,

@@ -13,15 +13,17 @@ edges, disconnected s/t, parallel edges, single-edge — drives
   flow has the same value (max-flow = min-cut equality, matched against
   the cut extracted from the reference flow).
 
-Fused solves (:class:`repro.flows.kernel.FusedSolves`) are held to the
-same contract per member: seeded groups drawn from the seven families,
-each member scaled by its own factor, answer what each member answers
-alone.
+The kernel has two cores (:func:`repro.flows.kernel.pick_core`).  The
+compiled core is held to the same contract, and to the failover
+certificate, on every family with mixed int/float, parallel and
+anti-parallel edges at capacity scales 2^-13 to 2^30; its guards (the
+int32 range, deadlines between rounds, uncapacitated arcs) are pinned
+one by one.
 
-The kernel's exact relabels run one compiled reverse BFS; the
+The lockstep core's exact relabels run one compiled reverse BFS; the
 frontier-at-a-time loop it replaced stays here as the reference, and at
-every relabel of cold, fused and warm solves the two must return the same
-labels and advance the operation counters alike.
+every relabel of cold and warm lockstep solves the two must return the
+same labels and advance the operation counters alike.
 
 The dtype-promotion guard pins the latent hazard the object-based path
 never had: flat arrays built from int or mixed int/float capacities must
@@ -32,7 +34,8 @@ round trip as ``inf``.  Heavy sizes run behind ``--runslow``.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import time
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -40,21 +43,20 @@ import pytest
 from conformance import scaled_network
 from seeding import derive_seed
 
-from repro.errors import AlgorithmError
+from repro.errors import SolveTimeoutError
+from repro.flows import kernel as kernel_module
 from repro.flows.base import INFINITY, MaxFlowResult
 from repro.flows.dinic import Dinic
 from repro.flows.incremental import IncrementalMaxFlow
-from repro.flows.kernel import (
-    FlatResidual,
-    FusedSolves,
-    KernelDinic,
-    _expand,
-    fusion_scope,
-)
+from repro.flows.kernel import FlatResidual, KernelDinic, _expand, pick_core
 from repro.flows.mincut import min_cut_from_flow
+
+kernel_module_maximum_flow = kernel_module.maximum_flow
 from repro.flows.push_relabel import PushRelabel
 from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph
 from repro.graph.updates import EdgeInsert, MutableFlowNetwork
+from repro.resilience.failover import certify_flow_result
+from repro.resilience.policy import deadline_scope
 
 # ----------------------------------------------------------------------
 # Instance families (each: seed, heavy -> FlowNetwork)
@@ -197,110 +199,170 @@ def test_kernel_matches_references_heavy(family, trial):
 
 
 # ----------------------------------------------------------------------
-# Fused solves: one union per group, one exact answer per member
+# The compiled core: scaled integer rounds, certified
 # ----------------------------------------------------------------------
 
+#: Capacity scales of the compiled-core differential: powers of two, so a
+#: scaled instance is the base instance exactly, up to 2^30, where pair
+#: sums pass scipy's int32 range and parallel-edge round-off passes the
+#: cut check's 1e-12 slack.
+SCALES = (-13, -6, 0, 6, 13, 20, 30)
 
-def _uncapacitated(rng: random.Random) -> FlowNetwork:
-    """A capacitated s-t path beside an uncapacitated one.
 
-    The kernel answers the unbounded path with its finite surrogate, which
-    depends on every capacity in the residual it solves, so this member is
-    only ever right when it is solved alone.
+@pytest.fixture
+def compiled_only(monkeypatch):
+    """Run every kernel solve on the compiled core."""
+    monkeypatch.setattr(kernel_module, "pick_core", lambda flat: "compiled")
+
+
+def _multigraph(family: str, trial: int, exponent: int) -> FlowNetwork:
+    """A family member times ``2**exponent``, with parallel, anti-parallel and int edges.
+
+    Three edges get a parallel twin and an anti-parallel one; about a third
+    of all capacities become Python ints (at least 1).
     """
-    network = FlowNetwork()
-    network.add_edge("s", "a", rng.uniform(1.0, 5.0))
-    network.add_edge("a", "t", rng.uniform(1.0, 5.0))
-    network.add_edge("s", "b", INFINITY)
-    network.add_edge("b", "t", INFINITY)
+    seed = derive_seed("kernel-compiled", family, trial, exponent)
+    rng = random.Random(seed)
+    base = FAMILIES[family](seed, heavy=False)
+    factor = 2.0**exponent
+    network = scaled_network(base, factor)
+    for edge in rng.sample(list(base.edges()), min(3, base.num_edges)):
+        network.add_edge(edge.tail, edge.head, rng.uniform(0.5, 4.0) * factor)
+        network.add_edge(edge.head, edge.tail, rng.uniform(0.5, 4.0) * factor)
+    for edge in list(network.edges()):
+        if rng.random() < 0.3:
+            network.set_capacity(edge.index, max(1, round(edge.capacity)))
     return network
 
 
-class TestFusedSolves:
-    """Every member of a fused group gets the answer it gets alone.
+def _assert_certified(network: FlowNetwork, result: MaxFlowResult) -> None:
+    """Matches Dinic to 1e-9 relative and passes the exact failover certificate."""
+    expected = Dinic().solve(network).flow_value
+    assert abs(result.flow_value - expected) <= 1e-9 * max(1.0, abs(expected)), (
+        f"kernel {result.flow_value!r} vs dinic {expected!r}"
+    )
+    certify_flow_result(network, result.flow_value, result.edge_flows, exact=True)
 
-    Each group of 2-4 family members spans capacity scales 2^-13 to 2^13
-    (about 10^-4 to 10^4), so a union that shared one saturation threshold
-    across members would lose the small ones; one member carries an
-    uncapacitated edge and must be solved alone.  Factors are powers of
-    two so a member's flow divided by its factor is exactly the flow on
-    its unscaled base, where the cut check's absolute slack threshold
-    means what it means in the fuzz gate above.
+
+class TestCompiledCore:
+    """The compiled core answers exactly and certifies its own cut."""
+
+    @pytest.mark.parametrize("exponent", SCALES)
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_dinic_and_certifies(self, compiled_only, family, trial, exponent):
+        network = _multigraph(family, trial, exponent)
+        result = KernelDinic().solve(network, validate=True)
+        _assert_certified(network, result)
+
+    def test_integral_capacities_take_one_exact_round(self):
+        network = bipartite_graph(12, 12, seed=derive_seed("kernel-integral"))
+        flat = FlatResidual.from_network(network)
+        assert pick_core(flat) == "compiled"
+        assert flat.max_flow() == 1
+        assert network.flow_value(flat.edge_flows()) == Dinic().solve(network).flow_value
+
+    def test_real_capacities_refine_in_rounds(self):
+        network = grid_graph(6, 9, seed=derive_seed("kernel-real"), capacity_jitter=0.5)
+        flat = FlatResidual.from_network(network)
+        assert flat.max_flow() >= 2
+        _assert_certified(network, KernelDinic().solve(network))
+
+    @pytest.mark.parametrize(
+        "capacities",
+        [(2**31 + 5,), (2**30, 2**30), (2**31 - 1, 2**31 - 1, 3)],
+        ids=["one-edge-past-int32", "parallel-sum-2^31", "parallel-past-int32"],
+    )
+    def test_int32_guard(self, compiled_only, capacities):
+        # scipy's solver keeps capacities in int32: 2^31 + 5 unscaled wraps
+        # and answers 0 without an error.
+        network = FlowNetwork()
+        for capacity in capacities:
+            network.add_edge("s", "a", capacity)
+        network.add_edge("a", "t", 2**34)
+        network.add_edge("t", "a", 2**31 - 1)  # anti-parallel: c(i,j) + c(j,i)
+        result = KernelDinic().solve(network, validate=True)
+        assert result.flow_value == sum(capacities)
+        certify_flow_result(network, result.flow_value, result.edge_flows, exact=True)
+
+    def test_expired_deadline_raises_before_round_one(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            kernel_module, "maximum_flow",
+            lambda *args: calls.append(args) or kernel_module_maximum_flow(*args),
+        )
+        network = grid_graph(4, 6, seed=derive_seed("kernel-deadline"), capacity_jitter=0.5)
+        flat = FlatResidual.from_network(network)
+        before = flat.residual.copy()
+        with deadline_scope(1e-6):
+            time.sleep(1e-3)
+            with pytest.raises(SolveTimeoutError):
+                flat.compiled_max_flow()
+        assert calls == []
+        np.testing.assert_array_equal(flat.residual, before)
+
+    def test_a_round_in_progress_overruns_the_deadline(self, monkeypatch):
+        """The budget runs out inside round 1: it finishes, round 2 never starts."""
+        network = grid_graph(6, 9, seed=derive_seed("kernel-real"), capacity_jitter=0.5)
+        assert FlatResidual.from_network(network).compiled_max_flow() >= 2
+        calls = []
+
+        def expiring(*args):
+            calls.append(args)
+            deadline._expires_at = float("-inf")  # spent during this round
+            return kernel_module_maximum_flow(*args)
+
+        monkeypatch.setattr(kernel_module, "maximum_flow", expiring)
+        flat = FlatResidual.from_network(network)
+        with deadline_scope(60.0) as deadline:
+            with pytest.raises(SolveTimeoutError, match="kernel compiled round"):
+                flat.compiled_max_flow()
+        assert len(calls) == 1
+        assert flat.residual[1::2].sum() > 0.0  # round 1's flow was kept
+
+    def test_uncapacitated_arcs_run_the_lockstep_core(self):
+        network = FlowNetwork()
+        network.add_edge("s", "a", 3.0)
+        network.add_edge("a", "b", INFINITY)
+        network.add_edge("b", "t", 1.75)
+        network.add_edge("s", "t", 2)
+        flat = FlatResidual.from_network(network)
+        assert pick_core(flat) == "lockstep"
+        assert flat.max_flow() > 0 and flat.core == "lockstep"
+        assert network.flow_value(flat.edge_flows()) == pytest.approx(3.75, abs=1e-12)
+
+    def test_large_deep_and_wide_real_networks_run_the_lockstep_core(self):
+        def pick(network):
+            return pick_core(FlatResidual.from_network(network))
+
+        seed = derive_seed("kernel-pick")
+        assert pick(grid_graph(72, 72, seed=seed, capacity_jitter=0.5)) == "lockstep"
+        # At most 14,000 edges, integral, shallow or thin: compiled.
+        assert pick(grid_graph(64, 64, seed=seed, capacity_jitter=0.5)) == "compiled"
+        assert pick(grid_graph(72, 72, capacity=2.0)) == "compiled"
+        shallow = scaled_network(bipartite_graph(200, 200, seed=seed, connectivity=0.4), 1.37)
+        assert shallow.num_edges > 14_000 and pick(shallow) == "compiled"
+        assert pick(grid_graph(8, 1000, seed=seed, capacity_jitter=0.5)) == "compiled"
+
+
+class TestLockstepUnreachableSink:
+    """The lockstep core moves nothing when the sink is unreachable.
+
+    Flooding the source's component and draining it back left conservation
+    round-off of about 1e-6 at capacity scale 2^30, against a tolerance of
+    1e-9 on a zero flow.
     """
 
-    @pytest.mark.parametrize("trial", range(12))
-    def test_fused_members_equal_solo_solves(self, trial):
-        rng = random.Random(derive_seed("kernel-fused", trial))
-        size = rng.randint(2, 4)
-        exponents = [-13, 13] + [rng.randint(-13, 13) for _ in range(size - 2)]
-        members = []  # (base, factor)
-        for exponent in exponents:
-            family = rng.choice(sorted(FAMILIES))
-            members.append((FAMILIES[family](rng.getrandbits(32), False), 2.0**exponent))
-        rng.shuffle(members)
-        unbounded = _uncapacitated(rng)
-        members.insert(rng.randrange(size + 1), (unbounded, 1.0))
-        networks = [scaled_network(base, factor) for base, factor in members]
-
-        group = FusedSolves(networks)
-        for member, ((base, factor), network) in enumerate(zip(members, networks)):
-            with fusion_scope(group, member):
-                fused = KernelDinic().solve(network, validate=True)
-            solo = KernelDinic().solve(network)
-            if base is unbounded:  # no finite cut: the surrogate, solved alone
-                assert fused.edge_flows == solo.edge_flows
-                continue
-            # A solo solve treats arcs under 1e-12 * max(1, top capacity) as
-            # saturated; the union, scaled per member, resolves them.
-            top = max([e.capacity for e in network.edges() if e.capacity < INFINITY] + [0.0])
-            assert fused.flow_value == pytest.approx(
-                solo.flow_value, rel=1e-9, abs=1e-12 * max(1.0, top)
-            ), f"member {member} of {len(networks)} (x{factor:g})"
-            unscaled = MaxFlowResult(
-                flow_value=fused.flow_value / factor,
-                edge_flows={k: f / factor for k, f in fused.edge_flows.items()},
-                algorithm="fused",
-            )
-            cut = min_cut_from_flow(base, unscaled)
-            assert base.sink not in cut.source_side
-            assert cut.cut_value == pytest.approx(
-                unscaled.flow_value, rel=1e-9, abs=1e-12
-            ), f"member {member}: fused flow is not maximum"
-        # One union ran; every other member but the uncapacitated one read it.
-        assert group.fused == len(networks) - 2
-
-    def test_union_failure_fails_only_the_member_that_ran_it(self, monkeypatch):
-        networks = [scaled_network(grid_graph(3, 4, seed=5), f) for f in (1.0, 2.0, 4.0)]
-        group = FusedSolves(networks)
-        original, failing = FlatResidual.max_flow, [True]
-
-        def fails_once(flat):
-            if failing:
-                failing.clear()
-                raise AlgorithmError("union failed")
-            return original(flat)
-
-        monkeypatch.setattr(FlatResidual, "max_flow", fails_once)
-        with fusion_scope(group, 0), pytest.raises(AlgorithmError):
-            KernelDinic().solve(networks[0])
-        answers = []
-        for member in (1, 2):
-            with fusion_scope(group, member):
-                answers.append(KernelDinic().solve(networks[member]).flow_value)
-        solo = KernelDinic().solve(networks[0]).flow_value
-        assert answers == pytest.approx([2.0 * solo, 4.0 * solo], rel=1e-9)
-        assert group.fused == 1  # member 2 read the union member 1 ran
-
-    def test_solves_outside_the_member_network_run_alone(self):
-        first, second = grid_graph(3, 4, seed=6), grid_graph(3, 4, seed=7)
-        group = FusedSolves([first, second])
-        with fusion_scope(group, 0):
-            # Another network object (a reduction, a shard) is not member 0.
-            KernelDinic().solve(scaled_network(first, 3.0))
-        assert group.fused == 0
-        with fusion_scope(group, 1):
-            KernelDinic().solve(second)
-        assert group.fused == 0
+    @pytest.mark.parametrize("trial", range(25))
+    def test_disconnected_at_scale_2_30_certifies(self, trial):
+        base = FAMILIES["disconnected"](derive_seed("kernel-unreachable", trial), heavy=False)
+        network = scaled_network(base, 2.0**30)
+        flat = FlatResidual.from_network(network)
+        before = flat.residual.copy()
+        assert flat.lockstep_max_flow() == 0
+        np.testing.assert_array_equal(flat.residual, before)
+        flows = flat.edge_flows()
+        certify_flow_result(network, network.flow_value(flows), flows, exact=True)
 
 
 # ----------------------------------------------------------------------
@@ -372,24 +434,16 @@ def checked_bfs(monkeypatch):
     return calls
 
 
-def _fused_group(seed: int) -> List[FlowNetwork]:
-    """Two to four family members, each scaled by its own power of two."""
-    rng = random.Random(seed)
-    networks = []
-    for _ in range(rng.randint(2, 4)):
-        base = FAMILIES[rng.choice(sorted(FAMILIES))](rng.getrandbits(32), False)
-        networks.append(scaled_network(base, 2.0 ** rng.randint(-13, 13)))
-    return networks
+@pytest.fixture
+def lockstep_only(monkeypatch):
+    """Run every kernel solve, warm exports included, on the lockstep core."""
+    monkeypatch.setattr(kernel_module, "pick_core", lambda flat: "lockstep")
 
 
-def _solve_group(networks: List[FlowNetwork]) -> List[MaxFlowResult]:
-    group = FusedSolves(networks)
-    results = []
-    for member, network in enumerate(networks):
-        with fusion_scope(group, member):
-            results.append(KernelDinic().solve(network))
-    assert group.fused == len(networks) - 1  # one union answered them all
-    return results
+def _lockstep(network: FlowNetwork) -> Tuple[FlatResidual, int]:
+    """A cold solve of ``network`` on the lockstep core, driven directly."""
+    flat = FlatResidual.from_network(network)
+    return flat, flat.lockstep_max_flow()
 
 
 def _warm_stream(seed: int) -> Tuple[IncrementalMaxFlow, MaxFlowResult]:
@@ -410,16 +464,19 @@ def _warm_stream(seed: int) -> Tuple[IncrementalMaxFlow, MaxFlowResult]:
 class TestCompiledRelabels:
     """The compiled reverse BFS is the frontier loop, call for call.
 
-    Every exact relabel of a solve is checked against the reference on the
-    same residual (:func:`checked_bfs`), and whole solves with the
-    reference patched in give the same flows and all six counters.
+    Every exact relabel of a lockstep solve is checked against the
+    reference on the same residual (:func:`checked_bfs`), and whole
+    lockstep solves with the reference patched in give the same flows and
+    all six counters.  The solves drive the lockstep core directly: the
+    kernel's own pick runs most of these instances on the compiled core,
+    which relabels nothing.
     """
 
     @pytest.mark.parametrize("trial", range(3))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_relabel_matches(self, checked_bfs, family, trial):
         network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
-        KernelDinic().solve(network)
+        _lockstep(network)
         assert checked_bfs
 
     @pytest.mark.slow
@@ -427,18 +484,11 @@ class TestCompiledRelabels:
     @pytest.mark.parametrize("family", HEAVY_FAMILIES)
     def test_every_relabel_matches_heavy(self, checked_bfs, family, trial):
         seed = derive_seed("kernel-fuzz-heavy", family, trial)
-        KernelDinic().solve(FAMILIES[family](seed, heavy=True))
+        _lockstep(FAMILIES[family](seed, heavy=True))
         assert checked_bfs
 
     @pytest.mark.parametrize("trial", range(3))
-    def test_every_relabel_of_a_fused_union_matches(self, checked_bfs, trial):
-        networks = _fused_group(derive_seed("kernel-bfs-fused", trial))
-        _solve_group(networks)
-        vertices = sum(network.num_vertices for network in networks) + 2
-        assert {flat.num_vertices for flat, _ in checked_bfs} == {vertices}
-
-    @pytest.mark.parametrize("trial", range(3))
-    def test_every_relabel_of_a_warm_export_matches(self, checked_bfs, trial):
+    def test_every_relabel_of_a_warm_export_matches(self, checked_bfs, lockstep_only, trial):
         stream, _ = _warm_stream(derive_seed("kernel-bfs-warm", trial))
         arcs = 2 * stream.network.num_edges  # the inserted edge's pair included
         warm = [flat for flat, _ in checked_bfs if flat.arc_tail.size == arcs]
@@ -449,22 +499,21 @@ class TestCompiledRelabels:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_whole_solves_match(self, monkeypatch, family, trial):
         network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
-        compiled = KernelDinic().solve(network)
+        compiled, sweeps = _lockstep(network)
         monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
-        reference = KernelDinic().solve(network)
-        assert compiled.edge_flows == reference.edge_flows
-        assert compiled.operations == reference.operations
-        assert compiled.iterations == reference.iterations
+        reference, reference_sweeps = _lockstep(network)
+        assert compiled.edge_flows() == reference.edge_flows()
+        assert compiled.counter == reference.counter
+        assert sweeps == reference_sweeps
 
-    def test_whole_fused_and_warm_solves_match(self, monkeypatch):
-        def answers():
-            fused = _solve_group(_fused_group(derive_seed("kernel-bfs-fused", 0)))
+    def test_whole_warm_solves_match(self, monkeypatch, lockstep_only):
+        def answer():
             _, warm = _warm_stream(derive_seed("kernel-bfs-warm", 0))
-            return [(r.edge_flows, r.operations, r.iterations) for r in fused + [warm]]
+            return warm.edge_flows, warm.operations, warm.iterations
 
-        compiled = answers()
+        compiled = answer()
         monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
-        assert answers() == compiled
+        assert answer() == compiled
 
 
 # ----------------------------------------------------------------------

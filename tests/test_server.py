@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from types import SimpleNamespace
 
 import pytest
 
 from repro import FlowNetwork
 from repro.errors import AlgorithmError, InvalidGraphError
-from repro.flows.kernel import FlatResidual
 from repro.obs import (
     clear_traces,
     get_registry,
@@ -30,7 +28,6 @@ from repro.obs import (
     reset_metrics,
     set_obs_enabled,
 )
-from repro.resilience import policy
 from repro.service import AsyncSolveServer, BatchSolveService
 from repro.service.api import SolveResult
 
@@ -617,7 +614,7 @@ class TestLifecycle:
 
 
 class TestExactLane:
-    """Classical requests share one lane, taking turns in same-shape groups."""
+    """Classical requests share one lane, taking turns one request at a time."""
 
     async def test_lane_holds_exact_requests_but_not_analog(self, obs_server):
         backend = Recorder(gated=True)
@@ -647,7 +644,7 @@ class TestExactLane:
         assert [r.backend for r in backend.calls] == ["kernel", "analog", "dinic"]
         assert all(r.status == 200 for r in responses)
 
-    async def test_groups_take_same_engine_same_shape_in_queue_order(
+    async def test_lane_takes_one_request_per_turn_in_queue_order(
         self, obs_server
     ):
         backend = Recorder(gated=True)
@@ -669,9 +666,6 @@ class TestExactLane:
                 ("d1", distinct_network(2), "dinic"),
                 ("x", other_shape_network(), "kernel"),
                 ("k2", distinct_network(3), "kernel"),
-                ("k3", distinct_network(4), "kernel"),
-                ("k4", distinct_network(5), "kernel"),
-                ("k5", distinct_network(6), "kernel"),
             ]
             queued = {
                 tag: asyncio.ensure_future(
@@ -683,19 +677,15 @@ class TestExactLane:
             backend.gate.set()
             responses = {tag: await task for tag, task in queued.items()}
             await head
-        # The first four kernel requests of the head's shape ran as one
-        # group (k4 before the earlier d1); the other engine and the other
-        # shape each waited for a turn of their own, and the fifth kernel
-        # request for the next.
-        assert [r.tag for r in backend.calls] == [
-            "head", "k1", "k2", "k3", "k4", "d1", "x", "k5",
+        # Engine and shape do not matter: each request takes its own turn.
+        assert [r.tag for r in backend.calls] == ["head", "k1", "d1", "x", "k2"]
+        # Queued after the head's solve began (t = 1), taken one per second.
+        assert [responses[t].queued_s for t in ("k1", "d1", "x", "k2")] == [
+            0.0, 1.0, 2.0, 3.0,
         ]
-        # One group is taken at once: its members queued for no time.
-        assert [responses[t].queued_s for t in ("k1", "k2", "k3", "k4")] == [0.0] * 4
-        assert [responses[t].queued_s for t in ("d1", "x", "k5")] == [4.0, 5.0, 6.0]
         assert all(r.status == 200 for r in responses.values())
 
-    async def test_member_expiring_behind_a_gated_mate_answers_504(
+    async def test_request_expiring_behind_a_gated_solve_answers_504(
         self, obs_server
     ):
         backend = Recorder(gated=True, gated_tags={"m1"})
@@ -710,8 +700,8 @@ class TestExactLane:
                 ))
                 for i in (1, 2, 3)
             ]
-            await backend.started.wait()  # m1 runs, m2 and m3 in its group
-            assert server.stats()["queue_depth"] == 0
+            await backend.started.wait()  # m1 runs, m2 and m3 wait for the lane
+            await spin_until(lambda: server.stats()["queue_depth"] == 2)
             advance(2.0)  # m2's budget passes while m1 is gated
             backend.gate.set()
             first, doomed, last = await asyncio.gather(*tasks)
@@ -766,65 +756,27 @@ class TestExactLane:
         ]
         assert all(r.status == 200 for r in responses)
 
-    @pytest.mark.parametrize("budget, status", [(1.5, 504), (2.5, 200)])
-    async def test_the_loosest_budget_runs_the_union(
-        self, obs_server, monkeypatch, budget, status
-    ):
-        # Virtual time for the server and for the solver's deadline, and
-        # one virtual second per network lowered: solved alone the tight
-        # request takes 1 s, a union with its mate 2 s.
-        clock, advance = stepped_clock()
-        monkeypatch.setattr(policy, "time", SimpleNamespace(monotonic=clock))
-        lower = FlatResidual.from_network.__func__
-        lowered = []
-
-        def costly(cls, network):
-            lowered.append(network)
-            advance(1.0)
-            return lower(cls, network)
-
-        monkeypatch.setattr(FlatResidual, "from_network", classmethod(costly))
-        tight, loose = tiny_network(3.0), tiny_network(5.0)
-        async with AsyncSolveServer(
-            workers=1, coalesce=False, clock=clock,
-        ) as server:
-            first, second = await asyncio.gather(
-                server.submit(tight, backend="kernel", deadline_s=budget),
-                server.submit(loose, backend="kernel"),
-            )
-        # The mate without a deadline ran the union, whole, and answered.
-        assert lowered == [loose, tight]
-        assert (second.status, second.result.flow_value) == (200, 5.0)
-        assert first.status == status
-        if status == 200:  # the union fit the tight budget: its share
-            assert first.result.flow_value == 3.0
-            assert server.stats()["fused"] == 1
-        else:  # it did not: spent waiting, answered without running
-            assert first.result is None
-            assert first.detail == (
-                f"deadline of {budget:g} s expired after 2 s waiting"
-            )
-
-    async def test_kernel_group_is_solved_as_one_union(self, obs_server):
+    async def test_kernel_solves_name_their_core(self, obs_server):
         networks = [tiny_network(capacity) for capacity in (3.0, 0.002, 4000.0)]
         async with AsyncSolveServer(workers=1, coalesce=False) as server:
             responses = await asyncio.gather(*[
                 server.submit(network, backend="kernel") for network in networks
             ])
         assert [r.result.flow_value for r in responses] == [3.0, 0.002, 4000.0]
-        assert server.stats()["fused"] == 2  # answered from the first's union
 
         def walk(span):
             yield span
             for child in span.children:
                 yield from walk(child)
 
-        fused = [
-            span.attributes["kernel_fused"]
+        cores = [
+            (span.attributes["kernel_core"], span.attributes["kernel_rounds"])
             for root in recent_traces() for span in walk(root)
-            if "kernel_fused" in span.attributes
+            if "kernel_core" in span.attributes
         ]
-        assert fused == [3]  # one span: the member that ran the union
+        # One span per request; integral capacities take one exact round.
+        assert [core for core, _ in cores] == ["compiled"] * 3
+        assert [rounds for _, rounds in cores][::2] == [1, 1]
 
 
 class TestSyncSolveFn:
@@ -840,7 +792,7 @@ class TestSyncSolveFn:
         assert response.status == 200
         assert threads and threads[0] != threading.current_thread().name
 
-    async def test_sync_solve_fn_runs_in_the_fusion_scope(self, obs_server):
+    async def test_sync_solve_fn_through_the_service(self, obs_server):
         service = BatchSolveService(executor="serial")
 
         def through_service(request) -> SolveResult:
@@ -856,7 +808,6 @@ class TestSyncSolveFn:
                 for capacity in (1.0, 2.0, 3.0)
             ])
         assert [r.result.flow_value for r in responses] == [1.0, 2.0, 3.0]
-        assert server.stats()["fused"] == 2  # as through the service itself
 
     async def test_sync_wrapper_of_an_async_fake_is_awaited(self, obs_server):
         backend = Recorder()

@@ -102,7 +102,6 @@ class TestSoakConformance:
         stats = server.stats()
         assert stats["shed"] == 0  # bounded queues never overflowed
         assert stats["coalesced"] > 0  # duplicate-heavy waves did coalesce
-        assert stats["fused"] > 0  # same-shape kernel requests did fuse
         for (inst, backend, _, _), response in zip(plan, responses):
             assert response.status == 200, (inst.name, backend,
                                             response.detail)
