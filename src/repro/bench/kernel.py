@@ -5,33 +5,23 @@ One instance-selection + measurement implementation consumed by both
 ``tools/perf_gate.py --suite kernel`` (the ``BENCH_kernel.json``
 perf-trajectory record), mirroring :mod:`repro.bench.shard`.
 
-Each instance class is solved by the pure-Python reference Dinic and by
-:class:`~repro.flows.kernel.KernelDinic` on identical networks; both flow
-values must agree to 1e-9 relative, and the wall-clock ratio is the
-recorded speedup.  The classes mirror the conformance-corpus families at
-benchmark size:
+Each instance class is solved by the pure-Python reference Dinic, by
+:class:`~repro.flows.kernel.KernelDinic` (whichever core
+:func:`~repro.flows.kernel.pick_core` picks) and by each of the kernel's
+two cores forced, on identical networks, with the repeats interleaved;
+flow values must agree to 1e-9 relative.  The classes mirror the
+conformance-corpus families at benchmark size:
 
-* ``grid`` — the capacity-jittered vision grid (the ``BENCH_shard.json``
-  workload family).  Deep square grids are where interpreter overhead per
-  arc dominates the reference, and where the kernel's lockstep sweeps pay
-  off most: this is the headline **>=10x** class.
-* ``rmat`` — the paper's Fig. 10 R-MAT regime.  Hub-dominated instances
-  solve in few Dinic phases, so the reference has less interpreter work to
-  lose; the kernel still wins severalfold (floor 2x, a non-regression
-  bound rather than a headline).
-* ``bipartite`` — matching-style instances: shallow (3 levels), solved in
-  one or two phases, so per-solve array setup eats most of the kernel's
-  margin.  Measured ~0.6x at 2.7k edges and ~1.0x at 10k: recorded for
-  the trajectory only, no floor — on this family the escape hatch costs
-  nothing either way.
+* ``grid`` — the capacity-jittered vision grid.  At the default scale
+  (0.25) it is a 96x96 square grid (27.5k edges, real capacities), which
+  runs the lockstep core: the headline **>=10x** class;
+* ``rmat`` — the paper's Fig. 10 R-MAT regime (1024 vertices, integral
+  capacities: one exact compiled round);
+* ``bipartite`` — matching-style instances (unit capacities, compiled).
 
-Class bases are sized so the *default* benchmark scale (0.25) lands on
-the headline instances — the 96x96 grid (27.5k edges) and the 1024-vertex
-R-MAT — rather than shrunken smoke variants.  The per-class floors live
-in ``benchmarks/bench_kernel.py`` and are deliberately *below* the typical
-measured speedups (the 96x96 grid runs ~65x, 64x64 ~27x, on an unloaded
-machine; the speedup grows with depth x size) because shared CI machines
-add +-50% wall-clock noise to these solves.
+:func:`measure_cores` times the two cores alone on any network;
+``tools/perf_gate.py --suite kernel`` runs it on the sweep that places
+:func:`~repro.flows.kernel.pick_core`'s crossover.
 """
 
 from __future__ import annotations
@@ -42,11 +32,11 @@ import time
 from typing import Dict, Tuple
 
 from ..flows.dinic import Dinic
-from ..flows.kernel import KernelDinic
+from ..flows.kernel import FlatResidual, KernelDinic, pick_core
 from ..graph.generators import bipartite_graph, grid_graph, rmat_graph
 from ..graph.network import FlowNetwork
 
-__all__ = ["KERNEL_CLASSES", "kernel_workload", "measure_kernel_class"]
+__all__ = ["KERNEL_CLASSES", "kernel_workload", "measure_cores", "measure_kernel_class"]
 
 #: Instance classes at scale 1.0; per-dimension sizes scale by sqrt(scale)
 #: (grid/bipartite) or linearly (rmat) so ``|E|`` scales ~linearly.
@@ -77,10 +67,13 @@ def kernel_workload(regime: str, scale: float) -> Tuple[str, FlowNetwork]:
     raise ValueError(f"unknown instance class {regime!r}; known: {known}")
 
 
-def _timed(func):
-    start = time.perf_counter()
-    result = func()
-    return result, time.perf_counter() - start
+def _core(name: str):
+    """Solve through one kernel core, forced, flows materialised."""
+    def solve(network: FlowNetwork) -> float:
+        flat = FlatResidual.from_network(network)
+        getattr(flat, f"{name}_max_flow")()
+        return network.flow_value(flat.edge_flows())
+    return solve
 
 
 def _quartiles(samples):
@@ -91,6 +84,36 @@ def _quartiles(samples):
     return q1, q3
 
 
+def _interleaved(arms, network: FlowNetwork, repeats: int):
+    """Each arm's first answer and timings; the first arm alternates, so
+    host drift lands on every arm alike."""
+    results, samples = {}, {arm: [] for arm in arms}
+    for round_index in range(repeats):
+        for arm in list(arms)[:: 1 if round_index % 2 == 0 else -1]:
+            start = time.perf_counter()
+            result = arms[arm](network)
+            samples[arm].append(time.perf_counter() - start)
+            results.setdefault(arm, result)
+    return results, samples
+
+
+def measure_cores(network: FlowNetwork, repeats: int = 3, reducer=statistics.median) -> Dict[str, object]:
+    """Both kernel cores, forced and interleaved, and the pick on ``network``.
+
+    ``pick_within_band`` holds when the picked core's reduced time is at
+    most the other core's upper quartile.
+    """
+    _, samples = _interleaved({c: _core(c) for c in ("compiled", "lockstep")}, network, repeats)
+    pick = pick_core(FlatResidual.from_network(network))
+    other = "lockstep" if pick == "compiled" else "compiled"
+    record = {"pick": pick}
+    for core in ("compiled", "lockstep"):
+        record[f"{core}_s"] = float(reducer(samples[core]))
+        record[f"{core}_quartiles_s"] = _quartiles(samples[core])
+    record["pick_within_band"] = record[f"{pick}_s"] <= record[f"{other}_quartiles_s"][1]
+    return record
+
+
 def measure_kernel_class(
     regime: str,
     scale: float,
@@ -99,39 +122,18 @@ def measure_kernel_class(
 ) -> Dict[str, object]:
     """Measure reference Dinic vs the flat-array kernel on one class.
 
-    The two engines' repeats are interleaved, and which runs first
-    alternates, so host drift during the measurement lands on both sides
-    of the speedup ratio alike.
-
-    Parameters
-    ----------
-    regime:
-        One of :data:`KERNEL_CLASSES`.
-    scale:
-        Workload scale (1.0 is the perf-gate size, 0.25 the bench default).
-    repeats:
-        Timing repetitions per solver; the solves are deterministic, so
-        only the timings vary and collapse with ``reducer`` (``min`` for
-        noise-shedding benchmark assertions, ``statistics.median`` for the
-        recorded perf trajectory).
-
-    Returns
-    -------
-    dict
-        Instance metadata, both reduced wall clocks and both engines'
-        timing quartiles (seconds), the speedup, the kernel's sweep count,
-        and the relative flow-value disagreement.
+    ``regime`` is one of :data:`KERNEL_CLASSES` and ``scale`` the workload
+    scale (1.0 the perf-gate size, 0.25 the bench default).  The solves are
+    deterministic, so only the timings vary; ``repeats`` of them collapse
+    with ``reducer`` (``min`` for benchmark assertions,
+    ``statistics.median`` for the recorded trajectory).  Returns instance
+    metadata, both engines' reduced times and quartiles (seconds), the
+    speedup, the kernel's rounds or sweeps, the relative flow-value
+    disagreement, and :func:`measure_cores` of the same network.
     """
     name, network = kernel_workload(regime, scale)
-    engines = {"dinic": Dinic, "kernel": KernelDinic}
-    results: Dict[str, object] = {}
-    samples: Dict[str, list] = {engine: [] for engine in engines}
-    for round_index in range(repeats):
-        order = list(engines) if round_index % 2 == 0 else list(engines)[::-1]
-        for engine in order:
-            result, seconds = _timed(lambda: engines[engine]().solve(network))
-            results.setdefault(engine, result)
-            samples[engine].append(seconds)
+    arms = {"dinic": Dinic().solve, "kernel": KernelDinic().solve}
+    results, samples = _interleaved(arms, network, repeats)
     reference, kernel = results["dinic"], results["kernel"]
     dinic_s = float(reducer(samples["dinic"]))
     kernel_s = float(reducer(samples["kernel"]))
@@ -150,4 +152,5 @@ def measure_kernel_class(
         "speedup": dinic_s / max(kernel_s, 1e-12),
         "kernel_sweeps": kernel.iterations,
         "value_diff": value_diff,
+        **measure_cores(network, repeats, reducer),
     }

@@ -10,8 +10,9 @@ CPU baseline in its evaluation:
 * :mod:`~repro.flows.push_relabel` — Goldberg–Tarjan push-relabel (FIFO and
   highest-label selection, gap and global-relabel heuristics); this is the
   algorithm the paper benchmarks against on a 3 GHz Xeon.
-* :mod:`~repro.flows.kernel` — flat-array lockstep preflow-push kernel
-  (``"kernel"``), the default engine of cold exact solves.
+* :mod:`~repro.flows.kernel` — flat-array kernel (``"kernel"``): scipy's
+  compiled Dinic in scaled integer rounds or a lockstep preflow-push, the
+  default engine of cold exact solves.
 * :mod:`~repro.flows.linprog` — reference LP formulation solved with
   :func:`scipy.optimize.linprog`.
 * :mod:`~repro.flows.mincut` — minimum-cut extraction from a maximum flow.

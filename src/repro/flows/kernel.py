@@ -2,78 +2,46 @@
 
 The object-based solvers in this package spend nearly all of their time in
 the Python interpreter: one attribute lookup and one list index per arc
-scan.  This module re-implements max-flow on a *flat* residual
-representation — contiguous NumPy arrays built once per solve — so the hot
-loops are whole-array operations or compiled code:
-
-* ``arc_tail`` / ``arc_head`` (int64) and ``residual`` (float64) store the
-  arc-pair layout of :class:`~repro.flows.base.ResidualNetwork` unchanged:
-  edge ``k`` owns forward arc ``2k`` and reverse arc ``2k + 1``, and the
-  partner of ``arc`` is ``arc ^ 1``;
-* ``indptr`` / ``arcs_by_tail`` form a CSR adjacency (arcs grouped by tail
-  vertex), built on first use by the lockstep core.
-
-Two cores
----------
-:meth:`FlatResidual.max_flow` runs one of two cores on the same residual:
+scan.  This module solves max-flow on a *flat* residual — contiguous NumPy
+arrays built once per solve: ``arc_tail`` / ``arc_head`` (int64) and
+``residual`` (float64) keep the arc-pair layout of
+:class:`~repro.flows.base.ResidualNetwork` (edge ``k`` owns forward arc
+``2k`` and reverse arc ``2k + 1``, the partner of ``arc`` is ``arc ^ 1``).
+:meth:`FlatResidual.max_flow` runs one of two cores, chosen per solve by
+:func:`pick_core` with no option to override it:
 
 * the **compiled core** (:meth:`FlatResidual.compiled_max_flow`) lowers the
-  residual once per solve to one CSR matrix with an entry per ``(tail,
-  head)`` pair, its arcs' residuals summed, and runs
-  :func:`scipy.sparse.csgraph.maximum_flow` (a compiled Dinic, which takes
-  integer capacities only) in *rounds*.  Each round scales every pair by a
-  power of two so its largest entry is below ``2**30`` (so ``c(i, j) +
-  c(j, i)`` stays below ``2**31``, scipy's int32 range), floors it, solves,
-  and adds the flow back, split over the pair's arcs in order; a pair
-  within four ulp of saturation gives each arc exactly its residual, so a
-  saturated cut stays saturated to the bit.  A breadth-first search over
-  the round's integer residual then reads a cut, whose real residual
-  capacity ``G`` bounds the flow still missing; the next round clamps
-  every pair to ``2G``, so a clamped pair is never saturated and the next
-  cut runs through exactly saturated pairs only.  Rounds stop once ``G`` is at most ``1e-13`` of the
-  value and no arc of the cut keeps more than ``1e-12``, the residual a
-  cut check (:func:`~repro.flows.mincut.min_cut_from_flow`) still counts
-  as saturated.  Integral capacities below ``2**30`` floor exactly, so
-  they take one exact round; real capacities usually take two, and large
-  ones three, the last flooring exactly;
+  residual to one matrix entry per ``(tail, head)`` pair and runs
+  :func:`scipy.sparse.csgraph.maximum_flow` (a compiled Dinic, integer
+  capacities only) in *rounds*.  Each round scales every pair by a power of
+  two so its largest entry is below ``2**30`` (``c(i, j) + c(j, i)`` then
+  stays in scipy's int32 range), floors, solves and adds the flow back.
+  A breadth-first search over the round's integer residual reads a cut
+  whose real residual ``G`` bounds the flow still missing; the next round
+  clamps every pair to ``2G``, so no clamped pair is ever saturated.
+  Rounds stop once ``G`` is at most ``1e-13`` of the value and no cut arc
+  keeps more than ``1e-12``, the residual
+  :func:`~repro.flows.mincut.min_cut_from_flow` still counts as saturated.
+  Integral capacities floor exactly and take one round; real ones take
+  two, or three when large;
 * the **lockstep core** (:meth:`FlatResidual.lockstep_max_flow`), a
-  *two-phase lockstep preflow-push* (the structure GPU max-flow kernels
-  use): exact distance labels come from one compiled reverse BFS over the
-  CSR adjacency (:func:`scipy.sparse.csgraph.dijkstra` with unit
-  weights), and every sweep discharges **all** active vertices at once
-  with a segmented prefix-sum fill, then relabels every vertex whose own
-  excess was left over.  Phase 1 drives excess towards the sink (with a
-  gap heuristic and periodic exact relabels); phase 2 re-labels by
-  distance-to-source and returns the stranded excess.  Interpreter cost
-  scales with the number of sweeps and relabels, not the number of arcs
-  or the depth of the graph.
+  two-phase lockstep preflow-push: exact distance labels come from one
+  compiled reverse BFS (:func:`scipy.sparse.csgraph.dijkstra` with unit
+  weights) over the CSR adjacency ``indptr`` / ``arcs_by_tail``, and every
+  sweep discharges **all** active vertices at once with a segmented
+  prefix-sum fill.  Phase 1 drives excess towards the sink (gap heuristic,
+  periodic exact relabels); phase 2 returns the stranded excess.
+  Uncapacitated arcs keep their ``INFINITY`` residual, as ``inf - x ==
+  inf`` matches the reference's explicit skip in
+  :meth:`ResidualNetwork.push`.
 
 Both cores augment whatever residual they are handed, so warm starts
-(:meth:`KernelDinic.augment_residual`) run on either.  Both produce the
-reference flow values to 1e-9 relative (see
-``tests/test_kernel_differential.py``); uncapacitated arcs keep their
-``INFINITY`` residual in the lockstep core because ``inf - x == inf``
-matches the reference's explicit skip in :meth:`ResidualNetwork.push`.
-
-A deadline is checked before each compiled round and each lockstep sweep.
-A compiled round cannot be interrupted, so a solve may overrun its budget
-by one round: about 10–20 ms on the 6,324-edge serving grids and about
-55 ms on a 12k-edge grid.
-
-Selection
----------
-:func:`pick_core` chooses per solve, with no option to override it: a
-residual with an uncapacitated arc takes the lockstep core (the compiled
-one has no finite surrogate for it).  Every other residual takes the
-compiled core unless it is real-valued, has more than 14,000 edges, and
-is both deep and wide: its s-t depth is above 8 hops and below an eighth
-of its vertex count, as in a square grid.  There Dinic's phase count
-grows with the side of the grid and the lockstep sweeps win; shallow
-networks (bipartite, R-MAT) and thin ones (an 8x1000 grid) stay
-compiled, and so do integral ones, where one exact round beat the
-lockstep core on every measured class.  ``tools/perf_gate.py --suite
-kernel`` records both cores and the pick per class and on a crossover
-sweep.
+(:meth:`KernelDinic.augment_residual`) run on either, and both give the
+reference flow values to 1e-9 relative (``tests/test_kernel_differential.py``).
+The deadline is checked before each compiled round and each lockstep
+sweep.  A compiled round cannot be interrupted, so a solve may overrun its
+budget by one round: about 10–20 ms on the 6,324-edge serving grids and
+about 55 ms on a 12k-edge grid.
 
 :class:`KernelDinic` registers as ``"kernel"`` in
 :mod:`repro.flows.registry`, whose ``DEFAULT_EXACT_ALGORITHM`` names it as
@@ -92,7 +60,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, dijkstra, maximum_flow
+from scipy.sparse.csgraph import dijkstra, maximum_flow
 
 from ..errors import AlgorithmError
 from ..obs import probes
@@ -111,26 +79,15 @@ __all__ = ["FlatResidual", "KernelDinic", "pick_core"]
 
 #: Scaled pair capacities of a compiled round stay below ``2**_PAIR_BITS``.
 _PAIR_BITS = 30
-#: A compiled solve stops once its certified gap is at most this share of
-#: the flow value it found and no arc of its cut has more residual than
-#: ``_GAP_ATOL``, the residual above which
-#: :func:`~repro.flows.mincut.min_cut_from_flow` crosses an arc: the cut
-#: then reads as saturated at any capacity scale.
+#: A compiled solve stops once its cut's residual is at most this share of
+#: its value, and no cut arc keeps more than ``_GAP_ATOL`` (see the notes).
 _GAP_RTOL = 1e-13
 _GAP_ATOL = 1e-12
-#: Rounds after which a compiled solve that still has a gap is an error;
-#: the gap shrinks by about ``2**30 / cut arcs`` per round, so real inputs
-#: stop after two or three.
+#: The gap shrinks by about ``2**30 / cut arcs`` a round; real inputs stop
+#: after two or three, so this many means a fault.
 _MAX_ROUNDS = 64
-#: Real-valued residuals with more edges than this may run the lockstep
-#: core.  Measured medians on capacity-jittered square grids: 64x64
-#: (12,224 edges) ran 90 ms compiled against 107 ms lockstep, 72x72
-#: (15,480 edges) 175 ms against 130 ms.
+#: :func:`pick_core`'s crossover: edge count and shallow/thin depth bound.
 _COMPILED_EDGES = 14_000
-#: ... and do when their s-t depth (in hops) is above this and below
-#: ``vertices / _SHALLOW``: a shallow network (bipartite, R-MAT) needs few
-#: Dinic phases, and a thin one (at most this many vertices per level,
-#: like an 8x1000 grid) few augmenting-path lengths, so both stay compiled.
 _SHALLOW = 8
 
 
@@ -212,35 +169,16 @@ class FlatResidual:
 
         Lowered from the network's cached array view
         (:meth:`~repro.graph.network.FlowNetwork.flat`), with no Python
-        pass over its edges.
+        pass over its edges: edge ``k`` owns arcs ``2k`` and ``2k + 1``.
         """
         view = network.flat()
-        return cls._from_edges(
-            network.num_vertices, view.source, view.sink,
-            view.tail, view.head, view.capacity,
-        )
-
-    @classmethod
-    def _from_edges(
-        cls,
-        num_vertices: int,
-        source: int,
-        sink: int,
-        tails: np.ndarray,
-        heads: np.ndarray,
-        caps: np.ndarray,
-    ) -> "FlatResidual":
-        """Flat residual of an edge list: edge ``k`` owns arcs ``2k``, ``2k + 1``."""
-        count = tails.shape[0]
-        arc_tail = np.empty(2 * count, dtype=np.int64)
-        arc_tail[0::2] = tails
-        arc_tail[1::2] = heads
-        arc_head = np.empty(2 * count, dtype=np.int64)
-        arc_head[0::2] = heads
-        arc_head[1::2] = tails
-        residual = np.zeros(2 * count, dtype=np.float64)
-        residual[0::2] = caps
-        return cls(num_vertices, source, sink, arc_tail, arc_head, residual)
+        arc_tail = np.empty(2 * view.tail.shape[0], dtype=np.int64)
+        arc_tail[0::2], arc_tail[1::2] = view.tail, view.head
+        arc_head = np.empty_like(arc_tail)
+        arc_head[0::2], arc_head[1::2] = view.head, view.tail
+        residual = np.zeros(arc_tail.shape[0], dtype=np.float64)
+        residual[0::2] = view.capacity
+        return cls(network.num_vertices, view.source, view.sink, arc_tail, arc_head, residual)
 
     @classmethod
     def from_residual(cls, residual: ResidualNetwork) -> "FlatResidual":
@@ -298,11 +236,10 @@ class FlatResidual:
     # ------------------------------------------------------------------
 
     def max_flow(self) -> int:
-        """Drive the residual to a maximum flow; returns its round count.
+        """Drive the residual to a maximum flow with the core :func:`pick_core` chooses.
 
-        Runs the core :func:`pick_core` chooses and records it in
-        :attr:`core`.  The count is the ``iterations`` figure reported by
-        :class:`KernelDinic`: compiled rounds, or lockstep discharge sweeps.
+        Records the core in :attr:`core` and returns its compiled rounds or
+        lockstep sweeps, the ``iterations`` figure of :class:`KernelDinic`.
         """
         self.core = pick_core(self)
         if self.source == self.sink:
@@ -318,11 +255,10 @@ class FlatResidual:
     def compiled_max_flow(self) -> int:
         """Augment to a maximum flow in scaled integer rounds; returns the rounds.
 
-        See the module notes.  Each round fires
-        :func:`~repro.obs.probes.kernel_sweep` and checks the ambient
+        See the module notes; needs every residual finite.  Each round
+        fires :func:`~repro.obs.probes.kernel_sweep` and checks the ambient
         deadline first, so an expired budget raises before round 1 and a
-        solve overruns its budget by at most the one round it is in.
-        Needs every residual finite (:func:`pick_core`).
+        solve overruns its budget by at most the round it is in.
         """
         pairs = self._pairs
         residual = self.residual
@@ -347,12 +283,11 @@ class FlatResidual:
             units = (capped * scale).astype(np.int32)
             solved = maximum_flow(pairs.matrix(units), self.source, self.sink)
             flow = solved.flow.data
-            added = solved.flow_value / scale
             push = pairs.split(np.maximum(flow, 0) / scale, avail, total)
             residual[pairs.arcs] -= push
             residual[pairs.arcs ^ 1] += push
             counter.pushes += int(np.count_nonzero(push))
-            value += added
+            value += solved.flow_value / scale
             side = pairs.reachable(units > flow, self.source)
             left = residual[side[self.arc_tail] & ~side[self.arc_head]]
             gap = float(left.sum())
@@ -383,9 +318,8 @@ class FlatResidual:
         source arcs and discharges all active vertices below height ``V``
         simultaneously each sweep until the sink inflow is maximal; phase 2
         re-labels everything by distance to the source and returns the
-        stranded excess.  When the first exact relabel finds the sink
-        unreachable the residual already carries a maximum flow, and it is
-        returned untouched after no sweep.
+        stranded excess.  A sink the first exact relabel finds unreachable
+        leaves the residual untouched, after no sweep.
         """
         if self.source == self.sink:
             return 0
@@ -419,11 +353,11 @@ class FlatResidual:
             np.maximum(height, fresh, out=height)
             self.counter.global_relabels += 1
 
-        # Initial exact labels, then saturate every usable source arc
-        # (INFINITY arcs push the finite flow_cap surrogate, like the
-        # reference push-relabel's total-capacity stand-in).  Flooding a
-        # component that cannot reach the sink and draining it back would
-        # only leave round-off behind.
+        # Initial exact labels (flooding a component that cannot reach the
+        # sink would only leave round-off behind), then saturate every
+        # usable source arc (INFINITY arcs push the finite flow_cap
+        # surrogate, like the reference push-relabel's total-capacity
+        # stand-in).
         if not relabel_towards_sink():
             return 0
         source_arcs = self.arcs_by_tail[indptr[source] : indptr[source + 1]]
@@ -634,13 +568,16 @@ def _segmented_fill(
 def pick_core(flat: FlatResidual) -> str:
     """The core :meth:`FlatResidual.max_flow` runs: ``"compiled"`` or ``"lockstep"``.
 
-    See the module notes.  A residual with an uncapacitated arc runs the
-    lockstep core.  A finite one runs the compiled core when it is
-    integral with a total below ``2**30`` (one exact round), when it has
-    at most 14,000 edges, or when its s-t depth (hops over arcs with
-    residual, from one compiled search) is at most 8 or at least a
-    vertex count over 8; large networks that are both deep and wide, like
-    square grids, run the lockstep core.
+    A residual with an uncapacitated arc runs the lockstep core: the
+    compiled one has no finite surrogate for it.  A finite one runs the
+    compiled core when it is integral with a total below ``2**30`` (one
+    exact round), has at most 14,000 edges, or has an s-t depth (hops over
+    arcs with residual, one compiled search) of at most 8 or at least a
+    vertex count over 8.  The rest — large, real-valued, deep *and* wide,
+    like a square grid — run the lockstep core: there Dinic's phase count
+    grows with the side of the grid.  A 64x64 grid (12,224 edges) ran 89 ms
+    compiled against 117 ms lockstep and 72x72 (15,480) 175 against 135 ms;
+    ``tools/perf_gate.py --suite kernel`` records the crossover sweep.
     """
     if not flat.finite:
         return "lockstep"
@@ -661,12 +598,10 @@ def pick_core(flat: FlatResidual) -> str:
 class _Pairs:
     """A flat residual lowered to one matrix entry per ``(tail, head)`` pair.
 
-    Built once per compiled solve.  The arcs are sorted by pair, self-loops
-    dropped (they carry no s-t flow), and ``first`` is each pair's first
-    arc.  Every arc's partner lies in the opposite pair, so the matrix
-    holds ``(j, i)`` whenever it holds ``(i, j)``: the layout scipy's solver
-    builds internally, whose flow matrix therefore comes back entry for
-    entry in this order.
+    Arcs sorted by pair, self-loops dropped; ``first`` is each pair's first
+    arc.  An arc's partner lies in the opposite pair, so the matrix holds
+    ``(j, i)`` with every ``(i, j)``, as scipy's solver builds it, and its
+    flow matrix comes back entry for entry in this order.
     """
 
     def __init__(self, flat: FlatResidual) -> None:
@@ -675,14 +610,10 @@ class _Pairs:
         arcs = np.flatnonzero(tail != head)
         key = tail[arcs] * size + head[arcs]
         order = np.argsort(key)
-        self.arcs = arcs[order]
-        key = key[order]
-        starts = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=starts[1:])
-        self.first = np.flatnonzero(starts)
-        key = key[self.first]
-        rows = key // size
-        self.cols = (key - rows * size).astype(np.int32)
+        self.arcs, key = arcs[order], key[order]
+        self.first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        rows, cols = np.divmod(key[self.first], size)
+        self.cols = cols.astype(np.int32)
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=size), out=self.indptr[1:])
         self.shape = (size, size)
@@ -701,11 +632,10 @@ class _Pairs:
     def split(self, moved: np.ndarray, avail: np.ndarray, total: np.ndarray) -> np.ndarray:
         """Per-arc pushes carrying ``moved`` per pair, greedily in arc order.
 
-        ``avail`` are the arcs' residuals and ``total`` their pair sums.  A
-        pair moved to within four ulp of ``total`` gives each arc exactly
-        its residual: its sum rounds, so a greedy fill would leave about an
-        ulp on the last arc, past the 1e-12 slack a cut check allows on
-        large capacities.
+        ``avail`` are the arcs' residuals, ``total`` their pair sums.  A pair
+        moved to within four ulp of ``total`` gives each arc exactly its
+        residual: a greedy fill of a rounded sum would leave about an ulp,
+        past the 1e-12 slack of a cut check on large capacities.
         """
         push = np.zeros_like(avail)
         pairs = np.flatnonzero(moved > 0.0)
@@ -726,14 +656,8 @@ class _Pairs:
 
     def reachable(self, usable: np.ndarray, source: int) -> np.ndarray:
         """Vertices ``source`` reaches over the pairs where ``usable`` holds."""
-        graph = csr_array(
-            (usable.view(np.int8), self.cols.copy(), self.indptr.copy()),
-            shape=self.shape,
-        )
-        graph.eliminate_zeros()  # in place, hence the copied indices
-        side = np.zeros(self.shape[0], dtype=bool)
-        side[breadth_first_order(graph, source, return_predecessors=False)] = True
-        return side
+        usable = self.matrix(np.where(usable, 1.0, np.inf))
+        return np.isfinite(dijkstra(usable, indices=source, limit=self.shape[0]))
 
 
 class KernelDinic(FlowAlgorithm):

@@ -5,7 +5,10 @@ the registry maps those names to solver factories so call sites never import
 algorithm classes directly.  The same names are valid backend names for
 :class:`repro.service.batch.BatchSolveService`, and each name means exactly
 one implementation everywhere: ``"dinic"`` is the reference Dinic,
-``"kernel"`` the flat-array preflow-push kernel.
+``"kernel"`` the flat-array kernel, which runs scipy's compiled Dinic in
+scaled integer rounds or, for uncapacitated and for large square-grid-like
+real-valued networks, a lockstep preflow-push
+(:func:`~repro.flows.kernel.pick_core`).
 
 >>> from repro import FlowNetwork
 >>> from repro.flows.registry import solve_max_flow

@@ -532,8 +532,7 @@ class AsyncSolveServer:
             return None
         if entry.lane:
             self._lanes_busy += 1
-        queue.remove(entry)
-        self._queue = queue
+        self._queue = [e for e in queue if e is not entry]
         self._queued -= 1
         self._tenant_counts[entry.tenant] -= 1
         self._export_queue_gauges(entry.tenant)
@@ -558,9 +557,8 @@ class AsyncSolveServer:
         try:
             await self._run_entry(entry)
             if entry.lane:
-                # The lane's next turn waits for this entry's callers to
-                # take their answer: one that submits again on receipt is
-                # then queued for it.
+                # The lane's next turn waits for the callers to take their
+                # answer, so one that submits again on receipt is queued.
                 await entry.shared.answered.wait()
         except asyncio.CancelledError:
             self._resolve(entry, ("shed", "server-closed"))

@@ -218,7 +218,18 @@ class TestKernelSuiteSmoke:
                 q1, q3 = row[f"{engine}_q1_ms"], row[f"{engine}_q3_ms"]
                 assert 0.0 < q1 <= row[f"{engine}_ms"] <= q3
             assert row["value_diff"] <= 1e-9
-        assert "IQR" in capsys.readouterr().out
+        # Both cores forced, the pick and its band check, per class and on
+        # every crossover network.
+        rows = [*record["classes"].values(), *record["crossover"].values()]
+        assert len(record["crossover"]) == 10
+        for row in rows:
+            for core in ("compiled", "lockstep"):
+                q1, q3 = row[f"{core}_q1_ms"], row[f"{core}_q3_ms"]
+                assert 0.0 < q1 <= row[f"{core}_ms"] <= q3
+            assert row["pick"] in ("compiled", "lockstep")
+            assert isinstance(row["pick_within_band"], bool)
+        out = capsys.readouterr().out
+        assert "IQR" in out and "crossover grid_" in out
 
 
 class TestHistoryAppend:
