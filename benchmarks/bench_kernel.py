@@ -14,18 +14,16 @@ Thresholds:
 
   - ``grid`` must clear ``REPRO_KERNEL_MIN_SPEEDUP`` (default 10x) from
     ``REPRO_KERNEL_EDGE_FLOOR`` edges (default 10000).  Deep vision grids
-    are where interpreter overhead dominates the reference: the
-    default-scale 96x96 instance measures ~65x, leaving honest headroom
-    over the floor for CI wall-clock noise (the 64x64 size measures
-    ~27x).
+    are where interpreter overhead dominates the reference; the
+    default-scale 96x96 instance (real capacities, lockstep core)
+    measured ~49-65x, leaving honest headroom over the floor for CI
+    wall-clock noise.
   - ``rmat`` must clear ``REPRO_KERNEL_MIN_SPEEDUP_RMAT`` (default 1.5x)
-    from ``REPRO_KERNEL_EDGE_FLOOR_RMAT`` edges (default 4000).
-    Hub-dominated instances solve in few phases, so the reference has
-    less interpreter work to lose — measured ~2-3x.
+    from ``REPRO_KERNEL_EDGE_FLOOR_RMAT`` edges (default 4000).  Its
+    integral capacities take one exact compiled round.
   - ``bipartite`` is recorded without a floor: matching-style instances
-    are shallow enough that per-solve array setup eats the margin
-    (~0.6-1.0x measured), and the honest record of that is worth more
-    than a vacuous assertion.
+    are shallow, so the reference loses little; the compiled core's one
+    exact round now beats it, where the lockstep core measured ~0.6-1.0x.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ Two questions measured:
   one moderate grid, so solve cost dominates scheduling overhead) twice —
   coalescing on vs off — against the same solving service, counting
   actual backend solves through a counting ``solve_fn`` wrapper.  The
-  acceptance gate requires >=2x wall-clock throughput with coalescing on;
-  in practice a wave of D duplicates costs one solve instead of D, so the
-  measured speedup approaches D minus scheduling overhead.
+  acceptance gate requires >=2x wall-clock throughput with coalescing on.
+  With coalescing off each duplicate takes its own turn on the server's
+  one exact lane (nothing merges queued solves), so a wave of D
+  duplicates costs D solves instead of one and the ratio measures
+  coalescing alone.
 
 Both measurements are **wall-clock** (``perf_counter``): unlike the
 overhead suites this is a latency/throughput record where queueing and

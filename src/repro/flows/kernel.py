@@ -598,20 +598,17 @@ def pick_core(flat: FlatResidual) -> str:
 class _Pairs:
     """A flat residual lowered to one matrix entry per ``(tail, head)`` pair.
 
-    Arcs sorted by pair, self-loops dropped; ``first`` is each pair's first
-    arc.  An arc's partner lies in the opposite pair, so the matrix holds
+    Arcs sorted by pair; ``first`` is each pair's first arc.  An arc's partner lies in the opposite pair, so the matrix holds
     ``(j, i)`` with every ``(i, j)``, as scipy's solver builds it, and its
     flow matrix comes back entry for entry in this order.
     """
 
     def __init__(self, flat: FlatResidual) -> None:
         size = flat.num_vertices
-        tail, head = flat.arc_tail, flat.arc_head
-        arcs = np.flatnonzero(tail != head)
-        key = tail[arcs] * size + head[arcs]
-        order = np.argsort(key)
-        self.arcs, key = arcs[order], key[order]
-        self.first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key = flat.arc_tail * size + flat.arc_head
+        self.arcs = np.argsort(key)
+        key = key[self.arcs]
+        self.first = np.flatnonzero(np.diff(key, prepend=-1))
         rows, cols = np.divmod(key[self.first], size)
         self.cols = cols.astype(np.int32)
         self.indptr = np.zeros(size + 1, dtype=np.int32)

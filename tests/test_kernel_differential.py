@@ -320,6 +320,12 @@ class TestCompiledCore:
         assert len(calls) == 1
         assert flat.residual[1::2].sum() > 0.0  # round 1's flow was kept
 
+    def test_a_network_without_edges_answers_zero(self, compiled_only):
+        network = FlowNetwork()
+        network.add_vertex("s")
+        network.add_vertex("t")
+        assert KernelDinic().solve(network, validate=True).flow_value == 0
+
     def test_uncapacitated_arcs_run_the_lockstep_core(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 3.0)
