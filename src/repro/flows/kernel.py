@@ -56,7 +56,7 @@ import math
 import time
 from functools import cached_property
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
