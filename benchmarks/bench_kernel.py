@@ -15,9 +15,9 @@ Thresholds:
   - ``grid`` must clear ``REPRO_KERNEL_MIN_SPEEDUP`` (default 10x) from
     ``REPRO_KERNEL_EDGE_FLOOR`` edges (default 10000).  Deep vision grids
     are where interpreter overhead dominates the reference; the
-    default-scale 96x96 instance (real capacities, lockstep core)
-    measured ~49-65x, leaving honest headroom over the floor for CI
-    wall-clock noise.
+    default-scale 96x96 instance (real capacities, compiled core, one
+    routed round) measured ~62x, leaving honest headroom over the floor
+    for CI wall-clock noise.
   - ``rmat`` must clear ``REPRO_KERNEL_MIN_SPEEDUP_RMAT`` (default 1.5x)
     from ``REPRO_KERNEL_EDGE_FLOOR_RMAT`` edges (default 4000).  Its
     integral capacities take one exact compiled round.

@@ -17,13 +17,20 @@ arrays built once per solve: ``arc_tail`` / ``arc_head`` (int64) and
   two so its largest entry is below ``2**30`` (``c(i, j) + c(j, i)`` then
   stays in scipy's int32 range), floors, solves and adds the flow back.
   A breadth-first search over the round's integer residual reads a cut
-  whose real residual ``G`` bounds the flow still missing; the next round
-  clamps every pair to ``2G``, so no clamped pair is ever saturated.
-  Rounds stop once ``G`` is at most ``1e-13`` of the value and no cut arc
-  keeps more than ``1e-12``, the residual
+  whose real residual ``G`` bounds the flow still missing.  The solve
+  stops once ``G`` is at most ``1e-13`` of the value and no cut arc keeps
+  more than ``1e-12``, the residual
   :func:`~repro.flows.mincut.min_cut_from_flow` still counts as saturated.
-  Integral capacities floor exactly and take one round; real ones take
-  two, or three when large;
+  Otherwise it first *routes* the leftovers: each cut arc's residual goes
+  from the source to the arc's tail along that search's BFS tree, across
+  the arc, and from its head to the sink along a reverse BFS tree inside
+  the sink side over pairs holding at least ``G``.  When every tree pair
+  can carry its load, every cut arc ends at zero residual and the flow
+  equals the cut.  When one cannot, nothing moves and the next round
+  clamps every pair to ``2G``, so no clamped pair is ever saturated.
+  Integral capacities floor exactly and take one round; real ones take one
+  round and the routing step, and two rounds in the rare case routing
+  fails (32 of 7,700 seeded multigraphs at scales ``2**-13`` to ``2**30``);
 * the **lockstep core** (:meth:`FlatResidual.lockstep_max_flow`), a
   two-phase lockstep preflow-push: exact distance labels come from one
   compiled reverse BFS (:func:`scipy.sparse.csgraph.dijkstra` with unit
@@ -38,10 +45,11 @@ arrays built once per solve: ``arc_tail`` / ``arc_head`` (int64) and
 Both cores augment whatever residual they are handed, so warm starts
 (:meth:`KernelDinic.augment_residual`) run on either, and both give the
 reference flow values to 1e-9 relative (``tests/test_kernel_differential.py``).
-The deadline is checked before each compiled round and each lockstep
-sweep.  A compiled round cannot be interrupted, so a solve may overrun its
-budget by one round: about 10–20 ms on the 6,324-edge serving grids and
-about 55 ms on a 12k-edge grid.
+The deadline is checked before each compiled round, before the routing
+step and before each lockstep sweep.  A compiled round cannot be
+interrupted, so a solve may overrun its budget by one round: about
+9–21 ms on the 6,324-edge serving grids and about 50 ms on a 12k-edge
+grid.
 
 :class:`KernelDinic` registers as ``"kernel"`` in
 :mod:`repro.flows.registry`, whose ``DEFAULT_EXACT_ALGORITHM`` names it as
@@ -84,10 +92,10 @@ _PAIR_BITS = 30
 _GAP_RTOL = 1e-13
 _GAP_ATOL = 1e-12
 #: The gap shrinks by about ``2**30 / cut arcs`` a round; real inputs stop
-#: after two or three, so this many means a fault.
+#: after one or two, so this many means a fault.
 _MAX_ROUNDS = 64
 #: :func:`pick_core`'s crossover: edge count and shallow/thin depth bound.
-_COMPILED_EDGES = 14_000
+_COMPILED_EDGES = 60_000
 _SHALLOW = 8
 
 
@@ -138,6 +146,9 @@ class FlatResidual:
         self.counter = OperationCounter()
         #: The core the last :meth:`max_flow` ran (see :func:`pick_core`).
         self.core: Optional[str] = None
+        #: Whether the last compiled solve finished by routing a round's
+        #: leftovers.
+        self.routed = False
         #: The reversed graph of :meth:`_reverse_bfs`, built on first use.
         self._reversed = None
 
@@ -256,22 +267,34 @@ class FlatResidual:
         """Augment to a maximum flow in scaled integer rounds; returns the rounds.
 
         See the module notes; needs every residual finite.  Each round
-        fires :func:`~repro.obs.probes.kernel_sweep` and checks the ambient
-        deadline first, so an expired budget raises before round 1 and a
-        solve overruns its budget by at most the round it is in.
+        fires :func:`~repro.obs.probes.kernel_sweep`.  The ambient deadline
+        is checked before round 1 and before each routing step, which the
+        next round follows when routing fails, so an expired budget raises
+        before round 1 and a solve overruns its budget by at most one
+        routing step and one round.  :attr:`routed` records whether
+        routing completed the solve.
         """
+        if not self.finite:
+            raise AlgorithmError("the compiled kernel core needs finite residuals")
+        self.routed = False
         pairs = self._pairs
         residual = self.residual
-        counter = self.counter
         gap = math.inf
         value = 0.0
         rounds = 0
+        tree = None
         while rounds < _MAX_ROUNDS:
             check_deadline("kernel compiled round")
-            probes.kernel_sweep()
-            rounds += 1
             avail = residual[pairs.arcs]
             total = pairs.sum(avail)
+            if tree is not None:
+                moved = pairs.route(total, tree, self.sink)
+                if moved is not None:
+                    self._push_pairs(moved, avail, total)
+                    self.routed = True
+                    return rounds
+            probes.kernel_sweep()
+            rounds += 1
             # Twice the gap: this round's flow is at most the gap, so a
             # clamped pair is never saturated and never lands in its cut.
             capped = np.minimum(total, 2.0 * gap)
@@ -283,12 +306,10 @@ class FlatResidual:
             units = (capped * scale).astype(np.int32)
             solved = maximum_flow(pairs.matrix(units), self.source, self.sink)
             flow = solved.flow.data
-            push = pairs.split(np.maximum(flow, 0) / scale, avail, total)
-            residual[pairs.arcs] -= push
-            residual[pairs.arcs ^ 1] += push
-            counter.pushes += int(np.count_nonzero(push))
+            self._push_pairs(np.maximum(flow, 0) / scale, avail, total)
             value += solved.flow_value / scale
-            side = pairs.reachable(units > flow, self.source)
+            tree = pairs.search(units > flow, self.source)
+            side = np.isfinite(tree[0])
             left = residual[side[self.arc_tail] & ~side[self.arc_head]]
             gap = float(left.sum())
             if gap <= _GAP_RTOL * value and left.max(initial=0.0) <= _GAP_ATOL:
@@ -297,6 +318,14 @@ class FlatResidual:
             f"compiled kernel left a gap of {gap!r} after {rounds} rounds "
             f"({self.num_vertices} vertices)"
         )
+
+    def _push_pairs(self, moved: np.ndarray, avail: np.ndarray, total: np.ndarray) -> None:
+        """Move ``moved`` along each pair, split over its arcs (:meth:`_Pairs.split`)."""
+        arcs = self._pairs.arcs
+        push = self._pairs.split(moved, avail, total)
+        self.residual[arcs] -= push
+        self.residual[arcs ^ 1] += push
+        self.counter.pushes += int(np.count_nonzero(push))
 
     # ------------------------------------------------------------------
     # Lockstep core: two-phase lockstep preflow-push
@@ -565,19 +594,39 @@ def _segmented_fill(
     return np.clip(want, 0.0, avail)
 
 
+def _tree_loads(
+    hops: np.ndarray, parent: np.ndarray, amount: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The loads on a BFS tree's arcs that deliver ``amount`` to each vertex.
+
+    Returns the vertices whose arc from ``parent`` carries a load, and the
+    loads: each one's subtree total of ``amount``, summed a level at a time.
+    """
+    load = amount.copy()
+    below = np.flatnonzero(parent >= 0)
+    below = below[np.argsort(-hops[below], kind="stable")]
+    for level in np.split(below, np.flatnonzero(np.diff(hops[below])) + 1):
+        np.add.at(load, parent[level], load[level])
+    ends = below[load[below] > 0.0]
+    return ends, load[ends]
+
+
 def pick_core(flat: FlatResidual) -> str:
     """The core :meth:`FlatResidual.max_flow` runs: ``"compiled"`` or ``"lockstep"``.
 
     A residual with an uncapacitated arc runs the lockstep core: the
     compiled one has no finite surrogate for it.  A finite one runs the
     compiled core when it is integral with a total below ``2**30`` (one
-    exact round), has at most 14,000 edges, or has an s-t depth (hops over
+    exact round), has at most 60,000 edges, or has an s-t depth (hops over
     arcs with residual, one compiled search) of at most 8 or at least a
     vertex count over 8.  The rest — large, real-valued, deep *and* wide,
     like a square grid — run the lockstep core: there Dinic's phase count
-    grows with the side of the grid.  A 64x64 grid (12,224 edges) ran 89 ms
-    compiled against 117 ms lockstep and 72x72 (15,480) 175 against 135 ms;
-    ``tools/perf_gate.py --suite kernel`` records the crossover sweep.
+    grows with the side of the grid.  A real square grid takes one routed
+    round; 72x72 (15,480 edges) ran 91 ms compiled against 136 ms
+    lockstep, 128x128 (49,024) 448 against 425 ms and 160x160 (76,640)
+    827 against 769 ms, each within the other core's quartiles from
+    128x128 up.  ``tools/perf_gate.py --suite kernel`` records the
+    crossover sweep.
     """
     if not flat.finite:
         return "lockstep"
@@ -589,8 +638,7 @@ def pick_core(flat: FlatResidual) -> str:
     if residual.size // 2 <= _COMPILED_EDGES:
         return "compiled"
     pairs = flat._pairs
-    usable = pairs.matrix(np.where(pairs.sum(residual[pairs.arcs]) > 0.0, 1.0, np.inf))
-    depth = dijkstra(usable, indices=flat.source, limit=flat.num_vertices)[flat.sink]
+    depth = pairs.search(pairs.sum(residual[pairs.arcs]) > 0.0, flat.source)[0][flat.sink]
     deep_and_wide = _SHALLOW < depth < flat.num_vertices / _SHALLOW
     return "lockstep" if deep_and_wide else "compiled"
 
@@ -609,10 +657,12 @@ class _Pairs:
         self.arcs = np.argsort(key)
         key = key[self.arcs]
         self.first = np.flatnonzero(np.diff(key, prepend=-1))
-        rows, cols = np.divmod(key[self.first], size)
+        #: Each pair's ``tail * size + head``, ascending.
+        self.keys = key[self.first]
+        self.rows, cols = np.divmod(self.keys, size)
         self.cols = cols.astype(np.int32)
         self.indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=size), out=self.indptr[1:])
+        np.cumsum(np.bincount(self.rows, minlength=size), out=self.indptr[1:])
         self.shape = (size, size)
         self.count = np.diff(np.append(self.first, self.arcs.size))
         #: Whether every pair has one arc (no parallel arcs).
@@ -651,10 +701,56 @@ class _Pairs:
             left[live] -= take
         return push
 
-    def reachable(self, usable: np.ndarray, source: int) -> np.ndarray:
-        """Vertices ``source`` reaches over the pairs where ``usable`` holds."""
+    def search(self, usable: np.ndarray, root: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Hops from ``root`` over the pairs where ``usable`` holds (``inf``
+        where unreached), and each reached vertex's predecessor: a BFS tree."""
         usable = self.matrix(np.where(usable, 1.0, np.inf))
-        return np.isfinite(dijkstra(usable, indices=source, limit=self.shape[0]))
+        return dijkstra(
+            usable, indices=root, limit=self.shape[0], return_predecessors=True
+        )
+
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        """For each pair ``(i, j)``, the index of ``(j, i)``.
+
+        Every pair has its opposite, so the transposed matrix has this
+        matrix's structure with its data read through this permutation.
+        """
+        return self.index(self.cols, self.rows)
+
+    def index(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """The index of each existing pair ``(tails[k], heads[k])``."""
+        return np.searchsorted(self.keys, tails.astype(np.int64) * self.shape[0] + heads)
+
+    def route(
+        self, total: np.ndarray, tree: Tuple[np.ndarray, np.ndarray], sink: int
+    ) -> Optional[np.ndarray]:
+        """Per-pair moves that carry every cut pair's residual to the sink, or ``None``.
+
+        ``total`` holds each pair's real residual and ``tree`` is the search
+        that found the cut's source side.  A cut pair's residual travels
+        from the source to its tail along ``tree``, across the pair, and
+        from its head to ``sink`` along a reverse BFS tree inside the sink
+        side over pairs with at least the cut's whole residual.  The moves
+        use each pair in one direction only; ``None`` when some head misses
+        that tree or some tree pair cannot carry its load, and nothing has
+        been moved.
+        """
+        hops, parent = tree
+        side = np.isfinite(hops)
+        moved = np.where(side[self.rows] & ~side[self.cols], total, 0.0)
+        size = self.shape[0]
+        demand = np.bincount(self.rows, weights=moved, minlength=size)
+        supply = np.bincount(self.cols, weights=moved, minlength=size)
+        wide = ~side[self.rows] & ~side[self.cols] & (total >= moved.sum())
+        back, child = self.search(wide[self.transposed], sink)
+        if supply[np.isinf(back)].any():
+            return None
+        ends, load = _tree_loads(hops, parent, demand)
+        moved[self.index(parent[ends], ends)] = load
+        ends, load = _tree_loads(back, child, supply)
+        moved[self.index(ends, child[ends])] = load
+        return moved if bool((moved <= total).all()) else None
 
 
 class KernelDinic(FlowAlgorithm):
@@ -676,9 +772,9 @@ class KernelDinic(FlowAlgorithm):
     >>> _ = g.add_edge("s", "a", 0.1)
     >>> _ = g.add_edge("a", "t", 0.3)
     >>> _ = g.add_edge("s", "t", 2)
-    >>> result = KernelDinic().solve(g)  # real capacities: two rounds
+    >>> result = KernelDinic().solve(g)  # real capacities: one round, then routing
     >>> result.flow_value, result.iterations
-    (2.1, 2)
+    (2.1, 1)
     >>> _ = g.add_edge("s", "t", INFINITY)
     >>> flat = FlatResidual.from_network(g)
     >>> pick_core(flat)  # no finite surrogate in the compiled core
@@ -690,19 +786,24 @@ class KernelDinic(FlowAlgorithm):
     def solve(self, network: FlowNetwork, validate: bool = False) -> MaxFlowResult:
         """Solve on flat arrays end to end (no object residual is built).
 
-        The ambient span gets ``kernel_core``, ``kernel_rounds`` (compiled)
-        or ``kernel_sweeps`` (lockstep), ``kernel_pushes`` and
-        ``kernel_relabels``.
+        The ambient span gets ``kernel_core``, ``kernel_rounds`` and
+        ``kernel_routed`` (compiled) or ``kernel_sweeps`` (lockstep),
+        ``kernel_pushes`` and ``kernel_relabels``.
         """
         start = time.perf_counter()
         flat = FlatResidual.from_network(network)
         steps = flat.max_flow()
         counter = flat.counter
+        steps_of = (
+            {"kernel_rounds": steps, "kernel_routed": flat.routed}
+            if flat.core == "compiled"
+            else {"kernel_sweeps": steps}
+        )
         annotate_span(
             kernel_core=flat.core,
             kernel_pushes=counter.pushes,
             kernel_relabels=counter.relabels,
-            **{"kernel_rounds" if flat.core == "compiled" else "kernel_sweeps": steps},
+            **steps_of,
         )
         edge_flows = flat.edge_flows()
         elapsed = time.perf_counter() - start

@@ -17,8 +17,9 @@ The kernel has two cores (:func:`repro.flows.kernel.pick_core`).  The
 compiled core is held to the same contract, and to the failover
 certificate, on every family with mixed int/float, parallel and
 anti-parallel edges at capacity scales 2^-13 to 2^30; its guards (the
-int32 range, deadlines between rounds, uncapacitated arcs) are pinned
-one by one.
+int32 range, deadlines between rounds, uncapacitated arcs) and its
+routing step (real grids finish in one routed round, leftovers that
+cannot be routed take a second round) are pinned one by one.
 
 The lockstep core's exact relabels run one compiled reverse BFS; the
 frontier-at-a-time loop it replaced stays here as the reference, and at
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import random
 import time
+import warnings
 from typing import Tuple
 
 import numpy as np
@@ -43,7 +45,7 @@ import pytest
 from conformance import scaled_network
 from seeding import derive_seed
 
-from repro.errors import SolveTimeoutError
+from repro.errors import AlgorithmError, SolveTimeoutError
 from repro.flows import kernel as kernel_module
 from repro.flows.base import INFINITY, MaxFlowResult
 from repro.flows.dinic import Dinic
@@ -265,7 +267,7 @@ class TestCompiledCore:
     def test_real_capacities_refine_in_rounds(self):
         network = grid_graph(6, 9, seed=derive_seed("kernel-real"), capacity_jitter=0.5)
         flat = FlatResidual.from_network(network)
-        assert flat.max_flow() >= 2
+        assert flat.max_flow() == 1 and flat.routed
         _assert_certified(network, KernelDinic().solve(network))
 
     @pytest.mark.parametrize(
@@ -304,7 +306,8 @@ class TestCompiledCore:
     def test_a_round_in_progress_overruns_the_deadline(self, monkeypatch):
         """The budget runs out inside round 1: it finishes, round 2 never starts."""
         network = grid_graph(6, 9, seed=derive_seed("kernel-real"), capacity_jitter=0.5)
-        assert FlatResidual.from_network(network).compiled_max_flow() >= 2
+        unlimited = FlatResidual.from_network(network)
+        assert unlimited.compiled_max_flow() == 1 and unlimited.routed  # round 1 leaves a gap
         calls = []
 
         def expiring(*args):
@@ -319,6 +322,48 @@ class TestCompiledCore:
                 flat.compiled_max_flow()
         assert len(calls) == 1
         assert flat.residual[1::2].sum() > 0.0  # round 1's flow was kept
+
+    def test_unroutable_leftovers_take_a_second_round(self):
+        """Round 1 (scale 1) sends 99 through ``s -> a``, leaving 1.2 on it and
+        0.9 on each of ``a``'s two cut arcs: their 1.8 cannot pass ``s -> a``."""
+        network = FlowNetwork()
+        network.add_edge("s", "a", 100.2)
+        network.add_edge("a", "x1", 50.9)
+        network.add_edge("a", "x2", 49.9)
+        network.add_edge("x1", "t", 1.5 * 2**29)
+        network.add_edge("x2", "t", 1.5 * 2**29)
+        flat = FlatResidual.from_network(network)
+        assert flat.compiled_max_flow() == 2
+        result = KernelDinic().solve(network, validate=True)
+        assert result.flow_value == 100.2
+        _assert_certified(network, result)
+
+    def test_serve_large_grids_complete_in_one_round(self):
+        """24x90 real grids, the served benchmark's shape: round 1, then routing."""
+        base = grid_graph(24, 90, seed=derive_seed("kernel-serve-large"), capacity_jitter=0.5)
+        expected = Dinic().solve(base).flow_value
+        for exponent in (-6, 0, 13):
+            network = scaled_network(base, 2.0**exponent)
+            flat = FlatResidual.from_network(network)
+            assert flat.max_flow() == 1 and flat.core == "compiled" and flat.routed
+            result = KernelDinic().solve(network, validate=True)
+            assert result.flow_value == pytest.approx(expected * 2.0**exponent, rel=1e-9)
+            certify_flow_result(network, result.flow_value, result.edge_flows, exact=True)
+
+    def test_uncapacitated_arcs_raise_before_round_one(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel_module, "maximum_flow", lambda *args: calls.append(args))
+        network = FlowNetwork()
+        network.add_edge("s", "a", INFINITY)
+        network.add_edge("a", "t", 2.5)
+        flat = FlatResidual.from_network(network)
+        before = flat.residual.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no int32 cast of an infinite pair
+            with pytest.raises(AlgorithmError, match="finite"):
+                flat.compiled_max_flow()
+        assert calls == []
+        np.testing.assert_array_equal(flat.residual, before)
 
     def test_a_network_without_edges_answers_zero(self, compiled_only):
         network = FlowNetwork()
@@ -342,13 +387,14 @@ class TestCompiledCore:
             return pick_core(FlatResidual.from_network(network))
 
         seed = derive_seed("kernel-pick")
-        assert pick(grid_graph(72, 72, seed=seed, capacity_jitter=0.5)) == "lockstep"
-        # At most 14,000 edges, integral, shallow or thin: compiled.
-        assert pick(grid_graph(64, 64, seed=seed, capacity_jitter=0.5)) == "compiled"
-        assert pick(grid_graph(72, 72, capacity=2.0)) == "compiled"
-        shallow = scaled_network(bipartite_graph(200, 200, seed=seed, connectivity=0.4), 1.37)
-        assert shallow.num_edges > 14_000 and pick(shallow) == "compiled"
-        assert pick(grid_graph(8, 1000, seed=seed, capacity_jitter=0.5)) == "compiled"
+        assert pick(grid_graph(160, 160, seed=seed, capacity_jitter=0.5)) == "lockstep"
+        # At most 60,000 edges, integral, shallow or thin: compiled.
+        assert pick(grid_graph(128, 128, seed=seed, capacity_jitter=0.5)) == "compiled"
+        assert pick(grid_graph(160, 160, capacity=2.0)) == "compiled"
+        shallow = scaled_network(bipartite_graph(400, 400, seed=seed, connectivity=0.4), 1.37)
+        assert shallow.num_edges > 60_000 and pick(shallow) == "compiled"
+        thin = grid_graph(8, 3000, seed=seed, capacity_jitter=0.5)
+        assert thin.num_edges > 60_000 and pick(thin) == "compiled"
 
 
 class TestLockstepUnreachableSink:

@@ -218,18 +218,25 @@ class TestKernelSuiteSmoke:
                 q1, q3 = row[f"{engine}_q1_ms"], row[f"{engine}_q3_ms"]
                 assert 0.0 < q1 <= row[f"{engine}_ms"] <= q3
             assert row["value_diff"] <= 1e-9
-        # Both cores forced, the pick and its band check, per class and on
-        # every crossover network.
+        # Both cores forced, the compiled core's rounds and routing, the
+        # pick and its band check, per class and on every crossover network.
         rows = [*record["classes"].values(), *record["crossover"].values()]
-        assert len(record["crossover"]) == 10
+        assert len(record["crossover"]) == 11
         for row in rows:
             for core in ("compiled", "lockstep"):
                 q1, q3 = row[f"{core}_q1_ms"], row[f"{core}_q3_ms"]
                 assert 0.0 < q1 <= row[f"{core}_ms"] <= q3
+            assert row["compiled_rounds"] >= 1
+            assert isinstance(row["compiled_routed"], bool)
             assert row["pick"] in ("compiled", "lockstep")
             assert isinstance(row["pick_within_band"], bool)
+        # Integral classes take one exact round; real grids one round, routed.
+        assert record["classes"]["rmat"]["compiled_rounds"] == 1
+        assert not record["classes"]["rmat"]["compiled_routed"]
+        grids = [row for name, row in record["crossover"].items() if name.startswith("grid_")]
+        assert all(row["compiled_rounds"] == 1 and row["compiled_routed"] for row in grids)
         out = capsys.readouterr().out
-        assert "IQR" in out and "crossover grid_" in out
+        assert "IQR" in out and "crossover grid_" in out and "rounds, routed" in out
 
 
 class TestHistoryAppend:

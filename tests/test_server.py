@@ -770,13 +770,13 @@ class TestExactLane:
                 yield from walk(child)
 
         cores = [
-            (span.attributes["kernel_core"], span.attributes["kernel_rounds"])
+            tuple(span.attributes[f"kernel_{key}"] for key in ("core", "rounds", "routed"))
             for root in recent_traces() for span in walk(root)
             if "kernel_core" in span.attributes
         ]
-        # One span per request; integral capacities take one exact round.
-        assert [core for core, _ in cores] == ["compiled"] * 3
-        assert [rounds for _, rounds in cores][::2] == [1, 1]
+        # One span per request; integral capacities take one exact round,
+        # the real one a round whose leftover is routed.
+        assert cores == [("compiled", 1, False), ("compiled", 1, True), ("compiled", 1, False)]
 
 
 class TestSyncSolveFn:

@@ -49,10 +49,12 @@ Dinic and flat-array :class:`KernelDinic` wall clocks on the identical
 network with each engine's quartiles (``*_q1_ms``/``*_q3_ms``, the noise
 band), the speedup, the kernel's round or sweep count and the relative
 flow-value disagreement; then both kernel cores forced (``compiled_*`` /
-``lockstep_*`` medians and quartiles), the core ``pick_core`` picks and
-whether the pick is within the other core's band.  ``crossover`` records
-the same core fields on the sweep that places the pick: real-capacity
-square grids (6.9k-49k edges at scale 0.25), an 8x1000 thin grid, and
+``lockstep_*`` medians and quartiles), the compiled core's rounds and
+whether routing completed it (``compiled_rounds`` / ``compiled_routed``),
+the core ``pick_core`` picks and whether the pick is within the other
+core's band.  ``crossover`` records the same core fields on the sweep that
+places the pick: real-capacity square grids (6.9k-77k edges at scale
+0.25), an 8x1000 thin grid, and
 real-capacity R-MAT and bipartite instances.  All repeats are interleaved, so host
 drift does not land in the ratios.  The default scale (0.25) is the
 headline size — the 96x96 vision grid; the kernel's >=10x floor is
@@ -286,7 +288,10 @@ def _problems_report(args) -> dict:
 
 
 def _as_core_record(metrics: dict) -> dict:
-    record = {"pick": metrics["pick"], "pick_within_band": metrics["pick_within_band"]}
+    record = {
+        key: metrics[key]
+        for key in ("pick", "pick_within_band", "compiled_rounds", "compiled_routed")
+    }
     for core in ("compiled", "lockstep"):
         record[f"{core}_ms"] = round(metrics[f"{core}_s"] * 1e3, 3)
         record[f"{core}_q1_ms"] = round(metrics[f"{core}_quartiles_s"][0] * 1e3, 3)
@@ -323,7 +328,7 @@ def _real_capacities(network: FlowNetwork, seed: int) -> FlowNetwork:
 def _kernel_crossover(scale: float):
     """``(name, network)`` of ``pick_core``'s crossover sweep, full size at 0.25."""
     factor = math.sqrt(scale / 0.25)
-    for side in (48, 64, 72, 96, 128):
+    for side in (48, 64, 72, 96, 128, 160):
         side = max(4, round(side * factor))
         yield f"grid_{side}x{side}", grid_graph(side, side, seed=7, capacity_jitter=0.5)
     cols = max(4, round(1000 * factor))
@@ -542,7 +547,11 @@ def _core_line(row: dict) -> str:
         for core in ("compiled", "lockstep")
     )
     band = "within band" if row["pick_within_band"] else "SLOWER THAN THE OTHER CORE"
-    return f"{cores}; pick {row['pick']} ({band})"
+    routed = ", routed" if row["compiled_routed"] else ""
+    return (
+        f"{cores}; compiled {row['compiled_rounds']} rounds{routed}; "
+        f"pick {row['pick']} ({band})"
+    )
 
 
 def _print_suite_summary(suite: str, report: dict) -> None:
