@@ -18,11 +18,20 @@ flow values must agree to 1e-9, and analog warm/cold values to 1e-4 (the
 substrate's bleed-leakage bound for degenerate-optimum instances — see
 ``docs/architecture.md``).  Instances of 400..600 edges still must show a
 >= 1.5x win; tiny smoke scales only print the table.
+
+The grid row streams 1,000 compounding 1%-of-edges edits into a real grid
+(24x90 and 6,324 edges at ``REPRO_BENCH_SCALE=0.5``, the perfbench
+``stream-edit`` base) and times each push against cold ``KernelDinic``
+solves of sampled revisions interleaved in the same run.  Every push must
+stay warm and agree with the cold solves to 1e-9; from 6,000 edges up the
+warm p99 must be at most the cold median (a push is never much slower
+than a cold solve).  Below that size a push that must augment costs about
+one cold solve, so the row is printed only.
 """
 
 from __future__ import annotations
 
-from repro.bench import format_table, measure_streaming_class
+from repro.bench import format_table, measure_streaming_class, measure_streaming_grid
 from conftest import bench_scale
 
 
@@ -79,4 +88,29 @@ def test_streaming_warm_resolve(benchmark):
         assert row["ana_speedup"] >= floor, (
             f"{row['instance']}: analog warm re-solve only "
             f"{row['ana_speedup']}x faster (need >= {floor}x)"
+        )
+
+
+def test_grid_push_tail_within_a_cold_solve(benchmark):
+    metrics = benchmark.pedantic(
+        measure_streaming_grid, args=(bench_scale(),), rounds=1, iterations=1
+    )
+    row = {
+        "instance": metrics["workload"],
+        "|E|": metrics["num_edges"],
+        "delta": metrics["delta_edges"],
+        **{
+            f"{key}_ms": round(metrics[f"{key}_s"] * 1e3, 3)
+            for key in ("warm_p50", "warm_p99", "warm_max", "cold_kernel")
+        },
+    }
+    print()
+    print(format_table([row], title="Warm push latency vs cold kernel solve (grid)"))
+
+    assert metrics["warm_frac"] == 1.0
+    assert metrics["value_diff"] <= 1e-9
+    if metrics["num_edges"] >= 6000:
+        assert metrics["warm_p99_s"] <= metrics["cold_kernel_s"], (
+            f"{metrics['workload']}: warm p99 {row['warm_p99_ms']} ms above the "
+            f"cold kernel median {row['cold_kernel_ms']} ms"
         )

@@ -34,7 +34,11 @@ from .shard import (
     measure_shard_rmat,
     shard_workload,
 )
-from .streaming import measure_streaming_class, streaming_update_batches
+from .streaming import (
+    measure_streaming_class,
+    measure_streaming_grid,
+    streaming_update_batches,
+)
 
 __all__ = [
     "assembly_workload",
@@ -54,6 +58,7 @@ __all__ = [
     "measure_shard_class",
     "measure_shard_rmat",
     "measure_streaming_class",
+    "measure_streaming_grid",
     "shard_workload",
     "SHARD_CLASSES",
     "streaming_update_batches",

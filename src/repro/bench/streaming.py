@@ -24,23 +24,35 @@ pair converges to operating points of the same circuit, which may differ in
 their (non-unique) interior flow decomposition, so agreement is bounded by
 the substrate's bleed-resistor leakage (~1e-4 relative) rather than machine
 precision — see ``docs/architecture.md``.
+
+:func:`measure_streaming_grid` records the bound "a push is never much
+slower than a cold solve" on the served stream's shape: a real 24x90 grid
+at scale 0.5 (6,324 edges, the perfbench ``stream-edit`` base) receiving
+compounding edits to 1% of its edges, each push timed, against cold
+:class:`~repro.flows.kernel.KernelDinic` solves of sampled revisions
+interleaved in the same run.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import time
 from typing import Callable, Dict, List
 
+import numpy as np
+
 from ..analog.solver import AnalogMaxFlowSolver
+from ..flows.kernel import KernelDinic
 from ..flows.registry import get_algorithm
+from ..graph.generators import grid_graph
 from ..graph.network import FlowNetwork
 from ..graph.updates import CapacityUpdate
 from ..service.streaming import StreamingSession
 from .assembly import assembly_workload
 
-__all__ = ["streaming_update_batches", "measure_streaming_class"]
+__all__ = ["streaming_update_batches", "measure_streaming_class", "measure_streaming_grid"]
 
 
 def streaming_update_batches(
@@ -179,4 +191,79 @@ def measure_streaming_class(
         "analog_warm_refactorizations": warm_refactorizations,
         "warm_solves": analog_session.warm_solves,
         "cold_solves": analog_session.cold_solves,
+    }
+
+
+#: :func:`measure_streaming_grid`: pushes per run (its p99 has ten pushes
+#: beyond it), the share of edges one push edits, and every how many
+#: revisions one is also solved cold.
+GRID_PUSHES = 1000
+GRID_TOUCH = 0.01
+GRID_COLD_EVERY = 10
+
+
+def measure_streaming_grid(scale: float, seed: int = 20150601) -> Dict[str, object]:
+    """Warm push latency on a real grid against cold kernel solves, one run.
+
+    The grid is ``round(48 * scale)`` x ``round(180 * scale)`` (24x90 and
+    6,324 edges at scale 0.5; at least 2x4), with capacities jittered by
+    50%, streamed by a ``"dinic"`` session.  Each push edits
+    :data:`GRID_TOUCH` of the edges, scaling each edit's capacity by
+    ``exp(U(-0.25, 0.25))`` less a fifth of its log drift from the base,
+    so edits compound without wandering off.  Every
+    :data:`GRID_COLD_EVERY`-th revision is also solved cold by
+    :class:`~repro.flows.kernel.KernelDinic`, right after its push.
+
+    Returns
+    -------
+    dict
+        Grid size, the warm p50 / p99 / max push times (seconds), the
+        median and quartiles of the cold solves, the share of pushes that
+        stayed warm and the worst warm-vs-cold relative value gap.
+    """
+    rows, cols = max(2, round(48 * scale)), max(4, round(180 * scale))
+    rng = random.Random(seed)
+    network = grid_graph(rows, cols, seed=seed, capacity_jitter=0.5)
+    base = [edge.capacity for edge in network.edges()]
+    capacities = list(base)
+    edits = max(1, round(GRID_TOUCH * len(base)))
+    session = StreamingSession(network, backend="dinic")
+    warm: List[float] = []
+    cold: List[float] = []
+    warm_pushes = 0
+    value_diff = 0.0
+    for step in range(GRID_PUSHES):
+        batch = []
+        for index in rng.sample(range(len(base)), edits):
+            drift = math.log(capacities[index] / base[index])
+            capacities[index] *= math.exp(rng.uniform(-0.25, 0.25) - 0.2 * drift)
+            batch.append(CapacityUpdate(index, capacities[index]))
+        elapsed, delta = _timed(lambda: session.push(batch))
+        warm.append(elapsed)
+        warm_pushes += delta.warm
+        if step % GRID_COLD_EVERY == 0:
+            snapshot = session.snapshot()
+            elapsed, result = _timed(lambda: KernelDinic().solve(snapshot))
+            cold.append(elapsed)
+            value_diff = max(
+                value_diff,
+                abs(delta.flow_value - result.flow_value) / max(1.0, abs(result.flow_value)),
+            )
+    warm_q = np.percentile(warm, [50, 99])
+    cold_q = np.percentile(cold, [25, 50, 75])
+    return {
+        "workload": f"grid_{rows}x{cols}",
+        "num_vertices": network.num_vertices,
+        "num_edges": network.num_edges,
+        "delta_edges": edits,
+        "pushes": GRID_PUSHES,
+        "warm_p50_s": float(warm_q[0]),
+        "warm_p99_s": float(warm_q[1]),
+        "warm_max_s": max(warm),
+        "cold_kernel_s": float(cold_q[1]),
+        "cold_kernel_q1_s": float(cold_q[0]),
+        "cold_kernel_q3_s": float(cold_q[2]),
+        "cold_samples": len(cold),
+        "warm_frac": warm_pushes / GRID_PUSHES,
+        "value_diff": value_diff,
     }

@@ -267,8 +267,19 @@ def validate_max_flow(
     Note that this validates *feasibility*, not optimality; optimality is
     asserted in tests by cross-checking independent algorithms and the
     max-flow/min-cut duality.
+
+    Both tolerances are absolute floors: each check allows the larger of
+    its floor and ``1e-9`` of ``max(1, |value|)``, as
+    :func:`~repro.resilience.failover.certify_flow_result` does, since the
+    round-off of a correct flow grows with its scale (one ulp of a 4e9
+    flow is 4.8e-7).
     """
-    problems = network.check_flow(result.edge_flows, capacity_tol, conservation_tol)
+    relative = 1e-9 * max(1.0, abs(result.flow_value))
+    problems = network.check_flow(
+        result.edge_flows,
+        max(capacity_tol, relative),
+        max(conservation_tol, relative),
+    )
     value = network.flow_value(result.edge_flows)
     if abs(value - result.flow_value) > max(capacity_tol, 1e-9 * max(1.0, abs(value))):
         problems.append(

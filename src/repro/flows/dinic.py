@@ -56,20 +56,28 @@ class Dinic(FlowAlgorithm):
 
     @staticmethod
     def _build_levels(residual: ResidualNetwork, level: List[int]) -> bool:
-        """BFS level assignment; returns True when the sink is reachable."""
-        for i in range(residual.num_vertices):
-            level[i] = -1
+        """BFS level assignment; returns True when the sink is reachable.
+
+        ``level`` is reset in place and takes the residual's vertex count.
+        """
+        level[:] = [-1] * residual.num_vertices
         level[residual.source] = 0
+        arc_to, capacity = residual.arc_to, residual.residual
         queue = deque([residual.source])
+        popped = scans = 0
         while queue:
             vertex = queue.popleft()
-            residual.counter.queue_operations += 1
-            for arc in residual.adjacency[vertex]:
-                residual.counter.arc_scans += 1
-                head = residual.arc_to[arc]
-                if level[head] < 0 and residual.residual[arc] > 0:
-                    level[head] = level[vertex] + 1
+            popped += 1
+            arcs = residual.adjacency[vertex]
+            scans += len(arcs)  # the search scans every arc it reaches
+            below = level[vertex] + 1
+            for arc in arcs:
+                head = arc_to[arc]
+                if level[head] < 0 and capacity[arc] > 0:
+                    level[head] = below
                     queue.append(head)
+        residual.counter.queue_operations += popped
+        residual.counter.arc_scans += scans
         return level[residual.sink] >= 0
 
     def _send_blocking_flow(

@@ -6,8 +6,7 @@ instead keeps the residual network of the previous solution alive and pays
 only for the delta:
 
 * **capacity increase / edge insert** — the previous flow stays feasible, so
-  augmentation simply *resumes* from it (warm-started Dinic blocking-flow
-  phases on the existing residual);
+  augmentation simply *resumes* from it on the existing residual;
 * **capacity decrease / edge removal** — the previous flow may overflow the
   edited edge.  The overflow is drained by residual-graph repair: clip the
   edge's flow to the new capacity (leaving an excess at its tail ``u`` and a
@@ -17,6 +16,21 @@ only for the delta:
   and ``t -> v`` — both guaranteed to succeed by flow decomposition, reducing
   the flow value by exactly the uncancellable amount.  A final warm
   augmentation pass restores maximality.
+
+On a residual of 2,000 edges or more the warm augmentation is gated.  One
+level BFS from the source over the maintained residual
+(:meth:`Dinic._build_levels`) decides whether any augmenting path is left;
+most pushes of a stream of small edits leave none (692 of 800 on the
+perfbench stream-edit grid), and then nothing more runs.  When one is
+left, the residual makes one flat round trip through
+:meth:`KernelDinic.augment_residual
+<repro.flows.kernel.KernelDinic.augment_residual>` — the compiled core for
+every finite residual up to 60,000 edges
+(:func:`~repro.flows.kernel.pick_core`) — instead of many pure-Python
+blocking-flow phases.  The flat lowering costs ``O(E)``, but only a push
+that must augment pays it, and it pays it once.  Smaller residuals augment
+in blocking-flow phases, which finish there before the round trip's fixed
+cost of about 1 ms would (``_KERNEL_EDGES``).
 
 The repair is exact: after every :meth:`~IncrementalMaxFlow.apply` the stored
 flow is a maximum flow of the edited network (the equivalence tests assert
@@ -38,7 +52,7 @@ from ..graph.updates import MutableFlowNetwork, UpdateBatch, UpdateEvent
 from ..obs import probes
 from ..resilience.faults import fault_point
 from ..resilience.policy import check_deadline
-from .base import INFINITY, MaxFlowResult, OperationCounter, ResidualNetwork
+from .base import INFINITY, MaxFlowResult, OperationCounter, ResidualNetwork, validate_max_flow
 from .dinic import Dinic
 from .kernel import KernelDinic
 from .registry import get_algorithm
@@ -47,6 +61,13 @@ __all__ = ["IncrementalMaxFlow"]
 
 #: Absolute slack used when comparing repaired amounts against targets.
 _REPAIR_TOL = 1e-9
+#: Residuals with fewer edges than this augment warm in blocking-flow
+#: phases, which there finish before the kernel's flat round trip would
+#: (about 1 ms even on 50 edges).  Per push that had to augment, phases
+#: vs kernel medians on 1–5% edit streams: 0.2 vs 1.2 ms at 192 edges,
+#: 3.0 vs 4.0 ms on a 1,542-edge grid, 2.0 vs 2.1 ms at 2,004 edges, 10.8
+#: vs 4.5 ms on a 2,776-edge grid, 31 vs 6.7 ms (max 170 vs 9) at 6,324.
+_KERNEL_EDGES = 2_000
 
 
 class IncrementalMaxFlow:
@@ -64,9 +85,9 @@ class IncrementalMaxFlow:
     algorithm:
         Algorithm (a :data:`repro.flows.registry.ALGORITHMS` name) used for
         *cold* solves — the initial one and ``cold_ratio`` cutovers.  Warm
-        repairs always run the Dinic machinery on the maintained residual
-        (the flat-array kernel when ``"kernel"`` is named, the pure-Python
-        engine otherwise).
+        repairs run the same engine whatever is named: path repair on the
+        maintained residual, then the augmentation of the module notes
+        (gated and on the kernel from 2,000 edges).
     cold_ratio:
         Cutover heuristic: when one batch touches more than this fraction of
         the network's edges, rebuild from scratch instead of repairing.
@@ -115,13 +136,8 @@ class IncrementalMaxFlow:
         self.algorithm = algorithm
         self.cold_ratio = cold_ratio
         self.validate = validate
-        # Warm repairs resume on the maintained residual.  The flat-array
-        # kernel round-trips that state, so explicit "kernel" streams
-        # run it as the augmentation engine; the "dinic" default keeps the
-        # pure-Python repair, whose per-push cost scales with the delta
-        # rather than the kernel's O(E) flat-array setup (at streaming
-        # delta sizes the setup would dominate the repair itself).
-        self._dinic = KernelDinic() if algorithm == "kernel" else Dinic()
+        #: The gate's BFS levels, reset in place on every push.
+        self._level: List[int] = []
         self.cold_solves = 0
         self.warm_solves = 0
         self.repair_failures = 0
@@ -210,12 +226,12 @@ class IncrementalMaxFlow:
     def _cold_solve(self) -> MaxFlowResult:
         start = time.perf_counter()
         before = OperationCounter()  # fresh residual, counters start at zero
+        # Edge k owns arcs 2k and 2k + 1: inserted edges append their pair
+        # in index order (_warm_apply), so the layout holds for the
+        # residual's whole life.
         self._residual = ResidualNetwork(self.network)
-        self._arc_of_edge: Dict[int, int] = {
-            edge.index: 2 * edge.index for edge in self.network.edges()
-        }
         if self.algorithm in ("dinic", "kernel"):
-            phases = self._dinic.augment_residual(self._residual)
+            phases = get_algorithm(self.algorithm).augment_residual(self._residual)
         else:
             # Solve with the configured algorithm, then seed the maintained
             # residual from its flow so warm repairs can resume from it.
@@ -223,12 +239,12 @@ class IncrementalMaxFlow:
             residual = self._residual
             for edge in self.network.edges():
                 flow = result.edge_flows.get(edge.index, 0.0)
-                arc = self._arc_of_edge[edge.index]
+                arc = 2 * edge.index
                 if residual.residual[arc] != INFINITY:
                     # max() guards against an LP-reference flow overshooting
                     # a capacity by round-off.
                     residual.residual[arc] = max(0.0, edge.capacity - flow)
-                residual.residual[residual.partner(arc)] = flow
+                residual.residual[arc + 1] = flow
             phases = result.iterations
         self.cold_solves += 1
         probes.incremental_cold(self.algorithm)
@@ -246,18 +262,12 @@ class IncrementalMaxFlow:
         residual = self._residual
 
         for edge in batch.inserted_edges:
-            arc = residual.add_edge_arcs(
-                edge.tail, edge.head, edge.capacity, edge.index
-            )
-            self._arc_of_edge[edge.index] = arc
+            residual.add_edge_arcs(edge.tail, edge.head, edge.capacity, edge.index)
 
         repairs: List = []
         for index, (_, new) in batch.capacity_changes.items():
-            if index not in self._arc_of_edge:
-                # Edge inserted and re-weighted within the same batch.
-                continue
-            arc = self._arc_of_edge[index]
-            rev = residual.partner(arc)
+            arc = 2 * index
+            rev = arc + 1
             flow = residual.residual[rev]
             if new == INFINITY:
                 residual.residual[arc] = INFINITY
@@ -281,12 +291,20 @@ class IncrementalMaxFlow:
                 self._result = self._cold_solve()
                 return self._result
 
-        phases = self._dinic.augment_residual(residual)
+        phases = 0
+        if len(residual.arc_to) < 2 * _KERNEL_EDGES:
+            phases = Dinic().augment_residual(residual)
+        elif Dinic._build_levels(residual, self._level):
+            # An augmenting path survived the repair: augment in one flat
+            # round trip on the kernel.  The lockstep core (INFINITY arcs)
+            # treats residuals below 1e-12 of the largest as saturated, so
+            # blocking-flow phases pick up any path it leaves; after a
+            # compiled solve they find none in one level search.
+            phases = KernelDinic().augment_residual(residual)
+            phases += Dinic().augment_residual(residual)
         self.warm_solves += 1
         result = self._build_result("incremental-dinic", phases, start, before)
         if self.validate:
-            from .base import validate_max_flow
-
             validate_max_flow(self.network, result)
         return result
 
@@ -321,41 +339,46 @@ class IncrementalMaxFlow:
     def _bounded_max_flow(self, source: int, target: int, limit: float) -> float:
         """Push up to ``limit`` units from ``source`` to ``target`` (BFS paths)."""
         residual = self._residual
+        counter = residual.counter
+        arc_to, capacity, tol = residual.arc_to, residual.residual, _REPAIR_TOL
         pushed_total = 0.0
-        parent_arc: List[int] = [-1] * residual.num_vertices
-        while limit - pushed_total > _REPAIR_TOL:
+        unvisited = [-1] * residual.num_vertices
+        parent_arc = unvisited[:]
+        while limit - pushed_total > tol:
             check_deadline("incremental repair path search")
-            for i in range(residual.num_vertices):
-                parent_arc[i] = -1
+            parent_arc[:] = unvisited
             parent_arc[source] = -2
             queue = deque([source])
             found = False
+            popped = scans = 0
             while queue and not found:
                 vertex = queue.popleft()
-                residual.counter.queue_operations += 1
+                popped += 1
                 for arc in residual.adjacency[vertex]:
-                    residual.counter.arc_scans += 1
-                    head = residual.arc_to[arc]
-                    if parent_arc[head] == -1 and residual.residual[arc] > _REPAIR_TOL:
+                    scans += 1
+                    head = arc_to[arc]
+                    if parent_arc[head] == -1 and capacity[arc] > tol:
                         parent_arc[head] = arc
                         if head == target:
                             found = True
                             break
                         queue.append(head)
+            counter.queue_operations += popped
+            counter.arc_scans += scans
             if not found:
                 break
             bottleneck = limit - pushed_total
             vertex = target
             while vertex != source:
                 arc = parent_arc[vertex]
-                bottleneck = min(bottleneck, residual.residual[arc])
+                bottleneck = min(bottleneck, capacity[arc])
                 vertex = residual.arc_from[arc]
             vertex = target
             while vertex != source:
                 arc = parent_arc[vertex]
                 residual.push(arc, bottleneck)
                 vertex = residual.arc_from[arc]
-            residual.counter.augmentations += 1
+            counter.augmentations += 1
             pushed_total += bottleneck
         return pushed_total
 
@@ -364,12 +387,11 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
 
     def edge_flows(self) -> Dict[int, float]:
-        """Per-edge flow recovered from the maintained residual network."""
-        residual = self._residual
-        return {
-            index: residual.residual[residual.partner(arc)]
-            for index, arc in self._arc_of_edge.items()
-        }
+        """Per-edge flow recovered from the maintained residual network.
+
+        The flow on edge ``k`` is the residual of its reverse arc ``2k + 1``.
+        """
+        return dict(enumerate(self._residual.residual[1::2]))
 
     def _counter_snapshot(self) -> OperationCounter:
         counter = self._residual.counter if hasattr(self, "_residual") else OperationCounter()

@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 import time
 from functools import cached_property
-from itertools import chain
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -117,8 +116,6 @@ class FlatResidual:
         arc_tail: np.ndarray,
         arc_head: np.ndarray,
         residual: np.ndarray,
-        arcs_by_tail: Optional[np.ndarray] = None,
-        indptr: Optional[np.ndarray] = None,
     ) -> None:
         self.num_vertices = int(num_vertices)
         self.source = int(source)
@@ -128,9 +125,6 @@ class FlatResidual:
         # float64 unconditionally: int or mixed int/float capacity inputs
         # must not truncate (the dtype-promotion guard of the fuzz suite).
         self.residual = np.asarray(residual, dtype=np.float64)
-        if arcs_by_tail is not None:
-            self.arcs_by_tail = arcs_by_tail
-            self.indptr = indptr
         #: Whether every residual is finite (no uncapacitated arc).
         self.finite = bool(np.isfinite(self.residual).all())
         finite = self.residual if self.finite else self.residual[np.isfinite(self.residual)]
@@ -195,33 +189,20 @@ class FlatResidual:
     def from_residual(cls, residual: ResidualNetwork) -> "FlatResidual":
         """Export an object residual (possibly carrying flow) to flat arrays.
 
-        The conversion is a handful of C-level bulk copies — no per-arc
-        Python loop — and preserves each vertex's adjacency order, so the
-        flat arrays are a faithful snapshot of the warm residual state.
+        The conversion is three C-level bulk copies, with no per-arc Python
+        loop.  An object residual appends each arc to its tail's adjacency
+        in arc order, so :attr:`arcs_by_tail`, built on first use, is its
+        adjacency order: the flat arrays are a faithful snapshot of the
+        warm residual state.
         """
-        arc_tail = np.asarray(residual.arc_from, dtype=np.int64)
-        arc_head = np.asarray(residual.arc_to, dtype=np.int64)
-        values = np.asarray(residual.residual, dtype=np.float64)
-        num_vertices = residual.num_vertices
-        counts = np.fromiter(
-            (len(arcs) for arcs in residual.adjacency), dtype=np.int64, count=num_vertices
-        )
-        arcs_by_tail = np.fromiter(
-            chain.from_iterable(residual.adjacency),
-            dtype=np.int64,
-            count=int(counts.sum()),
-        )
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        arcs = len(residual.arc_to)
         return cls(
-            num_vertices,
+            residual.num_vertices,
             residual.source,
             residual.sink,
-            arc_tail,
-            arc_head,
-            values,
-            arcs_by_tail=arcs_by_tail,
-            indptr=indptr,
+            np.fromiter(residual.arc_from, dtype=np.int64, count=arcs),
+            np.fromiter(residual.arc_to, dtype=np.int64, count=arcs),
+            np.fromiter(residual.residual, dtype=np.float64, count=arcs),
         )
 
     def store_into(self, residual: ResidualNetwork) -> None:

@@ -8,8 +8,9 @@ instead of a full recompile + refactorise:
 
 * **classical backends** (any :data:`repro.flows.registry.ALGORITHMS` name)
   route through :class:`~repro.flows.incremental.IncrementalMaxFlow`:
-  residual-graph repair on capacity decreases, warm-resumed augmentation on
-  increases/inserts, cold cutover for large deltas;
+  residual-graph repair on capacity decreases, then (from 2,000 edges)
+  one compiled kernel augmentation when a level search still finds an
+  augmenting path, cold cutover for large deltas;
 * the **analog backend** owns one compiled circuit (with per-edge
   re-programmable clamp sources) and re-solves capacity edits through
   :meth:`~repro.analog.solver.AnalogMaxFlowSolver.resolve` — a pure
@@ -139,9 +140,14 @@ class StreamingSession:
         is never mutated.
     backend:
         ``"analog"`` (the substrate pipeline with warm re-solves) or any
-        classical algorithm name from :data:`repro.flows.registry.ALGORITHMS`
-        (cold solves use that algorithm; warm repairs run the incremental
-        Dinic engine).
+        classical algorithm name from :data:`repro.flows.registry.ALGORITHMS`.
+        The name picks the engine of cold solves (the opening one and
+        ``cold_ratio`` cutovers); every classical warm push runs the same
+        engine: path repair on the maintained residual, then, from 2,000
+        edges and only when a level search still reaches the sink, one
+        flat round trip through the kernel (blocking-flow phases below
+        that size; :class:`~repro.flows.incremental.IncrementalMaxFlow`).
+        Warm results report ``"incremental-dinic"``.
     analog_solver:
         Configured :class:`~repro.analog.solver.AnalogMaxFlowSolver` for the
         analog backend; its ``parameters`` set the drive voltage.  The

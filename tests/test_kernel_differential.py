@@ -34,6 +34,7 @@ round trip as ``inf``.  Heavy sizes run behind ``--runslow``.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import warnings
@@ -45,9 +46,10 @@ import pytest
 from conformance import scaled_network
 from seeding import derive_seed
 
-from repro.errors import AlgorithmError, SolveTimeoutError
+from repro.errors import AlgorithmError, InfeasibleFlowError, SolveTimeoutError
+from repro.flows import incremental as incremental_module
 from repro.flows import kernel as kernel_module
-from repro.flows.base import INFINITY, MaxFlowResult
+from repro.flows.base import INFINITY, MaxFlowResult, validate_max_flow
 from repro.flows.dinic import Dinic
 from repro.flows.incremental import IncrementalMaxFlow
 from repro.flows.kernel import FlatResidual, KernelDinic, _expand, pick_core
@@ -56,7 +58,7 @@ from repro.flows.mincut import min_cut_from_flow
 kernel_module_maximum_flow = kernel_module.maximum_flow
 from repro.flows.push_relabel import PushRelabel
 from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph
-from repro.graph.updates import EdgeInsert, MutableFlowNetwork
+from repro.graph.updates import CapacityUpdate, EdgeInsert, EdgeRemove, MutableFlowNetwork
 from repro.resilience.failover import certify_flow_result
 from repro.resilience.policy import deadline_scope
 
@@ -417,6 +419,165 @@ class TestLockstepUnreachableSink:
         certify_flow_result(network, network.flow_value(flows), flows, exact=True)
 
 
+class TestValidateAtScale:
+    """``validate=True`` scales its tolerances with the flow.
+
+    An absolute 1e-6 is below the round-off of a correct flow of 5e11:
+    these three compiled solves left conservation residue of 1.9e-6 to
+    7.6e-6 and were rejected, though each passes the exact certificate.
+    """
+
+    @pytest.mark.parametrize("family, trial, exponent", [
+        ("rmat", 10, 30), ("rmat", 14, 29), ("rmat", 22, 29),
+    ])
+    def test_large_correct_flows_validate(self, family, trial, exponent):
+        network = _multigraph(family, trial, exponent)
+        result = KernelDinic().solve(network, validate=True)
+        _assert_certified(network, result)
+
+    def test_a_planted_violation_still_raises(self):
+        network = _multigraph("rmat", 10, 30)
+        result = KernelDinic().solve(network)
+        inner = next(
+            edge.index for edge in network.edges()
+            if result.edge_flows[edge.index] > 0.0
+            and network.source not in (edge.tail, edge.head)
+            and network.sink not in (edge.tail, edge.head)
+        )
+        flows = dict(result.edge_flows)
+        flows[inner] -= 1e-8 * result.flow_value
+        planted = MaxFlowResult(result.flow_value, flows, "planted")
+        with pytest.raises(InfeasibleFlowError, match="conservation"):
+            validate_max_flow(network, planted)
+
+
+# ----------------------------------------------------------------------
+# The warm engine: a level BFS gates one flat kernel augmentation
+# ----------------------------------------------------------------------
+
+
+def _warm_edits(network: FlowNetwork, rng: random.Random, factor: float, step: int) -> list:
+    """One seeded edit batch for :class:`TestWarmEngine`.
+
+    Re-weights (float and int), removes and switches finite<->``INFINITY``
+    up to four live edges, and inserts an edge between existing vertices
+    plus a two-edge detour through a new vertex.  At most one edge is
+    uncapacitated at a time and never an ``s -> t`` one, so the max flow
+    stays finite.
+    """
+    source, sink = network.source, network.sink
+    uncapacitated = any(edge.capacity == INFINITY for edge in network.edges())
+    live = [edge for edge in network.edges() if edge.capacity > 0]
+    events = []
+    for edge in rng.sample(live, min(len(live), rng.randint(1, 4))):
+        kind = rng.random()
+        if edge.capacity == INFINITY:
+            events.append(CapacityUpdate(edge.index, rng.uniform(0.5, 4.0) * factor))
+        elif kind < 0.15:
+            events.append(EdgeRemove(edge.index))
+        elif kind < 0.3 and not uncapacitated and (edge.tail, edge.head) != (source, sink):
+            events.append(CapacityUpdate(edge.index, INFINITY))
+            uncapacitated = True
+        elif kind < 0.5:
+            events.append(CapacityUpdate(edge.index, max(1, round(edge.capacity * 2))))
+        else:
+            scaled = edge.capacity * rng.choice([0.0, 0.3, 0.9, 1.1, 3.0])
+            events.append(CapacityUpdate(edge.index, scaled))
+    vertices = network.vertices()
+    tail, head = rng.sample(vertices, 2)
+    events.append(EdgeInsert(tail, head, rng.uniform(0.5, 4.0) * factor))
+    fresh = f"w{step}"
+    events.append(EdgeInsert(rng.choice([v for v in vertices if v != sink]), fresh,
+                             rng.uniform(0.5, 4.0) * factor))
+    events.append(EdgeInsert(fresh, rng.choice([v for v in vertices if v != source]),
+                             rng.uniform(0.5, 4.0) * factor))
+    return events
+
+
+def _snap_ulp_slack(network: FlowNetwork, flows: dict) -> dict:
+    """``flows`` with every finite edge within four ulp of its capacity set to it."""
+    snapped = dict(flows)
+    for edge in network.edges():
+        slack = edge.capacity - snapped.get(edge.index, 0.0)
+        if edge.capacity != INFINITY and 0.0 < slack <= 4 * math.ulp(edge.capacity):
+            snapped[edge.index] = edge.capacity
+    return snapped
+
+
+def _stream_matches_reference(network: FlowNetwork, algorithm: str, seed: int,
+                              exponent: int, pushes: int = 5) -> None:
+    """Push seeded edits through a warm engine; every revision is checked.
+
+    Each pushed result matches a cold reference Dinic to 1e-9 relative,
+    passes ``validate=True`` and the exact failover certificate, and the
+    stream repairs warm at least once.  One certificate failure is known
+    and expected: ``min_cut_from_flow``'s absolute 1e-12 is below one ulp
+    of capacities from about 2^12 up, and a flow whose residual holds an
+    arc saturated can leave ``capacity - flow`` an ulp above zero.  Such a
+    revision must certify once those ulps are snapped, and the test then
+    reports an expected failure after checking every push.
+    """
+    rng = random.Random(seed)
+    dynamic = MutableFlowNetwork(network)
+    engine = IncrementalMaxFlow(dynamic, algorithm=algorithm, cold_ratio=1.0, validate=True)
+    off_by_an_ulp = []
+    for step in range(pushes):
+        result = engine.push(_warm_edits(dynamic.network, rng, 2.0**exponent, step))
+        current = dynamic.network
+        expected = Dinic().solve(current.snapshot()).flow_value
+        assert abs(result.flow_value - expected) <= 1e-9 * max(1.0, abs(expected)), (
+            f"push {step}: warm {result.flow_value!r} vs dinic {expected!r}"
+        )
+        validate_max_flow(current, result)
+        try:
+            certify_flow_result(current, result.flow_value, result.edge_flows, exact=True)
+        except InfeasibleFlowError:
+            snapped = _snap_ulp_slack(current, result.edge_flows)
+            certify_flow_result(current, result.flow_value, snapped, exact=True)
+            off_by_an_ulp.append(step)
+    assert engine.warm_solves >= 1
+    if off_by_an_ulp:
+        pytest.xfail(
+            f"pushes {off_by_an_ulp} certify only with ulp slack snapped: "
+            "min_cut_from_flow's absolute 1e-12 is below one ulp of these capacities"
+        )
+
+
+@pytest.fixture(params=["selected", "kernel"])
+def warm_path(request, monkeypatch):
+    """The warm augmentation as selected by size, or on the kernel at any size."""
+    if request.param == "kernel":
+        monkeypatch.setattr(incremental_module, "_KERNEL_EDGES", 0)
+    return request.param
+
+
+class TestWarmEngine:
+    """Every classical stream repairs warm on one engine.
+
+    Seeded streams over every family (with parallel, anti-parallel and int
+    edges at scales 2^-13 to 2^30) and a deep real grid: re-weightings,
+    removals, inserts that append arc pairs and vertices, and
+    finite<->``INFINITY`` switches.  A ``"dinic"`` and a ``"kernel"``
+    engine differ only in their cold solves.  The families are below the
+    2,000 edges from which the kernel augments, so they also run with the
+    kernel forced; the deep grid is above it.
+    """
+
+    @pytest.mark.parametrize("algorithm", ["dinic", "kernel"])
+    @pytest.mark.parametrize("exponent", SCALES)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_streams_match_dinic_and_certify(self, warm_path, family, exponent, algorithm):
+        seed = derive_seed("kernel-warm-stream", family, exponent)
+        _stream_matches_reference(_multigraph(family, 0, exponent), algorithm, seed, exponent)
+
+    @pytest.mark.parametrize("algorithm", ["dinic", "kernel"])
+    @pytest.mark.parametrize("exponent", (-13, 0, 30))
+    def test_deep_real_grid_streams(self, exponent, algorithm):
+        seed = derive_seed("kernel-warm-deep", exponent)
+        base = grid_graph(6, 130, seed=seed, capacity_jitter=0.5)  # 2,086 edges, depth 131
+        _stream_matches_reference(scaled_network(base, 2.0**exponent), algorithm, seed, exponent)
+
+
 # ----------------------------------------------------------------------
 # Exact relabels: the compiled reverse BFS against the frontier loop
 # ----------------------------------------------------------------------
@@ -502,13 +663,16 @@ def _warm_stream(seed: int) -> Tuple[IncrementalMaxFlow, MaxFlowResult]:
     """A kernel stream repaired after an edge insert, through a warm export.
 
     The insert appends an arc pair to a residual that already carries the
-    cold solve's flow, so the repair lowers it with ``from_residual``.
+    cold solve's flow, so the repair lowers it with ``from_residual``.  It
+    feeds a cell of the last column, whose edge to the sink (capacity
+    ``rows``) never saturates, so the insert raises the flow, and the grid
+    has over 2,000 edges, so the warm augmentation runs on the kernel.
     """
     rng = random.Random(seed)
-    network = grid_graph(rng.randint(4, 7), rng.randint(5, 9), seed=seed)
+    network = grid_graph(rng.randint(24, 26), rng.randint(30, 34), seed=seed)
     stream = IncrementalMaxFlow(MutableFlowNetwork(network), algorithm="kernel")
-    inner = [v for v in network.vertices() if v not in ("s", "t")]
-    result = stream.push([EdgeInsert("s", rng.choice(inner), rng.uniform(2.0, 6.0))])
+    last = [edge.tail for edge in network.edges() if edge.head == "t"]
+    result = stream.push([EdgeInsert("s", rng.choice(last), rng.uniform(2.0, 6.0))])
     assert stream.warm_solves == 1
     return stream, result
 

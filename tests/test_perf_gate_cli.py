@@ -239,6 +239,33 @@ class TestKernelSuiteSmoke:
         assert "IQR" in out and "crossover grid_" in out and "rounds, routed" in out
 
 
+class TestStreamingSuiteSmoke:
+    def test_grid_class_records_warm_tail_against_cold_kernel(
+        self, perf_gate, tmp_path, capsys
+    ):
+        output = tmp_path / "BENCH_streaming.json"
+        status = perf_gate.main([
+            "--suite", "streaming", "--scale", "0.05", "--repeats", "1",
+            "--output", str(output),
+        ])
+        assert status == 0
+        record = json.loads(output.read_text())
+        assert set(record["classes"]) == {"dense", "sparse", "grid"}
+        for regime in ("dense", "sparse"):  # the R-MAT rows keep their fields
+            row = record["classes"][regime]
+            assert row["classical_value_diff"] <= 1e-9
+            assert row["classical_warm_ms"] > 0.0 and row["analog_warm_ms"] > 0.0
+        grid = record["classes"]["grid"]
+        assert (grid["workload"], grid["num_edges"]) == ("grid_2x9", 38)
+        assert (grid["pushes"], grid["cold_samples"], grid["delta_edges"]) == (1000, 100, 1)
+        assert 0.0 < grid["warm_p50_ms"] <= grid["warm_p99_ms"] <= grid["warm_max_ms"]
+        assert 0.0 < grid["cold_kernel_q1_ms"] <= grid["cold_kernel_ms"] <= grid["cold_kernel_q3_ms"]
+        assert isinstance(grid["p99_within_cold"], bool)
+        assert grid["warm_frac"] == 1.0 and grid["value_diff"] <= 1e-9
+        out = capsys.readouterr().out
+        assert "grid (grid_2x9, 38 edges" in out and "the cold median" in out
+
+
 class TestHistoryAppend:
     """Every run appends itself to the record's bounded history list."""
 

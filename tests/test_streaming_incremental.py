@@ -26,11 +26,14 @@ from seeding import derive_seed
 
 from repro.analog import AnalogMaxFlowSolver
 from repro.errors import EdgeNotFoundError, InvalidGraphError, SolveTimeoutError
+from repro.flows import kernel as kernel_module
+from repro.flows.dinic import Dinic
 from repro.flows.incremental import IncrementalMaxFlow
-from repro.flows.kernel import KernelDinic
+from repro.flows.kernel import FlatResidual
 from repro.flows.registry import solve_max_flow
 from repro.graph import FlowNetwork, MutableFlowNetwork, grid_graph, rmat_graph
 from repro.graph.updates import CapacityUpdate, EdgeInsert, EdgeRemove
+from repro.resilience.faults import inject_faults
 from repro.resilience.policy import Deadline, deadline_scope
 from repro.service import CompiledCircuitCache, StreamingSession, push_all
 
@@ -249,12 +252,10 @@ class TestKernelIncremental:
         assert engine.warm_solves == 1 and engine.cold_solves == 1
 
     def test_kernel_engine_matches_reference_engine(self):
-        """Same stream through the kernel engine and the reference engine.
+        """Same stream through a "kernel" and a "dinic" engine.
 
-        The "dinic" streaming default keeps the pure-Python repair engine
-        (its per-push cost scales with the delta, not with |E| flat-array
-        setup); explicit "kernel" swaps in the flat-array kernel.
-        Both must walk the same stream to identical flow values.
+        The two differ only in their cold solves; both repair warm on one
+        engine.  Both must walk the same stream to identical flow values.
         """
         events_seed = derive_seed("kernel-vs-reference")
 
@@ -263,9 +264,6 @@ class TestKernelIncremental:
             g = rmat_graph(25, 90, seed=events_seed)
             dyn = MutableFlowNetwork(g)
             engine = IncrementalMaxFlow(dyn, algorithm=algorithm, validate=True)
-            assert isinstance(engine._dinic, KernelDinic) == (
-                algorithm == "kernel"
-            )
             return [
                 engine.push(random_update_batch(dyn, rng)).flow_value
                 for _ in range(6)
@@ -274,6 +272,127 @@ class TestKernelIncremental:
         kernel_values = run_stream("kernel")
         reference_values = run_stream("dinic")
         assert kernel_values == pytest.approx(reference_values, abs=1e-9, rel=1e-9)
+
+
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Count :meth:`FlatResidual.from_residual` calls (warm kernel lowerings)."""
+    calls = []
+    export = FlatResidual.from_residual.__func__
+
+    def counting(cls, residual):
+        calls.append(residual)
+        return export(cls, residual)
+
+    monkeypatch.setattr(FlatResidual, "from_residual", classmethod(counting))
+    return calls
+
+
+class TestWarmGate:
+    """One level search gates the warm kernel augmentation.
+
+    From 2,000 edges a push that leaves no augmenting path lowers nothing,
+    whatever engine the session names, and a push that leaves one lowers
+    the residual once.  Below that size a push augments in blocking-flow
+    phases and lowers nothing.  Counted in calls, not clocks.
+    """
+
+    @pytest.mark.parametrize("backend", ["dinic", "kernel"])
+    def test_a_closed_gate_lowers_nothing_an_open_one_lowers_once(self, lowerings, backend):
+        g = grid_graph(24, 30)  # 2,124 edges; every column of unit edges is a min cut
+        session = StreamingSession(g, backend=backend, cold_ratio=1.0, validate=True)
+        assert session.flow_value == pytest.approx(24.0)
+        feed = next(e for e in g.edges() if e.tail == "s")
+        inner = next(e for e in g.edges() if e.tail != "s" and e.head != "t")
+        last = next(e.tail for e in g.edges() if e.head == "t")
+        lowerings.clear()  # a "kernel" session opens on a kernel solve
+        delta = session.push([CapacityUpdate(feed.index, 2 * feed.capacity)])  # cut binds
+        assert (delta.warm, len(lowerings)) == (True, 0)
+        assert delta.flow_value == pytest.approx(24.0)
+        delta = session.push([CapacityUpdate(inner.index, 0.5)])  # repaired, no path left
+        assert (delta.warm, len(lowerings)) == (True, 0)
+        assert delta.flow_value == pytest.approx(23.5)
+        delta = session.push([EdgeInsert("s", last, 1.0)])  # opens s -> last -> t
+        assert (delta.warm, len(lowerings)) == (True, 1)
+        assert delta.flow_value == pytest.approx(24.5)
+
+    @pytest.mark.parametrize("backend", ["dinic", "kernel"])
+    def test_small_residuals_augment_without_lowering(self, lowerings, backend):
+        g = FlowNetwork()
+        g.add_edge("s", "a", 3.0)
+        g.add_edge("a", "t", 2.0)
+        session = StreamingSession(g, backend=backend, cold_ratio=1.0, validate=True)
+        lowerings.clear()
+        delta = session.push([CapacityUpdate(1, 4.0)])  # opens s -> a -> t
+        assert (delta.warm, delta.flow_value, len(lowerings)) == (True, 3.0, 0)
+
+    def test_a_grid_stream_lowers_once_per_open_gate(self, lowerings, monkeypatch):
+        opened = []
+        gate = Dinic._build_levels
+
+        def recording(residual, level):
+            reaches = gate(residual, level)
+            opened.append(reaches)
+            return reaches
+
+        monkeypatch.setattr(Dinic, "_build_levels", staticmethod(recording))
+        rng = random.Random(derive_seed("warm-gate-grid"))
+        g = grid_graph(24, 30, seed=derive_seed("warm-gate-grid"), capacity_jitter=0.5)
+        session = StreamingSession(g, backend="kernel", cold_ratio=1.0, validate=True)
+        for _ in range(20):
+            before = (len(opened), len(lowerings))
+            edges = rng.sample(range(g.num_edges), 63)
+            session.push([
+                CapacityUpdate(i, session.network.edge(i).capacity * rng.choice([0.5, 2.0]))
+                for i in edges
+            ])
+            gates = opened[before[0]:]
+            # The gate, and after an open one the finishing search of the
+            # blocking-flow phases, which finds nothing.
+            assert gates in ([False], [True, False])
+            assert len(lowerings) - before[1] == gates[0]
+        assert True in opened and False in opened
+
+
+class TestWarmDeadlinesAndFaults:
+    def test_a_budget_spent_inside_the_compiled_augmentation(self, monkeypatch):
+        """The budget runs out inside round 1: the push raises, the engine is
+        stale, and the next push answers the exact cold value."""
+        g = grid_graph(24, 30, seed=derive_seed("warm-deadline"), capacity_jitter=0.5)
+        engine = IncrementalMaxFlow(MutableFlowNetwork(g), algorithm="dinic", cold_ratio=1.0)
+        compiled = kernel_module.maximum_flow
+        calls = []
+
+        def expiring(*args):
+            calls.append(args)
+            deadline._expires_at = float("-inf")  # spent during this round
+            return compiled(*args)
+
+        monkeypatch.setattr(kernel_module, "maximum_flow", expiring)
+        # A real-capacity feed into the last column raises the flow, and
+        # round 1's floored integers leave a gap for the routing step.
+        last = next(e.tail for e in engine.network.edges() if e.head == "t")
+        with deadline_scope(60.0) as deadline:
+            with pytest.raises(SolveTimeoutError, match="kernel compiled round"):
+                engine.push([EdgeInsert("s", last, 7.0 / 3.0)])
+        assert len(calls) == 1 and engine._stale
+        monkeypatch.setattr(kernel_module, "maximum_flow", compiled)
+        result = engine.push([])
+        assert engine.cold_solves == 2 and not engine._stale
+        expected = Dinic().solve(engine.network.snapshot()).flow_value
+        assert result.flow_value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("backend", ["dinic", "kernel"])
+    def test_a_warm_repair_fault_degrades_to_a_cold_rebuild(self, backend):
+        g = grid_graph(5, 8, seed=derive_seed("warm-fault"), capacity_jitter=0.5)
+        session = StreamingSession(g, backend=backend, cold_ratio=1.0, validate=True)
+        last = next(e.tail for e in g.edges() if e.head == "t")
+        with inject_faults("kind=error,site=warm-repair,times=1"):
+            delta = session.push([EdgeInsert("s", last, 2.5)])
+        assert not delta.warm and session.degraded_pushes == 1
+        assert delta.result.detail.algorithm == backend
+        expected = Dinic().solve(session.snapshot()).flow_value
+        assert delta.flow_value == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 # ----------------------------------------------------------------------

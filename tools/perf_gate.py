@@ -23,10 +23,17 @@ Fig. 10 instance class,
 * ``assembly_speedup`` / ``dc_speedup`` / ``smw_speedup`` — compiled vs
   legacy, and SMW-enabled vs refactorise-always.
 
-``--suite streaming`` writes ``BENCH_streaming.json`` with, per class, the
-median cold-vs-warm re-solve times of a 5%-of-edges capacity-update stream
-(classical incremental repair and analog warm re-solve), the speedups, and
-the worst warm/cold flow-value disagreement.
+``--suite streaming`` writes ``BENCH_streaming.json`` with, per R-MAT
+class, the median cold-vs-warm re-solve times of a 5%-of-edges
+capacity-update stream (classical incremental repair and analog warm
+re-solve), the speedups, and the worst warm/cold flow-value disagreement.
+Its ``grid`` class is a real grid (24x90, 6,324 edges at the canonical
+``--scale 0.5``) streamed 1,000 pushes of compounding 1%-of-edges edits: the
+warm push p50 / p99 / max (``warm_p50_ms`` / ``warm_p99_ms`` /
+``warm_max_ms``), the median and quartiles of cold ``KernelDinic`` solves of
+every tenth revision interleaved in the same run (``cold_kernel_ms``,
+``cold_kernel_q1_ms`` / ``cold_kernel_q3_ms``) and whether the warm p99 is
+at most that median (``p99_within_cold``).
 
 ``--suite shard`` writes ``BENCH_shard.json`` with, per grid instance
 class, 1-shard cold vs sequential 2-way vs N-way parallel sharded solving
@@ -127,6 +134,7 @@ from repro.bench import (  # noqa: E402
     measure_shard_class,
     measure_shard_rmat,
     measure_streaming_class,
+    measure_streaming_grid,
 )
 
 
@@ -170,6 +178,21 @@ def _as_streaming_record(metrics: dict) -> dict:
     }
 
 
+def _as_grid_record(metrics: dict) -> dict:
+    record = {
+        key: metrics[key]
+        for key in ("workload", "num_vertices", "num_edges", "delta_edges", "pushes",
+                    "cold_samples")
+    }
+    for key in ("warm_p50", "warm_p99", "warm_max", "cold_kernel", "cold_kernel_q1",
+                "cold_kernel_q3"):
+        record[f"{key}_ms"] = round(metrics[f"{key}_s"] * 1e3, 3)
+    record["p99_within_cold"] = bool(metrics["warm_p99_s"] <= metrics["cold_kernel_s"])
+    record["warm_frac"] = round(metrics["warm_frac"], 4)
+    record["value_diff"] = float(f"{metrics['value_diff']:.3e}")
+    return record
+
+
 def _as_shard_record(metrics: dict) -> dict:
     return {
         "workload": metrics["workload"],
@@ -208,19 +231,20 @@ def _assembly_report(args) -> dict:
 
 
 def _streaming_report(args) -> dict:
+    classes = {
+        regime: _as_streaming_record(
+            measure_streaming_class(
+                regime, args.scale, steps=args.repeats, reducer=statistics.median,
+            )
+        )
+        for regime in ("dense", "sparse")
+    }
+    classes["grid"] = _as_grid_record(measure_streaming_grid(args.scale))
     return {
         "scale": args.scale,
         "steps": args.repeats,
         "delta_fraction": 0.05,
-        "classes": {
-            regime: _as_streaming_record(
-                measure_streaming_class(
-                    regime, args.scale, steps=args.repeats,
-                    reducer=statistics.median,
-                )
-            )
-            for regime in ("dense", "sparse")
-        },
+        "classes": classes,
     }
 
 
@@ -609,6 +633,16 @@ def _print_suite_summary(suite: str, report: dict) -> None:
                 f"assembly {row['assembly_ms']} ms ({row['assembly_speedup']}x), "
                 f"dc iteration {row['dc_iteration_ms']} ms, "
                 f"dc {row['dc_speedup']}x, smw {row['smw_speedup']}x"
+            )
+        elif suite == "streaming" and regime == "grid":
+            within = "within" if row["p99_within_cold"] else "ABOVE"
+            print(
+                f"  grid ({row['workload']}, {row['num_edges']} edges, "
+                f"{row['delta_edges']}-edge deltas, {row['pushes']} pushes): "
+                f"warm p50 {row['warm_p50_ms']} ms, p99 {row['warm_p99_ms']} ms, "
+                f"max {row['warm_max_ms']} ms; cold kernel {row['cold_kernel_ms']} ms "
+                f"(IQR {row['cold_kernel_q1_ms']}-{row['cold_kernel_q3_ms']}); "
+                f"p99 {within} the cold median"
             )
         elif suite == "streaming":
             print(
