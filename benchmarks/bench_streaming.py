@@ -22,7 +22,8 @@ substrate's bleed-leakage bound for degenerate-optimum instances — see
 The grid row streams 1,000 compounding 1%-of-edges edits into a real grid
 (24x90 and 6,324 edges at ``REPRO_BENCH_SCALE=0.5``, the perfbench
 ``stream-edit`` base) and times each push against cold ``KernelDinic``
-solves of sampled revisions interleaved in the same run.  Every push must
+solves of sampled revisions interleaved in the same run, and prints the
+level searches a push ran after its repair.  Every push must
 stay warm and agree with the cold solves to 1e-9; from 6,000 edges up the
 warm p99 must be at most the cold median (a push is never much slower
 than a cold solve).  Below that size a push that must augment costs about
@@ -103,6 +104,7 @@ def test_grid_push_tail_within_a_cold_solve(benchmark):
             f"{key}_ms": round(metrics[f"{key}_s"] * 1e3, 3)
             for key in ("warm_p50", "warm_p99", "warm_max", "cold_kernel")
         },
+        "searches": round(metrics["searches_per_push"], 3),
     }
     print()
     print(format_table([row], title="Warm push latency vs cold kernel solve (grid)"))

@@ -219,7 +219,9 @@ def measure_streaming_grid(scale: float, seed: int = 20150601) -> Dict[str, obje
     dict
         Grid size, the warm p50 / p99 / max push times (seconds), the
         median and quartiles of the cold solves, the share of pushes that
-        stayed warm and the worst warm-vs-cold relative value gap.
+        stayed warm, the level searches a push ran after its repair
+        (:attr:`~repro.flows.incremental.IncrementalMaxFlow.level_searches`
+        per push) and the worst warm-vs-cold relative value gap.
     """
     rows, cols = max(2, round(48 * scale)), max(4, round(180 * scale))
     rng = random.Random(seed)
@@ -249,6 +251,7 @@ def measure_streaming_grid(scale: float, seed: int = 20150601) -> Dict[str, obje
                 value_diff,
                 abs(delta.flow_value - result.flow_value) / max(1.0, abs(result.flow_value)),
             )
+    searches = session._incremental.level_searches  # the session's one engine
     warm_q = np.percentile(warm, [50, 99])
     cold_q = np.percentile(cold, [25, 50, 75])
     return {
@@ -265,5 +268,6 @@ def measure_streaming_grid(scale: float, seed: int = 20150601) -> Dict[str, obje
         "cold_kernel_q3_s": float(cold_q[2]),
         "cold_samples": len(cold),
         "warm_frac": warm_pushes / GRID_PUSHES,
+        "searches_per_push": searches / GRID_PUSHES,
         "value_diff": value_diff,
     }

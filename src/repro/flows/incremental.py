@@ -18,11 +18,11 @@ only for the delta:
   augmentation pass restores maximality.
 
 On a residual of 2,000 edges or more the warm augmentation is gated.  One
-level BFS from the source over the maintained residual
-(:meth:`Dinic._build_levels`) decides whether any augmenting path is left;
-most pushes of a stream of small edits leave none (692 of 800 on the
-perfbench stream-edit grid), and then nothing more runs.  When one is
-left, the residual makes one flat round trip through
+level BFS from the source over the maintained residual (``_search``, the
+search of :meth:`Dinic._build_levels`) decides whether any augmenting
+path is left; most pushes of a stream of small edits leave none (690 of
+800 on the perfbench stream-edit grid), and then nothing more runs.  When
+one is left, the residual makes one flat round trip through
 :meth:`KernelDinic.augment_residual
 <repro.flows.kernel.KernelDinic.augment_residual>` — the compiled core for
 every finite residual up to 60,000 edges
@@ -31,6 +31,18 @@ blocking-flow phases.  The flat lowering costs ``O(E)``, but only a push
 that must augment pays it, and it pays it once.  Smaller residuals augment
 in blocking-flow phases, which finish there before the round trip's fixed
 cost of about 1 ms would (``_KERNEL_EDGES``).
+
+Most pushes skip even the gate's search.  The last level search that did
+not reach the sink leaves a *witness*: the residual arcs leaving the
+vertices it reached, a source side ``S`` (30 arcs on the stream-edit
+grid), collected as the search scans them.  Every path from the source to
+the sink leaves ``S`` by one of them, so when none has residual left after
+a repair (the gate's own ``capacity > 0`` test, no tolerance) the sink is
+unreachable and the push is done.  Only inserted edges add arcs or
+vertices, so a batch with inserts, and every cold solve, drops the
+witness.  Edge flows follow the same rule: the engine keeps one flow dict,
+and a push that did not augment rewrites only the edges whose flow its
+clips and repair paths moved before handing its result a copy.
 
 The repair is exact: after every :meth:`~IncrementalMaxFlow.apply` the stored
 flow is a maximum flow of the edited network (the equivalence tests assert
@@ -136,10 +148,17 @@ class IncrementalMaxFlow:
         self.algorithm = algorithm
         self.cold_ratio = cold_ratio
         self.validate = validate
-        #: The gate's BFS levels, reset in place on every push.
-        self._level: List[int] = []
+        #: Arcs leaving the source side of the last level search that did
+        #: not reach the sink; None until such a search ran on this residual.
+        self._witness: Optional[List[int]] = None
+        #: Per-edge flow as of the last result; results get copies of it.
+        self._flows: Dict[int, float] = {}
+        #: Edges whose flow this push's clips and repair paths moved.
+        self._moved: List[int] = []
         self.cold_solves = 0
         self.warm_solves = 0
+        #: Level searches warm pushes ran after their repair.
+        self.level_searches = 0
         self.repair_failures = 0
         self.rerouted_flow = 0.0
         self.cancelled_flow = 0.0
@@ -230,6 +249,7 @@ class IncrementalMaxFlow:
         # in index order (_warm_apply), so the layout holds for the
         # residual's whole life.
         self._residual = ResidualNetwork(self.network)
+        self._witness = None
         if self.algorithm in ("dinic", "kernel"):
             phases = get_algorithm(self.algorithm).augment_residual(self._residual)
         else:
@@ -255,12 +275,18 @@ class IncrementalMaxFlow:
     # ------------------------------------------------------------------
 
     def _warm_apply(self, batch: UpdateBatch) -> MaxFlowResult:
+        """Repair, then augment only if the witness and gate leave a path."""
         fault_point("warm-repair", self.algorithm)
         probes.incremental_repair(self.algorithm)
         start = time.perf_counter()
         before = self._counter_snapshot()
         residual = self._residual
+        moved = self._moved
+        moved.clear()
 
+        if batch.inserted_edges:
+            # New arcs (and maybe vertices) can leave the witness's side.
+            self._witness = None
         for edge in batch.inserted_edges:
             residual.add_edge_arcs(edge.tail, edge.head, edge.capacity, edge.index)
 
@@ -279,6 +305,7 @@ class IncrementalMaxFlow:
             overflow = flow - new
             residual.residual[arc] = 0.0
             residual.residual[rev] = new
+            moved.append(index)
             edge = self.network.edge(index)
             repairs.append(
                 (residual.index_of[edge.tail], residual.index_of[edge.head], overflow)
@@ -288,25 +315,77 @@ class IncrementalMaxFlow:
             if not self._repair(tail, head, overflow):
                 # Defensive: theory guarantees the repair succeeds, but a
                 # numerically degenerate residual falls back to a rebuild.
-                self._result = self._cold_solve()
-                return self._result
+                self.repair_failures += 1
+                return self._cold_solve()
 
         phases = 0
+        lowered = False
         if len(residual.arc_to) < 2 * _KERNEL_EDGES:
             phases = Dinic().augment_residual(residual)
-        elif Dinic._build_levels(residual, self._level):
+            self.level_searches += phases + 1
+        elif not self._witness_closed() and self._search():
             # An augmenting path survived the repair: augment in one flat
             # round trip on the kernel.  The lockstep core (INFINITY arcs)
             # treats residuals below 1e-12 of the largest as saturated, so
-            # blocking-flow phases pick up any path it leaves; after a
-            # compiled solve they find none in one level search.
+            # blocking-flow phases run on any path the finishing search
+            # finds; after a compiled solve it finds none.
+            lowered = True
             phases = KernelDinic().augment_residual(residual)
-            phases += Dinic().augment_residual(residual)
+            if self._search():
+                finishing = Dinic().augment_residual(residual)
+                self.level_searches += finishing + 1
+                phases += finishing
         self.warm_solves += 1
-        result = self._build_result("incremental-dinic", phases, start, before)
+        patch = not (phases or lowered or batch.inserted_edges)
+        result = self._build_result(
+            "incremental-dinic", phases, start, before, moved if patch else None
+        )
         if self.validate:
             validate_max_flow(self.network, result)
         return result
+
+    def _witness_closed(self) -> bool:
+        """True when no witness arc has residual: the sink is unreachable."""
+        if self._witness is None:
+            return False
+        capacity = self._residual.residual
+        return not any(capacity[arc] > 0 for arc in self._witness)
+
+    def _search(self) -> bool:
+        """One level search from the source; True when it reaches the sink.
+
+        The BFS of :meth:`Dinic._build_levels`, which also keeps every arc
+        without residual that it scans towards an unreached vertex.  When
+        the sink stays unreached, those whose head stays unreached too are
+        the arcs leaving the source side: the next witness.  An older
+        witness stays exact until arcs are added, so it is kept otherwise.
+        """
+        self.level_searches += 1
+        residual = self._residual
+        arc_to, capacity = residual.arc_to, residual.residual
+        reached = [False] * residual.num_vertices
+        reached[residual.source] = True
+        queue = deque([residual.source])
+        boundary: List[int] = []
+        popped = scans = 0
+        while queue:
+            arcs = residual.adjacency[queue.popleft()]
+            popped += 1
+            scans += len(arcs)
+            for arc in arcs:
+                head = arc_to[arc]
+                if not reached[head]:
+                    if capacity[arc] > 0:
+                        reached[head] = True
+                        queue.append(head)
+                    else:
+                        boundary.append(arc)
+        residual.counter.queue_operations += popped
+        residual.counter.arc_scans += scans
+        if reached[residual.sink]:
+            return True
+        self._witness = [arc for arc in boundary if not reached[arc_to[arc]]]
+        return False
 
     def _repair(self, tail: int, head: int, overflow: float) -> bool:
         """Drain ``overflow`` units of excess at ``tail`` / deficit at ``head``.
@@ -341,6 +420,7 @@ class IncrementalMaxFlow:
         residual = self._residual
         counter = residual.counter
         arc_to, capacity, tol = residual.arc_to, residual.residual, _REPAIR_TOL
+        moved = self._moved
         pushed_total = 0.0
         unvisited = [-1] * residual.num_vertices
         parent_arc = unvisited[:]
@@ -377,6 +457,7 @@ class IncrementalMaxFlow:
             while vertex != source:
                 arc = parent_arc[vertex]
                 residual.push(arc, bottleneck)
+                moved.append(arc >> 1)
                 vertex = residual.arc_from[arc]
             counter.augmentations += 1
             pushed_total += bottleneck
@@ -410,8 +491,20 @@ class IncrementalMaxFlow:
         phases: int,
         start: float,
         before: OperationCounter,
+        moved: Optional[List[int]] = None,
     ) -> MaxFlowResult:
-        flows = self.edge_flows()
+        """The result, on a copy of the engine's flow dict.
+
+        ``moved`` names the only edges whose flow changed since the last
+        result; None re-reads every edge.
+        """
+        if moved is None:
+            self._flows = self.edge_flows()
+        else:
+            flows, reverse = self._flows, self._residual.residual
+            for index in moved:
+                flows[index] = reverse[2 * index + 1]
+        flows = self._flows.copy()
         after = self._residual.counter
         delta = OperationCounter(
             arc_scans=after.arc_scans - before.arc_scans,

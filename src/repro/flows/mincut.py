@@ -9,12 +9,13 @@ max-flow = min-cut duality) and the analog dual solver.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..graph.network import FlowNetwork
-from .base import MaxFlowResult
+from .base import INFINITY, MaxFlowResult
 from .registry import DEFAULT_EXACT_ALGORITHM, get_algorithm
 
 __all__ = ["MinCutResult", "min_cut_from_flow", "min_cut"]
@@ -58,6 +59,11 @@ def min_cut_from_flow(network: FlowNetwork, result: MaxFlowResult) -> MinCutResu
     residual graph induced by ``result.edge_flows``.  If the supplied flow is
     not maximum the returned partition may not separate s from t; callers can
     detect that because the sink would then appear on the source side.
+
+    Forward slack and reverse flow count as residual above
+    ``max(1e-12, 4 * ulp(capacity))`` (1e-12 on ``INFINITY`` edges): an
+    exact flow can leave ``capacity - flow`` a few ulp above zero, and from
+    capacities of about 2^12 one ulp is above 1e-12.
     """
     residual_adjacency: Dict[Vertex, List[Tuple[Vertex, float]]] = {
         v: [] for v in network.vertices()
@@ -65,9 +71,12 @@ def min_cut_from_flow(network: FlowNetwork, result: MaxFlowResult) -> MinCutResu
     for edge in network.edges():
         flow = result.edge_flows.get(edge.index, 0.0)
         forward_slack = edge.capacity - flow
-        if forward_slack > 1e-12:
+        tol = 1e-12
+        if edge.capacity != INFINITY:
+            tol = max(tol, 4 * math.ulp(edge.capacity))
+        if forward_slack > tol:
             residual_adjacency[edge.tail].append((edge.head, forward_slack))
-        if flow > 1e-12:
+        if flow > tol:
             residual_adjacency[edge.head].append((edge.tail, flow))
 
     reachable = {network.source}

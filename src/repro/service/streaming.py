@@ -431,7 +431,7 @@ class StreamingSession:
         return SolveResult(
             request=SolveRequest(network=self._mutable.network, backend=self.backend),
             flow_value=inc_result.flow_value,
-            # The engine builds a fresh flow dict per apply; no copy needed.
+            # The engine hands every result its own flow dict; no copy needed.
             edge_flows=inc_result.edge_flows,
             wall_time_s=inc_result.wall_time_s,
             cache_hit=inc_result.algorithm.startswith("incremental"),

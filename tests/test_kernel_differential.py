@@ -451,6 +451,42 @@ class TestValidateAtScale:
             validate_max_flow(network, planted)
 
 
+class TestCertifyAtScale:
+    """The exact certificate counts a few ulp of slack as saturated.
+
+    An exact flow can leave ``capacity - flow`` an ulp above zero, and from
+    capacities of about 2^12 one ulp is above an absolute 1e-12, so
+    ``min_cut_from_flow`` treats slack and reverse flow up to four ulp of
+    the capacity as zero.  A real shortfall still leaves the sink reachable.
+    """
+
+    CAPACITY = 0.75 * 2.0**30  # one ulp is 2^-23, four are 4.8e-7
+
+    def _two_paths(self, short: float) -> Tuple[FlowNetwork, dict]:
+        network = FlowNetwork()
+        for middle in ("a", "b"):
+            network.add_edge("s", middle, self.CAPACITY)  # the min cut
+            network.add_edge(middle, "t", 2 * self.CAPACITY)
+        full, cut = self.CAPACITY, self.CAPACITY - short
+        return network, {0: cut, 1: cut, 2: full, 3: full}
+
+    def test_one_ulp_short_on_a_saturated_cut_edge_certifies(self):
+        network, flows = self._two_paths(math.ulp(self.CAPACITY))
+        certify_flow_result(network, network.flow_value(flows), flows, exact=True)
+
+    def test_a_flow_1e_6_short_leaves_the_sink_reachable(self):
+        network, flows = self._two_paths(1e-6)
+        with pytest.raises(InfeasibleFlowError, match="sink reachable"):
+            certify_flow_result(network, network.flow_value(flows), flows, exact=True)
+
+    def test_an_uncapacitated_edge_with_room_stays_residual(self):
+        network = FlowNetwork()
+        network.add_edge("s", "a", 5.0)
+        network.add_edge("a", "t", INFINITY)  # math.ulp(inf) is inf: keeps 1e-12
+        with pytest.raises(InfeasibleFlowError, match="sink reachable"):
+            certify_flow_result(network, 4.0, {0: 4.0, 1: 4.0}, exact=True)
+
+
 # ----------------------------------------------------------------------
 # The warm engine: a level BFS gates one flat kernel augmentation
 # ----------------------------------------------------------------------
@@ -494,14 +530,24 @@ def _warm_edits(network: FlowNetwork, rng: random.Random, factor: float, step: i
     return events
 
 
-def _snap_ulp_slack(network: FlowNetwork, flows: dict) -> dict:
-    """``flows`` with every finite edge within four ulp of its capacity set to it."""
-    snapped = dict(flows)
-    for edge in network.edges():
-        slack = edge.capacity - snapped.get(edge.index, 0.0)
-        if edge.capacity != INFINITY and 0.0 < slack <= 4 * math.ulp(edge.capacity):
-            snapped[edge.index] = edge.capacity
-    return snapped
+def _seeded_pushes(network: FlowNetwork, algorithm: str, seed: int, exponent: int,
+                   pushes: int):
+    """Yield the engine, its network and each result of a seeded stream.
+
+    Even steps push their batch whole, so repairs can reroute over arcs
+    inserted in the same batch.  Odd steps push their re-weightings and
+    removals, then their inserts: the first of those adds no arcs, so it
+    may be answered by the witness and return patched flows.
+    """
+    rng = random.Random(seed)
+    dynamic = MutableFlowNetwork(network)
+    engine = IncrementalMaxFlow(dynamic, algorithm=algorithm, cold_ratio=1.0, validate=True)
+    for step in range(pushes):
+        events = _warm_edits(dynamic.network, rng, 2.0**exponent, step)
+        edits = [event for event in events if not isinstance(event, EdgeInsert)]
+        inserts = [event for event in events if isinstance(event, EdgeInsert)]
+        for batch in ((edits, inserts) if step % 2 else (events,)):
+            yield engine, dynamic.network, engine.push(batch)
 
 
 def _stream_matches_reference(network: FlowNetwork, algorithm: str, seed: int,
@@ -509,38 +555,31 @@ def _stream_matches_reference(network: FlowNetwork, algorithm: str, seed: int,
     """Push seeded edits through a warm engine; every revision is checked.
 
     Each pushed result matches a cold reference Dinic to 1e-9 relative,
-    passes ``validate=True`` and the exact failover certificate, and the
-    stream repairs warm at least once.  One certificate failure is known
-    and expected: ``min_cut_from_flow``'s absolute 1e-12 is below one ulp
-    of capacities from about 2^12 up, and a flow whose residual holds an
-    arc saturated can leave ``capacity - flow`` an ulp above zero.  Such a
-    revision must certify once those ulps are snapped, and the test then
-    reports an expected failure after checking every push.
+    passes ``validate=True`` and the exact failover certificate, and its
+    flows equal the maintained residual's, compared exactly.  The stream
+    repairs warm at least once, and replayed with the witness forced open
+    (every push then runs the gate's search) it returns the same values
+    and flows.
     """
-    rng = random.Random(seed)
-    dynamic = MutableFlowNetwork(network)
-    engine = IncrementalMaxFlow(dynamic, algorithm=algorithm, cold_ratio=1.0, validate=True)
-    off_by_an_ulp = []
-    for step in range(pushes):
-        result = engine.push(_warm_edits(dynamic.network, rng, 2.0**exponent, step))
-        current = dynamic.network
+    seen = []
+    for engine, current, result in _seeded_pushes(network, algorithm, seed, exponent, pushes):
+        step = len(seen)
         expected = Dinic().solve(current.snapshot()).flow_value
         assert abs(result.flow_value - expected) <= 1e-9 * max(1.0, abs(expected)), (
             f"push {step}: warm {result.flow_value!r} vs dinic {expected!r}"
         )
         validate_max_flow(current, result)
-        try:
-            certify_flow_result(current, result.flow_value, result.edge_flows, exact=True)
-        except InfeasibleFlowError:
-            snapped = _snap_ulp_slack(current, result.edge_flows)
-            certify_flow_result(current, result.flow_value, snapped, exact=True)
-            off_by_an_ulp.append(step)
+        certify_flow_result(current, result.flow_value, result.edge_flows, exact=True)
+        assert result.edge_flows == engine.edge_flows(), f"push {step}: patched flows drifted"
+        seen.append((result.flow_value, result.edge_flows))
     assert engine.warm_solves >= 1
-    if off_by_an_ulp:
-        pytest.xfail(
-            f"pushes {off_by_an_ulp} certify only with ulp slack snapped: "
-            "min_cut_from_flow's absolute 1e-12 is below one ulp of these capacities"
-        )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IncrementalMaxFlow, "_witness_closed", lambda self: False)
+        replayed = [
+            (result.flow_value, result.edge_flows)
+            for _, _, result in _seeded_pushes(network, algorithm, seed, exponent, pushes)
+        ]
+    assert replayed == seen
 
 
 @pytest.fixture(params=["selected", "kernel"])
@@ -559,8 +598,8 @@ class TestWarmEngine:
     removals, inserts that append arc pairs and vertices, and
     finite<->``INFINITY`` switches.  A ``"dinic"`` and a ``"kernel"``
     engine differ only in their cold solves.  The families are below the
-    2,000 edges from which the kernel augments, so they also run with the
-    kernel forced; the deep grid is above it.
+    2,000 edges from which the kernel augments (and the witness answers),
+    so they also run with the kernel forced; the deep grid is above it.
     """
 
     @pytest.mark.parametrize("algorithm", ["dinic", "kernel"])

@@ -262,6 +262,7 @@ class TestStreamingSuiteSmoke:
         assert 0.0 < grid["cold_kernel_q1_ms"] <= grid["cold_kernel_ms"] <= grid["cold_kernel_q3_ms"]
         assert isinstance(grid["p99_within_cold"], bool)
         assert grid["warm_frac"] == 1.0 and grid["value_diff"] <= 1e-9
+        assert 0.0 <= grid["searches_per_push"] <= 2.0
         out = capsys.readouterr().out
         assert "grid (grid_2x9, 38 edges" in out and "the cold median" in out
 

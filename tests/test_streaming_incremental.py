@@ -326,16 +326,58 @@ class TestWarmGate:
         delta = session.push([CapacityUpdate(1, 4.0)])  # opens s -> a -> t
         assert (delta.warm, delta.flow_value, len(lowerings)) == (True, 3.0, 0)
 
+    @pytest.mark.parametrize("backend", ["dinic", "kernel"])
+    def test_a_push_searches_only_when_the_last_min_cut_may_open(self, lowerings, backend):
+        g = grid_graph(24, 30)  # 2,124 edges; every column of unit edges is a min cut
+        engine = IncrementalMaxFlow(MutableFlowNetwork(g), algorithm=backend, validate=True)
+        feeds = [e.index for e in g.edges() if e.tail == "s"]
+        inner = next(e.index for e in g.edges() if (e.tail, e.head) == ("v5_15", "v5_16"))
+        vertical = [
+            e.index for e in g.edges()
+            if "t" not in (e.tail, e.head) and "s" not in (e.tail, e.head)
+            and e.tail.split("_")[1] == e.head.split("_")[1]
+        ]
+        last = next(e.tail for e in g.edges() if e.head == "t")
+
+        def push(events):
+            before = (engine.level_searches, len(lowerings), engine.cold_solves)
+            value = engine.push(events).flow_value
+            return (
+                engine.level_searches - before[0],
+                len(lowerings) - before[1],
+                engine.cold_solves - before[2],
+                value,
+            )
+
+        lowerings.clear()  # a "kernel" engine opens on a kernel solve
+        # After a cold solve the gate searches, and its cut is the witness.
+        assert push([CapacityUpdate(feeds[0], 48.0)]) == (1, 0, 0, 24.0)
+        # Raising a feed leaves every witness arc saturated: no search.
+        assert push([CapacityUpdate(feeds[1], 48.0)]) == (0, 0, 0, 24.0)
+        # The cancelled half unit frees a witness arc; the gate's search
+        # finds no path and moves the witness to the column of the edit.
+        assert push([CapacityUpdate(inner, 0.5)]) == (1, 0, 0, 23.5)
+        # Raising that saturated cut edge: the gate, one lowering and the
+        # finishing search.
+        assert push([CapacityUpdate(inner, 1.0)]) == (2, 1, 0, 24.0)
+        # An insert drops the witness, so its push searches.
+        assert push([EdgeInsert("s", last, 1.0)]) == (2, 1, 0, 25.0)
+        # A cutover (65% of the edges) solves cold, dropping the witness ...
+        cutover = push([CapacityUpdate(i, 1.5) for i in vertical])
+        assert (cutover[0], cutover[2:]) == (0, (1, 25.0))
+        # ... so the next push searches again.
+        assert push([CapacityUpdate(feeds[2], 48.0)]) == (1, 0, 0, 25.0)
+
     def test_a_grid_stream_lowers_once_per_open_gate(self, lowerings, monkeypatch):
         opened = []
-        gate = Dinic._build_levels
+        gate = IncrementalMaxFlow._search
 
-        def recording(residual, level):
-            reaches = gate(residual, level)
+        def recording(engine):
+            reaches = gate(engine)
             opened.append(reaches)
             return reaches
 
-        monkeypatch.setattr(Dinic, "_build_levels", staticmethod(recording))
+        monkeypatch.setattr(IncrementalMaxFlow, "_search", recording)
         rng = random.Random(derive_seed("warm-gate-grid"))
         g = grid_graph(24, 30, seed=derive_seed("warm-gate-grid"), capacity_jitter=0.5)
         session = StreamingSession(g, backend="kernel", cold_ratio=1.0, validate=True)
@@ -347,10 +389,10 @@ class TestWarmGate:
                 for i in edges
             ])
             gates = opened[before[0]:]
-            # The gate, and after an open one the finishing search of the
-            # blocking-flow phases, which finds nothing.
-            assert gates in ([False], [True, False])
-            assert len(lowerings) - before[1] == gates[0]
+            # None when the last min cut stayed closed; else the gate, and
+            # after an open one the finishing search, which finds nothing.
+            assert gates in ([], [False], [True, False])
+            assert len(lowerings) - before[1] == (gates[:1] == [True])
         assert True in opened and False in opened
 
 
@@ -381,6 +423,19 @@ class TestWarmDeadlinesAndFaults:
         assert engine.cold_solves == 2 and not engine._stale
         expected = Dinic().solve(engine.network.snapshot()).flow_value
         assert result.flow_value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("backend", ["dinic", "kernel"])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_repair_that_cannot_cancel_counts_as_degraded(self, backend, order):
+        """Both clips land before either repair, so the first cancellation
+        finds too little flow left on the other clipped edge and the push
+        is rebuilt cold."""
+        g = FlowNetwork()
+        for tail, head in (("s", "a"), ("a", "b"), ("b", "c"), ("c", "t")):
+            g.add_edge(tail, head, 5.0)
+        session = StreamingSession(g, backend=backend, cold_ratio=1.0, validate=True)
+        delta = session.push([CapacityUpdate(1, 1.0), CapacityUpdate(2, 2.0)][::order])
+        assert (delta.flow_value, delta.warm, session.degraded_pushes) == (1.0, False, 1)
 
     @pytest.mark.parametrize("backend", ["dinic", "kernel"])
     def test_a_warm_repair_fault_degrades_to_a_cold_rebuild(self, backend):
@@ -590,6 +645,24 @@ class TestStreamingSession:
         assert delta.flow_delta == pytest.approx(-1.5)
         assert set(delta.changed_edge_flows) == {0, 1}
         assert delta.changed_edge_flows[1] == (2.0, 0.5)
+
+    def test_editing_a_results_flows_touches_no_other_result(self):
+        g = grid_graph(24, 30)  # these pushes repair without augmenting
+        edge = {(e.tail, e.head): e.index for e in g.edges()}
+        batches = [
+            [CapacityUpdate(edge["v5_15", "v5_16"], 0.5)],
+            [CapacityUpdate(edge["v9_20", "v9_21"], 0.5)],
+            [CapacityUpdate(edge["v5_15", "v5_16"], 0.25)],
+        ]
+        clean = StreamingSession(g, backend="dinic", cold_ratio=1.0)
+        expected = [clean.push(batch) for batch in batches]
+        session = StreamingSession(g, backend="dinic", cold_ratio=1.0)
+        first, second = (session.push(batch) for batch in batches[:2])
+        for index in second.result.edge_flows:
+            second.result.edge_flows[index] = -1.0
+        third = session.push(batches[2])
+        assert third.result.edge_flows == expected[2].result.edge_flows
+        assert first.changed_edge_flows == expected[0].changed_edge_flows != {}
 
     def test_summary_counts_the_opening_solve(self):
         g = rmat_graph(15, 40, seed=2)

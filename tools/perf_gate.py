@@ -32,8 +32,9 @@ Its ``grid`` class is a real grid (24x90, 6,324 edges at the canonical
 warm push p50 / p99 / max (``warm_p50_ms`` / ``warm_p99_ms`` /
 ``warm_max_ms``), the median and quartiles of cold ``KernelDinic`` solves of
 every tenth revision interleaved in the same run (``cold_kernel_ms``,
-``cold_kernel_q1_ms`` / ``cold_kernel_q3_ms``) and whether the warm p99 is
-at most that median (``p99_within_cold``).
+``cold_kernel_q1_ms`` / ``cold_kernel_q3_ms``), whether the warm p99 is
+at most that median (``p99_within_cold``) and the level searches a push
+ran after its repair (``searches_per_push``).
 
 ``--suite shard`` writes ``BENCH_shard.json`` with, per grid instance
 class, 1-shard cold vs sequential 2-way vs N-way parallel sharded solving
@@ -189,6 +190,7 @@ def _as_grid_record(metrics: dict) -> dict:
         record[f"{key}_ms"] = round(metrics[f"{key}_s"] * 1e3, 3)
     record["p99_within_cold"] = bool(metrics["warm_p99_s"] <= metrics["cold_kernel_s"])
     record["warm_frac"] = round(metrics["warm_frac"], 4)
+    record["searches_per_push"] = round(metrics["searches_per_push"], 4)
     record["value_diff"] = float(f"{metrics['value_diff']:.3e}")
     return record
 
@@ -642,7 +644,8 @@ def _print_suite_summary(suite: str, report: dict) -> None:
                 f"warm p50 {row['warm_p50_ms']} ms, p99 {row['warm_p99_ms']} ms, "
                 f"max {row['warm_max_ms']} ms; cold kernel {row['cold_kernel_ms']} ms "
                 f"(IQR {row['cold_kernel_q1_ms']}-{row['cold_kernel_q3_ms']}); "
-                f"p99 {within} the cold median"
+                f"p99 {within} the cold median; "
+                f"{row['searches_per_push']} searches per push"
             )
         elif suite == "streaming":
             print(
