@@ -15,15 +15,15 @@ Thresholds:
   - ``grid`` must clear ``REPRO_KERNEL_MIN_SPEEDUP`` (default 10x) from
     ``REPRO_KERNEL_EDGE_FLOOR`` edges (default 10000).  Deep vision grids
     are where interpreter overhead dominates the reference; the
-    default-scale 96x96 instance (real capacities, compiled core, one
-    routed round) measured ~62x, leaving honest headroom over the floor
+    default-scale 96x96 instance (real capacities, one round and the
+    routing step) measured ~62x, leaving honest headroom over the floor
     for CI wall-clock noise.
   - ``rmat`` must clear ``REPRO_KERNEL_MIN_SPEEDUP_RMAT`` (default 1.5x)
     from ``REPRO_KERNEL_EDGE_FLOOR_RMAT`` edges (default 4000).  Its
-    integral capacities take one exact compiled round.
+    integral capacities take one exact round.
   - ``bipartite`` is recorded without a floor: matching-style instances
-    are shallow, so the reference loses little; the compiled core's one
-    exact round now beats it, where the lockstep core measured ~0.6-1.0x.
+    are shallow, so the reference loses little; the kernel's one exact
+    round beats it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _as_row(regime: str, metrics: dict) -> dict:
         "dinic_ms": round(metrics["dinic_s"] * 1e3, 2),
         "kernel_ms": round(metrics["kernel_s"] * 1e3, 2),
         "speedup": round(metrics["speedup"], 2),
-        "sweeps": metrics["kernel_sweeps"],
+        "rounds": metrics["kernel_rounds"],
         "value_diff": float(f"{metrics['value_diff']:.2e}"),
     }
 

@@ -5,24 +5,17 @@ One instance-selection + measurement implementation consumed by both
 ``tools/perf_gate.py --suite kernel`` (the ``BENCH_kernel.json``
 perf-trajectory record), mirroring :mod:`repro.bench.shard`.
 
-Each instance class is solved by the pure-Python reference Dinic, by
-:class:`~repro.flows.kernel.KernelDinic` (whichever core
-:func:`~repro.flows.kernel.pick_core` picks) and by each of the kernel's
-two cores forced, on identical networks, with the repeats interleaved;
-flow values must agree to 1e-9 relative.  The classes mirror the
-conformance-corpus families at benchmark size:
+Each instance class is solved by the pure-Python reference Dinic and by
+:class:`~repro.flows.kernel.KernelDinic` on identical networks, with the
+repeats interleaved; flow values must agree to 1e-9 relative.  The classes
+mirror the conformance-corpus families at benchmark size:
 
 * ``grid`` — the capacity-jittered vision grid.  At the default scale
   (0.25) it is a 96x96 square grid (27.5k edges, real capacities), which
-  runs the compiled core in one routed round: the headline **>=10x**
-  class;
+  takes one round and the routing step: the headline **>=10x** class;
 * ``rmat`` — the paper's Fig. 10 R-MAT regime (1024 vertices, integral
-  capacities: one exact compiled round);
-* ``bipartite`` — matching-style instances (unit capacities, compiled).
-
-:func:`measure_cores` times the two cores alone on any network;
-``tools/perf_gate.py --suite kernel`` runs it on the sweep that places
-:func:`~repro.flows.kernel.pick_core`'s crossover.
+  capacities: one exact round);
+* ``bipartite`` — matching-style instances (unit capacities, one round).
 """
 
 from __future__ import annotations
@@ -33,11 +26,11 @@ import time
 from typing import Dict, Tuple
 
 from ..flows.dinic import Dinic
-from ..flows.kernel import FlatResidual, KernelDinic, pick_core
+from ..flows.kernel import FlatResidual, KernelDinic
 from ..graph.generators import bipartite_graph, grid_graph, rmat_graph
 from ..graph.network import FlowNetwork
 
-__all__ = ["KERNEL_CLASSES", "kernel_workload", "measure_cores", "measure_kernel_class"]
+__all__ = ["KERNEL_CLASSES", "kernel_workload", "measure_kernel_class"]
 
 #: Instance classes at scale 1.0; per-dimension sizes scale by sqrt(scale)
 #: (grid/bipartite) or linearly (rmat) so ``|E|`` scales ~linearly.
@@ -68,17 +61,6 @@ def kernel_workload(regime: str, scale: float) -> Tuple[str, FlowNetwork]:
     raise ValueError(f"unknown instance class {regime!r}; known: {known}")
 
 
-def _core(name: str):
-    """Solve through one kernel core, forced, flows materialised; returns the
-    core's rounds or sweeps and whether routing completed the solve."""
-    def solve(network: FlowNetwork) -> Tuple[int, bool]:
-        flat = FlatResidual.from_network(network)
-        steps = getattr(flat, f"{name}_max_flow")()
-        network.flow_value(flat.edge_flows())
-        return steps, flat.routed
-    return solve
-
-
 def _quartiles(samples):
     """``(q1, q3)`` of the timing samples; one sample is its own quartiles."""
     if len(samples) < 2:
@@ -100,28 +82,6 @@ def _interleaved(arms, network: FlowNetwork, repeats: int):
     return results, samples
 
 
-def measure_cores(network: FlowNetwork, repeats: int = 3, reducer=statistics.median) -> Dict[str, object]:
-    """Both kernel cores, forced and interleaved, and the pick on ``network``.
-
-    ``pick_within_band`` holds when the picked core's reduced time is at
-    most the other core's upper quartile; ``compiled_rounds`` and
-    ``compiled_routed`` are the compiled core's rounds and whether routing
-    completed it.
-    """
-    results, samples = _interleaved(
-        {c: _core(c) for c in ("compiled", "lockstep")}, network, repeats
-    )
-    pick = pick_core(FlatResidual.from_network(network))
-    other = "lockstep" if pick == "compiled" else "compiled"
-    rounds, routed = results["compiled"]
-    record = {"pick": pick, "compiled_rounds": rounds, "compiled_routed": routed}
-    for core in ("compiled", "lockstep"):
-        record[f"{core}_s"] = float(reducer(samples[core]))
-        record[f"{core}_quartiles_s"] = _quartiles(samples[core])
-    record["pick_within_band"] = record[f"{pick}_s"] <= record[f"{other}_quartiles_s"][1]
-    return record
-
-
 def measure_kernel_class(
     regime: str,
     scale: float,
@@ -136,8 +96,9 @@ def measure_kernel_class(
     with ``reducer`` (``min`` for benchmark assertions,
     ``statistics.median`` for the recorded trajectory).  Returns instance
     metadata, both engines' reduced times and quartiles (seconds), the
-    speedup, the kernel's rounds or sweeps, the relative flow-value
-    disagreement, and :func:`measure_cores` of the same network.
+    speedup, the kernel's rounds and whether routing completed its solve
+    (read from one more, untimed, solve), and the relative flow-value
+    disagreement.
     """
     name, network = kernel_workload(regime, scale)
     arms = {"dinic": Dinic().solve, "kernel": KernelDinic().solve}
@@ -148,6 +109,8 @@ def measure_kernel_class(
     value_diff = abs(kernel.flow_value - reference.flow_value) / max(
         1.0, abs(reference.flow_value)
     )
+    flat = FlatResidual.from_network(network)
+    flat.max_flow()
     return {
         "workload": name,
         "num_vertices": network.num_vertices,
@@ -158,7 +121,7 @@ def measure_kernel_class(
         "dinic_quartiles_s": _quartiles(samples["dinic"]),
         "kernel_quartiles_s": _quartiles(samples["kernel"]),
         "speedup": dinic_s / max(kernel_s, 1e-12),
-        "kernel_sweeps": kernel.iterations,
+        "kernel_rounds": kernel.iterations,
+        "kernel_routed": flat.routed,
         "value_diff": value_diff,
-        **measure_cores(network, repeats, reducer),
     }

@@ -17,10 +17,11 @@ The question measured: **what does the telemetry layer cost?**  The same
   what every existing caller pays after this layer landed.  The delta
   over raw is the backend wrapper *plus* the disabled fast path — one
   ``span()`` returning the shared no-op context per solve and one
-  enabled-flag read per kernel sweep;
+  enabled-flag read per kernel round;
 * ``enabled_s`` — the same service solve with obs forced **on** via
   :func:`~repro.obs.trace.set_obs_enabled`: live spans at the service
-  boundaries and a registry counter bump per discharge sweep.
+  boundaries and a registry counter bump per kernel round
+  (``solver.kernel.sweeps``).
 
 The ceilings (disabled <2 %, enabled <10 % over raw) live in
 ``benchmarks/bench_obs.py``.  The measurement discipline is the

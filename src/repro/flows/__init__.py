@@ -11,8 +11,8 @@ CPU baseline in its evaluation:
   highest-label selection, gap and global-relabel heuristics); this is the
   algorithm the paper benchmarks against on a 3 GHz Xeon.
 * :mod:`~repro.flows.kernel` — flat-array kernel (``"kernel"``): scipy's
-  compiled Dinic in scaled integer rounds or a lockstep preflow-push, the
-  default engine of cold exact solves.
+  compiled Dinic in scaled integer rounds, the default engine of cold
+  exact solves.
 * :mod:`~repro.flows.linprog` — reference LP formulation solved with
   :func:`scipy.optimize.linprog`.
 * :mod:`~repro.flows.mincut` — minimum-cut extraction from a maximum flow.

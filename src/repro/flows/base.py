@@ -15,7 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..errors import AlgorithmError, InfeasibleFlowError
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
+
+from ..errors import AlgorithmError, InfeasibleFlowError, InvalidGraphError
 from ..graph.network import FlowNetwork
 
 __all__ = [
@@ -24,6 +28,7 @@ __all__ = [
     "OperationCounter",
     "MaxFlowResult",
     "FlowAlgorithm",
+    "check_bounded",
     "validate_max_flow",
 ]
 
@@ -232,7 +237,11 @@ class FlowAlgorithm:
             When set, the returned flow is checked for feasibility (capacity
             and conservation constraints); an :class:`InfeasibleFlowError` is
             raised if the check fails.  Intended for tests and debugging.
+
+        Raises :class:`~repro.errors.InvalidGraphError` for a network whose
+        max flow is unbounded (:func:`check_bounded`).
         """
+        check_bounded(network)
         start = time.perf_counter()
         residual, iterations = self._run(network)
         elapsed = time.perf_counter() - start
@@ -254,6 +263,30 @@ class FlowAlgorithm:
 
     def _run(self, network: FlowNetwork) -> Tuple[ResidualNetwork, int]:
         raise NotImplementedError
+
+
+def check_bounded(network: FlowNetwork) -> None:
+    """Raise :class:`~repro.errors.InvalidGraphError` when the max flow is unbounded.
+
+    It is unbounded exactly when the source reaches the sink over
+    uncapacitated (``INFINITY``) edges alone; otherwise the edges leaving
+    what the source reaches that way form a finite cut.  Reads the cached
+    array view (:meth:`~repro.graph.network.FlowNetwork.flat`): a network
+    without an ``INFINITY`` edge pays one ``isinf`` pass, others one
+    compiled breadth-first search over those edges.
+    """
+    view = network.flat()
+    uncapacitated = np.isinf(view.capacity)
+    if not uncapacitated.any():
+        return
+    size = network.num_vertices
+    edges = (view.tail[uncapacitated], view.head[uncapacitated])
+    graph = csr_array((np.ones(edges[0].size), edges), shape=(size, size))
+    if view.sink in breadth_first_order(graph, view.source, return_predecessors=False):
+        raise InvalidGraphError(
+            "the source reaches the sink over uncapacitated edges alone: "
+            "the max flow is unbounded"
+        )
 
 
 def validate_max_flow(

@@ -6,9 +6,7 @@ algorithm classes directly.  The same names are valid backend names for
 :class:`repro.service.batch.BatchSolveService`, and each name means exactly
 one implementation everywhere: ``"dinic"`` is the reference Dinic,
 ``"kernel"`` the flat-array kernel, which runs scipy's compiled Dinic in
-scaled integer rounds or, for uncapacitated and for large square-grid-like
-real-valued networks, a lockstep preflow-push
-(:func:`~repro.flows.kernel.pick_core`).
+scaled integer rounds (:meth:`~repro.flows.kernel.FlatResidual.max_flow`).
 
 >>> from repro import FlowNetwork
 >>> from repro.flows.registry import solve_max_flow

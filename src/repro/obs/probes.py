@@ -2,7 +2,7 @@
 
 Each probe is a named function with a fixed event name, called from the
 one place in the codebase where that event happens — solver inner loops
-(kernel discharge sweeps, Dinic phases, incremental repairs, DC diode
+(kernel rounds, Dinic phases, incremental repairs, DC diode
 iterations, shard subgradient iterations) and resilience transitions
 (retry attempts, breaker state changes, failover hops, fault
 injections).  A probe is a *counter emission*, nothing more: span
@@ -11,7 +11,7 @@ be enabled/inspected independently of call order.
 
 Every probe funnels through :func:`emit`, whose first action is reading
 the tracing enable flag — the disabled fast path is one module-attribute
-read and a return, cheap enough for the kernel's per-sweep loop (the
+read and a return, cheap enough for the kernel's per-round loop (the
 ``obs`` perf suite gates this at <2 % total service overhead).
 """
 
@@ -98,7 +98,7 @@ def emit(event: str, amount: float = 1.0, **labels: object) -> None:
 # -- solver inner loops (label-free: these sit inside hot loops) -----------
 
 def kernel_sweep() -> None:
-    """One discharge sweep of the flat-array kernel."""
+    """One scaled integer round of the flat-array kernel (``solver.kernel.sweeps``)."""
     emit(EVENT_KERNEL_SWEEP)
 
 

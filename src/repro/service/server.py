@@ -46,10 +46,9 @@ is pinned by ``tests/test_server.py`` without sleeps:
 
 * **One exact lane.**  Every request routed to a classical engine (an
   :data:`~repro.flows.registry.ALGORITHMS` name) runs on one lane, one
-  solve at a time: the kernel's compiled core holds the interpreter lock
-  for a whole round, and its lockstep core and the other engines are
-  interpreter-bound, so two exact solves on two threads only slow each
-  other down.  When the lane frees, the worker that takes it runs the
+  solve at a time: the kernel holds the interpreter lock for a whole
+  round, and the other engines are interpreter-bound, so two exact solves
+  on two threads only slow each other down.  When the lane frees, the worker that takes it runs the
   first queued lane request, in queue order, through its own path
   (service → failover → backend → engine), with its budget re-derived on
   the server clock just before the solve; a request whose budget is spent

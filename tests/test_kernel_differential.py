@@ -13,18 +13,13 @@ edges, disconnected s/t, parallel edges, single-edge — drives
   flow has the same value (max-flow = min-cut equality, matched against
   the cut extracted from the reference flow).
 
-The kernel has two cores (:func:`repro.flows.kernel.pick_core`).  The
-compiled core is held to the same contract, and to the failover
-certificate, on every family with mixed int/float, parallel and
-anti-parallel edges at capacity scales 2^-13 to 2^30; its guards (the
-int32 range, deadlines between rounds, uncapacitated arcs) and its
-routing step (real grids finish in one routed round, leftovers that
-cannot be routed take a second round) are pinned one by one.
-
-The lockstep core's exact relabels run one compiled reverse BFS; the
-frontier-at-a-time loop it replaced stays here as the reference, and at
-every relabel of cold and warm lockstep solves the two must return the
-same labels and advance the operation counters alike.
+The kernel's compiled rounds are held to the same contract, and to the
+failover certificate, on every family with mixed int/float, parallel and
+anti-parallel edges at capacity scales 2^-13 to 2^30, with and without
+uncapacitated arcs; their guards (the int32 range, deadlines between
+rounds, uncapacitated arcs, unbounded networks) and the routing step
+(real grids finish in one routed round, leftovers that cannot be routed
+take a second round) are pinned one by one.
 
 The dtype-promotion guard pins the latent hazard the object-based path
 never had: flat arrays built from int or mixed int/float capacities must
@@ -36,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 import time
 import warnings
 from typing import Tuple
@@ -46,13 +42,13 @@ import pytest
 from conformance import scaled_network
 from seeding import derive_seed
 
-from repro.errors import AlgorithmError, InfeasibleFlowError, SolveTimeoutError
+from repro.errors import InfeasibleFlowError, InvalidGraphError, SolveTimeoutError
 from repro.flows import incremental as incremental_module
 from repro.flows import kernel as kernel_module
-from repro.flows.base import INFINITY, MaxFlowResult, validate_max_flow
+from repro.flows.base import INFINITY, MaxFlowResult, check_bounded, validate_max_flow
 from repro.flows.dinic import Dinic
 from repro.flows.incremental import IncrementalMaxFlow
-from repro.flows.kernel import FlatResidual, KernelDinic, _expand, pick_core
+from repro.flows.kernel import FlatResidual, KernelDinic
 from repro.flows.mincut import min_cut_from_flow
 
 kernel_module_maximum_flow = kernel_module.maximum_flow
@@ -213,12 +209,6 @@ def test_kernel_matches_references_heavy(family, trial):
 SCALES = (-13, -6, 0, 6, 13, 20, 30)
 
 
-@pytest.fixture
-def compiled_only(monkeypatch):
-    """Run every kernel solve on the compiled core."""
-    monkeypatch.setattr(kernel_module, "pick_core", lambda flat: "compiled")
-
-
 def _multigraph(family: str, trial: int, exponent: int) -> FlowNetwork:
     """A family member times ``2**exponent``, with parallel, anti-parallel and int edges.
 
@@ -248,21 +238,52 @@ def _assert_certified(network: FlowNetwork, result: MaxFlowResult) -> None:
     certify_flow_result(network, result.flow_value, result.edge_flows, exact=True)
 
 
+def _uncapacitated(family: str, exponent: int) -> FlowNetwork:
+    """:func:`_multigraph` with one or two of its edges made uncapacitated.
+
+    Edges are tried in seeded order; one that would close a source-sink
+    path of uncapacitated edges alone is left as it was.
+    """
+    network = _multigraph(family, 0, exponent)
+    rng = random.Random(derive_seed("kernel-uncapacitated", family, exponent))
+    wanted = rng.randint(1, 2)
+    for edge in rng.sample(list(network.edges()), network.num_edges):
+        network.set_capacity(edge.index, INFINITY)
+        try:
+            check_bounded(network)
+        except InvalidGraphError:
+            network.set_capacity(edge.index, edge.capacity)
+            continue
+        wanted -= 1
+        if not wanted:
+            break
+    return network
+
+
 class TestCompiledCore:
-    """The compiled core answers exactly and certifies its own cut."""
+    """The compiled rounds answer exactly and certify their own cut."""
 
     @pytest.mark.parametrize("exponent", SCALES)
     @pytest.mark.parametrize("trial", range(3))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_matches_dinic_and_certifies(self, compiled_only, family, trial, exponent):
+    def test_matches_dinic_and_certifies(self, family, trial, exponent):
         network = _multigraph(family, trial, exponent)
         result = KernelDinic().solve(network, validate=True)
+        _assert_certified(network, result)
+
+    @pytest.mark.parametrize("exponent", SCALES)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_uncapacitated_arcs_match_dinic_and_certify(self, family, exponent):
+        network = _uncapacitated(family, exponent)
+        assert any(edge.capacity == INFINITY for edge in network.edges())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no int32 cast of an infinite pair
+            result = KernelDinic().solve(network, validate=True)
         _assert_certified(network, result)
 
     def test_integral_capacities_take_one_exact_round(self):
         network = bipartite_graph(12, 12, seed=derive_seed("kernel-integral"))
         flat = FlatResidual.from_network(network)
-        assert pick_core(flat) == "compiled"
         assert flat.max_flow() == 1
         assert network.flow_value(flat.edge_flows()) == Dinic().solve(network).flow_value
 
@@ -277,7 +298,7 @@ class TestCompiledCore:
         [(2**31 + 5,), (2**30, 2**30), (2**31 - 1, 2**31 - 1, 3)],
         ids=["one-edge-past-int32", "parallel-sum-2^31", "parallel-past-int32"],
     )
-    def test_int32_guard(self, compiled_only, capacities):
+    def test_int32_guard(self, capacities):
         # scipy's solver keeps capacities in int32: 2^31 + 5 unscaled wraps
         # and answers 0 without an error.
         network = FlowNetwork()
@@ -301,7 +322,7 @@ class TestCompiledCore:
         with deadline_scope(1e-6):
             time.sleep(1e-3)
             with pytest.raises(SolveTimeoutError):
-                flat.compiled_max_flow()
+                flat.max_flow()
         assert calls == []
         np.testing.assert_array_equal(flat.residual, before)
 
@@ -309,7 +330,7 @@ class TestCompiledCore:
         """The budget runs out inside round 1: it finishes, round 2 never starts."""
         network = grid_graph(6, 9, seed=derive_seed("kernel-real"), capacity_jitter=0.5)
         unlimited = FlatResidual.from_network(network)
-        assert unlimited.compiled_max_flow() == 1 and unlimited.routed  # round 1 leaves a gap
+        assert unlimited.max_flow() == 1 and unlimited.routed  # round 1 leaves a gap
         calls = []
 
         def expiring(*args):
@@ -321,7 +342,7 @@ class TestCompiledCore:
         flat = FlatResidual.from_network(network)
         with deadline_scope(60.0) as deadline:
             with pytest.raises(SolveTimeoutError, match="kernel compiled round"):
-                flat.compiled_max_flow()
+                flat.max_flow()
         assert len(calls) == 1
         assert flat.residual[1::2].sum() > 0.0  # round 1's flow was kept
 
@@ -335,7 +356,7 @@ class TestCompiledCore:
         network.add_edge("x1", "t", 1.5 * 2**29)
         network.add_edge("x2", "t", 1.5 * 2**29)
         flat = FlatResidual.from_network(network)
-        assert flat.compiled_max_flow() == 2
+        assert flat.max_flow() == 2
         result = KernelDinic().solve(network, validate=True)
         assert result.flow_value == 100.2
         _assert_certified(network, result)
@@ -347,64 +368,72 @@ class TestCompiledCore:
         for exponent in (-6, 0, 13):
             network = scaled_network(base, 2.0**exponent)
             flat = FlatResidual.from_network(network)
-            assert flat.max_flow() == 1 and flat.core == "compiled" and flat.routed
+            assert flat.max_flow() == 1 and flat.routed
             result = KernelDinic().solve(network, validate=True)
             assert result.flow_value == pytest.approx(expected * 2.0**exponent, rel=1e-9)
             certify_flow_result(network, result.flow_value, result.edge_flows, exact=True)
 
-    def test_uncapacitated_arcs_raise_before_round_one(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(kernel_module, "maximum_flow", lambda *args: calls.append(args))
+    def test_uncapacitated_arcs_solve_in_one_round(self):
+        """``s -> a`` enters the round at ``flow_cap`` (3.5) and keeps ``inf``."""
         network = FlowNetwork()
         network.add_edge("s", "a", INFINITY)
         network.add_edge("a", "t", 2.5)
         flat = FlatResidual.from_network(network)
-        before = flat.residual.copy()
+        assert flat.flow_cap == 3.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no int32 cast of an infinite pair
-            with pytest.raises(AlgorithmError, match="finite"):
-                flat.compiled_max_flow()
-        assert calls == []
-        np.testing.assert_array_equal(flat.residual, before)
+            assert flat.max_flow() == 1
+        np.testing.assert_array_equal(flat.residual, [INFINITY, 2.5, 0.0, 2.5])
 
-    def test_a_network_without_edges_answers_zero(self, compiled_only):
+    def test_a_network_without_edges_answers_zero(self):
         network = FlowNetwork()
         network.add_vertex("s")
         network.add_vertex("t")
         assert KernelDinic().solve(network, validate=True).flow_value == 0
 
-    def test_uncapacitated_arcs_run_the_lockstep_core(self):
+    def test_an_uncapacitated_middle_arc_solves_exactly(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 3.0)
         network.add_edge("a", "b", INFINITY)
         network.add_edge("b", "t", 1.75)
         network.add_edge("s", "t", 2)
         flat = FlatResidual.from_network(network)
-        assert pick_core(flat) == "lockstep"
-        assert flat.max_flow() > 0 and flat.core == "lockstep"
+        assert flat.max_flow() == 1
         assert network.flow_value(flat.edge_flows()) == pytest.approx(3.75, abs=1e-12)
+        _assert_certified(network, KernelDinic().solve(network, validate=True))
 
-    def test_large_deep_and_wide_real_networks_run_the_lockstep_core(self):
-        def pick(network):
-            return pick_core(FlatResidual.from_network(network))
+    @pytest.mark.parametrize("engine", [KernelDinic, Dinic])
+    def test_an_unbounded_network_raises(self, engine):
+        """An uncapacitated ``s -> a -> t`` beside ``s -> t``: no maximum flow.
 
-        seed = derive_seed("kernel-pick")
-        assert pick(grid_graph(160, 160, seed=seed, capacity_jitter=0.5)) == "lockstep"
-        # At most 60,000 edges, integral, shallow or thin: compiled.
-        assert pick(grid_graph(128, 128, seed=seed, capacity_jitter=0.5)) == "compiled"
-        assert pick(grid_graph(160, 160, capacity=2.0)) == "compiled"
-        shallow = scaled_network(bipartite_graph(400, 400, seed=seed, connectivity=0.4), 1.37)
-        assert shallow.num_edges > 60_000 and pick(shallow) == "compiled"
-        thin = grid_graph(8, 3000, seed=seed, capacity_jitter=0.5)
-        assert thin.num_edges > 60_000 and pick(thin) == "compiled"
+        Unchecked, the reference Dinic re-pushes the infinite bottleneck
+        inside one blocking-flow phase and never returns, even under a
+        deadline.
+        """
+        network = FlowNetwork()
+        network.add_edge("s", "a", INFINITY)
+        network.add_edge("a", "t", INFINITY)
+        network.add_edge("s", "t", 3.0)
+        raised = []
+
+        def solve():
+            with pytest.raises(InvalidGraphError, match="unbounded") as caught:
+                engine().solve(network)
+            raised.append(caught.value)
+
+        worker = threading.Thread(target=solve, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "the solve did not return"
+        assert raised
 
 
-class TestLockstepUnreachableSink:
-    """The lockstep core moves nothing when the sink is unreachable.
+class TestUnreachableSink:
+    """The rounds move nothing when the sink is unreachable.
 
-    Flooding the source's component and draining it back left conservation
-    round-off of about 1e-6 at capacity scale 2^30, against a tolerance of
-    1e-9 on a zero flow.
+    Flooding the source's component and draining it back would leave
+    conservation round-off of about 1e-6 at capacity scale 2^30, against a
+    tolerance of 1e-9 on a zero flow.
     """
 
     @pytest.mark.parametrize("trial", range(25))
@@ -413,7 +442,7 @@ class TestLockstepUnreachableSink:
         network = scaled_network(base, 2.0**30)
         flat = FlatResidual.from_network(network)
         before = flat.residual.copy()
-        assert flat.lockstep_max_flow() == 0
+        flat.max_flow()
         np.testing.assert_array_equal(flat.residual, before)
         flows = flat.edge_flows()
         certify_flow_result(network, network.flow_value(flows), flows, exact=True)
@@ -609,166 +638,25 @@ class TestWarmEngine:
         seed = derive_seed("kernel-warm-stream", family, exponent)
         _stream_matches_reference(_multigraph(family, 0, exponent), algorithm, seed, exponent)
 
+    @pytest.mark.parametrize("exponent", (0, 6))
+    def test_cold_kernel_solves_of_each_revision_certify(self, exponent):
+        """Revisions with an ``INFINITY`` edge beside a 2^40-scale one.
+
+        A solve that took residuals below 1e-12 of the largest as saturated
+        left a real augmenting path of about one unit on some of them.
+        """
+        seed = derive_seed("kernel-warm-stream", "single-edge", exponent)
+        network = _multigraph("single-edge", 0, exponent)
+        for _, current, _ in _seeded_pushes(network, "dinic", seed, exponent, 5):
+            revision = current.snapshot()
+            _assert_certified(revision, KernelDinic().solve(revision, validate=True))
+
     @pytest.mark.parametrize("algorithm", ["dinic", "kernel"])
     @pytest.mark.parametrize("exponent", (-13, 0, 30))
     def test_deep_real_grid_streams(self, exponent, algorithm):
         seed = derive_seed("kernel-warm-deep", exponent)
         base = grid_graph(6, 130, seed=seed, capacity_jitter=0.5)  # 2,086 edges, depth 131
         _stream_matches_reference(scaled_network(base, 2.0**exponent), algorithm, seed, exponent)
-
-
-# ----------------------------------------------------------------------
-# Exact relabels: the compiled reverse BFS against the frontier loop
-# ----------------------------------------------------------------------
-
-
-def _frontier_bfs(flat: FlatResidual, root: int) -> np.ndarray:
-    """Reference reverse BFS: one vectorised step per BFS level.
-
-    The frontier loop the compiled ``FlatResidual._reverse_bfs`` replaced.
-    For each frontier vertex the partner of every out-arc is the arc
-    pointing at it, so predecessors are read with one gather.  Unreached
-    vertices get ``4 * num_vertices``.
-    """
-    num_vertices = flat.num_vertices
-    indptr = flat.indptr
-    counter = flat.counter
-    big = 4 * num_vertices
-    dist = np.full(num_vertices, big, dtype=np.int64)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        depth += 1
-        counter.queue_operations += int(frontier.size)
-        starts = indptr[frontier]
-        cnt = indptr[frontier + 1] - starts
-        pos, _ = _expand(starts, cnt)
-        if pos.size == 0:
-            break
-        arcs = flat.arcs_by_tail[pos]
-        heads = flat.arc_head[arcs]
-        counter.arc_scans += int(pos.size)
-        preds = heads[(flat.residual[arcs ^ 1] > flat.eps) & (dist[heads] == big)]
-        if preds.size == 0:
-            break
-        dist[preds] = depth
-        frontier = np.unique(preds)
-    return dist
-
-
-@pytest.fixture
-def checked_bfs(monkeypatch):
-    """Check every exact relabel against :func:`_frontier_bfs`.
-
-    Each call runs the reference first, on the same residual, then the
-    compiled BFS from the same counters; the two must return the same
-    int64 array and advance ``queue_operations`` and ``arc_scans`` alike.
-    Returns the list the ``(flat, root)`` of every checked call goes to.
-    """
-    compiled = FlatResidual._reverse_bfs
-    calls = []
-
-    def both(flat, root):
-        counter = flat.counter
-        before = (counter.queue_operations, counter.arc_scans)
-        expected = _frontier_bfs(flat, root)
-        wanted = (counter.queue_operations, counter.arc_scans)
-        counter.queue_operations, counter.arc_scans = before
-        dist = compiled(flat, root)
-        assert dist.dtype == np.int64
-        np.testing.assert_array_equal(dist, expected)
-        assert (counter.queue_operations, counter.arc_scans) == wanted
-        calls.append((flat, root))
-        return dist
-
-    monkeypatch.setattr(FlatResidual, "_reverse_bfs", both)
-    return calls
-
-
-@pytest.fixture
-def lockstep_only(monkeypatch):
-    """Run every kernel solve, warm exports included, on the lockstep core."""
-    monkeypatch.setattr(kernel_module, "pick_core", lambda flat: "lockstep")
-
-
-def _lockstep(network: FlowNetwork) -> Tuple[FlatResidual, int]:
-    """A cold solve of ``network`` on the lockstep core, driven directly."""
-    flat = FlatResidual.from_network(network)
-    return flat, flat.lockstep_max_flow()
-
-
-def _warm_stream(seed: int) -> Tuple[IncrementalMaxFlow, MaxFlowResult]:
-    """A kernel stream repaired after an edge insert, through a warm export.
-
-    The insert appends an arc pair to a residual that already carries the
-    cold solve's flow, so the repair lowers it with ``from_residual``.  It
-    feeds a cell of the last column, whose edge to the sink (capacity
-    ``rows``) never saturates, so the insert raises the flow, and the grid
-    has over 2,000 edges, so the warm augmentation runs on the kernel.
-    """
-    rng = random.Random(seed)
-    network = grid_graph(rng.randint(24, 26), rng.randint(30, 34), seed=seed)
-    stream = IncrementalMaxFlow(MutableFlowNetwork(network), algorithm="kernel")
-    last = [edge.tail for edge in network.edges() if edge.head == "t"]
-    result = stream.push([EdgeInsert("s", rng.choice(last), rng.uniform(2.0, 6.0))])
-    assert stream.warm_solves == 1
-    return stream, result
-
-
-class TestCompiledRelabels:
-    """The compiled reverse BFS is the frontier loop, call for call.
-
-    Every exact relabel of a lockstep solve is checked against the
-    reference on the same residual (:func:`checked_bfs`), and whole
-    lockstep solves with the reference patched in give the same flows and
-    all six counters.  The solves drive the lockstep core directly: the
-    kernel's own pick runs most of these instances on the compiled core,
-    which relabels nothing.
-    """
-
-    @pytest.mark.parametrize("trial", range(3))
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_every_relabel_matches(self, checked_bfs, family, trial):
-        network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
-        _lockstep(network)
-        assert checked_bfs
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("trial", range(2))
-    @pytest.mark.parametrize("family", HEAVY_FAMILIES)
-    def test_every_relabel_matches_heavy(self, checked_bfs, family, trial):
-        seed = derive_seed("kernel-fuzz-heavy", family, trial)
-        _lockstep(FAMILIES[family](seed, heavy=True))
-        assert checked_bfs
-
-    @pytest.mark.parametrize("trial", range(3))
-    def test_every_relabel_of_a_warm_export_matches(self, checked_bfs, lockstep_only, trial):
-        stream, _ = _warm_stream(derive_seed("kernel-bfs-warm", trial))
-        arcs = 2 * stream.network.num_edges  # the inserted edge's pair included
-        warm = [flat for flat, _ in checked_bfs if flat.arc_tail.size == arcs]
-        assert warm, "the repair after the insert ran no exact relabel"
-        assert all(flat.residual[1::2].any() for flat in warm)  # carries flow
-
-    @pytest.mark.parametrize("trial", range(3))
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_whole_solves_match(self, monkeypatch, family, trial):
-        network = FAMILIES[family](derive_seed("kernel-fuzz", family, trial), heavy=False)
-        compiled, sweeps = _lockstep(network)
-        monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
-        reference, reference_sweeps = _lockstep(network)
-        assert compiled.edge_flows() == reference.edge_flows()
-        assert compiled.counter == reference.counter
-        assert sweeps == reference_sweeps
-
-    def test_whole_warm_solves_match(self, monkeypatch, lockstep_only):
-        def answer():
-            _, warm = _warm_stream(derive_seed("kernel-bfs-warm", 0))
-            return warm.edge_flows, warm.operations, warm.iterations
-
-        compiled = answer()
-        monkeypatch.setattr(FlatResidual, "_reverse_bfs", _frontier_bfs)
-        assert answer() == compiled
 
 
 # ----------------------------------------------------------------------
@@ -838,6 +726,27 @@ class TestKernelSelection:
         result = ClassicalBackend(name).solve(SolveRequest(network=network))
         assert result.ok
         assert result.detail.algorithm == name
+
+    def test_an_unbounded_request_fails_fast(self):
+        """Typed, within its deadline, at every hop of the kernel's failover chain."""
+        from repro.service import BatchSolveService
+
+        network = FlowNetwork()
+        network.add_edge("s", "a", INFINITY)
+        network.add_edge("a", "t", INFINITY)
+        network.add_edge("s", "t", 3.0)
+        start = time.perf_counter()
+        plain = BatchSolveService(executor="serial").solve(
+            network, backend="kernel", deadline_s=5.0
+        )
+        chained = BatchSolveService(executor="serial", failover=True).solve(
+            network, backend="kernel", deadline_s=5.0
+        )
+        assert time.perf_counter() - start < 5.0
+        assert not plain.ok and plain.error_type == "InvalidGraphError"
+        assert not chained.ok
+        assert {hop.split("#")[0] for hop in chained.failover_trail} == {"kernel", "dinic"}
+        assert all("InvalidGraphError" in hop for hop in chained.failover_trail)
 
     def test_cold_exact_defaults_run_the_kernel(self, monkeypatch):
         """Cold exact solves that name no engine run the kernel.

@@ -769,14 +769,14 @@ class TestExactLane:
             for child in span.children:
                 yield from walk(child)
 
-        cores = [
-            tuple(span.attributes[f"kernel_{key}"] for key in ("core", "rounds", "routed"))
+        rounds = [
+            (span.attributes["kernel_rounds"], span.attributes["kernel_routed"])
             for root in recent_traces() for span in walk(root)
-            if "kernel_core" in span.attributes
+            if "kernel_rounds" in span.attributes
         ]
         # One span per request; integral capacities take one exact round,
         # the real one a round whose leftover is routed.
-        assert cores == [("compiled", 1, False), ("compiled", 1, True), ("compiled", 1, False)]
+        assert rounds == [(1, False), (1, True), (1, False)]
 
 
 class TestSyncSolveFn:

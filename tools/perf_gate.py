@@ -55,16 +55,10 @@ status.
 corpus instance class (grid / rmat / bipartite), the median reference
 Dinic and flat-array :class:`KernelDinic` wall clocks on the identical
 network with each engine's quartiles (``*_q1_ms``/``*_q3_ms``, the noise
-band), the speedup, the kernel's round or sweep count and the relative
-flow-value disagreement; then both kernel cores forced (``compiled_*`` /
-``lockstep_*`` medians and quartiles), the compiled core's rounds and
-whether routing completed it (``compiled_rounds`` / ``compiled_routed``),
-the core ``pick_core`` picks and whether the pick is within the other
-core's band.  ``crossover`` records the same core fields on the sweep that
-places the pick: real-capacity square grids (6.9k-77k edges at scale
-0.25), an 8x1000 thin grid, and
-real-capacity R-MAT and bipartite instances.  All repeats are interleaved, so host
-drift does not land in the ratios.  The default scale (0.25) is the
+band), the speedup, the kernel's rounds and whether routing completed its
+solve (``kernel_rounds`` / ``kernel_routed``) and the relative flow-value
+disagreement.  All repeats are interleaved, so host drift does not land
+in the ratios.  The default scale (0.25) is the
 headline size — the 96x96 vision grid; the kernel's >=10x floor is
 enforced by ``benchmarks/bench_kernel.py``.
 
@@ -107,8 +101,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -118,8 +110,6 @@ from typing import Callable, NamedTuple, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.kernel import measure_cores  # noqa: E402
-from repro.graph import FlowNetwork, bipartite_graph, grid_graph, rmat_graph  # noqa: E402
 from repro.bench import (  # noqa: E402
     KERNEL_CLASSES,
     PROBLEM_CLASSES,
@@ -313,18 +303,6 @@ def _problems_report(args) -> dict:
     }
 
 
-def _as_core_record(metrics: dict) -> dict:
-    record = {
-        key: metrics[key]
-        for key in ("pick", "pick_within_band", "compiled_rounds", "compiled_routed")
-    }
-    for core in ("compiled", "lockstep"):
-        record[f"{core}_ms"] = round(metrics[f"{core}_s"] * 1e3, 3)
-        record[f"{core}_q1_ms"] = round(metrics[f"{core}_quartiles_s"][0] * 1e3, 3)
-        record[f"{core}_q3_ms"] = round(metrics[f"{core}_quartiles_s"][1] * 1e3, 3)
-    return record
-
-
 def _as_kernel_record(metrics: dict) -> dict:
     return {
         "workload": metrics["workload"],
@@ -337,45 +315,13 @@ def _as_kernel_record(metrics: dict) -> dict:
         "kernel_q1_ms": round(metrics["kernel_quartiles_s"][0] * 1e3, 3),
         "kernel_q3_ms": round(metrics["kernel_quartiles_s"][1] * 1e3, 3),
         "speedup": round(metrics["speedup"], 2),
-        "kernel_sweeps": metrics["kernel_sweeps"],
+        "kernel_rounds": metrics["kernel_rounds"],
+        "kernel_routed": metrics["kernel_routed"],
         "value_diff": float(f"{metrics['value_diff']:.3e}"),
-        **_as_core_record(metrics),
     }
 
 
-def _real_capacities(network: FlowNetwork, seed: int) -> FlowNetwork:
-    """``network`` with every capacity times a seeded factor in [0.5, 1.5)."""
-    rng = random.Random(seed)
-    for edge in list(network.edges()):
-        network.set_capacity(edge.index, edge.capacity * rng.uniform(0.5, 1.5))
-    return network
-
-
-def _kernel_crossover(scale: float):
-    """``(name, network)`` of ``pick_core``'s crossover sweep, full size at 0.25."""
-    factor = math.sqrt(scale / 0.25)
-    for side in (48, 64, 72, 96, 128, 160):
-        side = max(4, round(side * factor))
-        yield f"grid_{side}x{side}", grid_graph(side, side, seed=7, capacity_jitter=0.5)
-    cols = max(4, round(1000 * factor))
-    yield f"grid_8x{cols}", grid_graph(8, cols, seed=7, capacity_jitter=0.5)
-    for vertices, edges in ((1024, 5120), (4096, 20480)):
-        vertices, edges = max(16, round(vertices * factor**2)), max(48, round(edges * factor**2))
-        yield (f"rmat_{vertices}v_{edges}e",
-               rmat_graph(vertices, edges, seed=11, integer_capacities=False))
-    for side in (160, 320):
-        side = max(4, round(side * factor))
-        network = bipartite_graph(side, side, seed=13, connectivity=0.4)
-        yield f"bipartite_{side}x{side}", _real_capacities(network, 5)
-
-
 def _kernel_report(args) -> dict:
-    crossover = {}
-    for name, network in _kernel_crossover(args.scale):
-        crossover[name] = {
-            "num_edges": network.num_edges,
-            **_as_core_record(measure_cores(network, repeats=args.repeats)),
-        }
     return {
         "scale": args.scale,
         "repeats": args.repeats,
@@ -388,7 +334,6 @@ def _kernel_report(args) -> dict:
             )
             for regime in KERNEL_CLASSES
         },
-        "crossover": crossover,
     }
 
 
@@ -565,25 +510,7 @@ SUITES = {
 }
 
 
-def _core_line(row: dict) -> str:
-    """Both kernel cores' medians and IQRs, the pick and its band check."""
-    cores = ", ".join(
-        f"{core} {row[f'{core}_ms']} ms "
-        f"(IQR {row[f'{core}_q1_ms']}-{row[f'{core}_q3_ms']})"
-        for core in ("compiled", "lockstep")
-    )
-    band = "within band" if row["pick_within_band"] else "SLOWER THAN THE OTHER CORE"
-    routed = ", routed" if row["compiled_routed"] else ""
-    return (
-        f"{cores}; compiled {row['compiled_rounds']} rounds{routed}; "
-        f"pick {row['pick']} ({band})"
-    )
-
-
 def _print_suite_summary(suite: str, report: dict) -> None:
-    if suite == "kernel":
-        for name, row in report["crossover"].items():
-            print(f"  crossover {name} ({row['num_edges']} edges): {_core_line(row)}")
     if suite == "serving":
         mixed = report["mixed"]
         coalesce = report["coalesce"]
@@ -657,14 +584,15 @@ def _print_suite_summary(suite: str, report: dict) -> None:
                 f"{row['analog_cold_ms']} ms cold ({row['analog_speedup']}x)"
             )
         elif suite == "kernel":
+            routed = ", routed" if row["kernel_routed"] else ""
             print(
                 f"  {regime} ({row['workload']}, {row['num_edges']} edges): "
                 f"kernel {row['kernel_ms']} ms "
                 f"(IQR {row['kernel_q1_ms']}-{row['kernel_q3_ms']}) "
                 f"vs dinic {row['dinic_ms']} ms "
                 f"(IQR {row['dinic_q1_ms']}-{row['dinic_q3_ms']}) "
-                f"({row['speedup']}x, {row['kernel_sweeps']} rounds or sweeps, "
-                f"value diff {row['value_diff']:.1e}); {_core_line(row)}"
+                f"({row['speedup']}x, {row['kernel_rounds']} rounds{routed}, "
+                f"value diff {row['value_diff']:.1e})"
             )
         elif suite == "problems":
             print(
